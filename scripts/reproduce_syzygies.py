@@ -4,7 +4,7 @@
 The quintic has one relation (weighted degree 36), the sextic one (degree
 30), the octavic five (degrees 16..20).  Relations are computed for the
 freshly computed generator sets and, where available, the bundled relation
-is expanded through the bundled generators as an independent identity check.
+is checked against the bundled generators as an independent identity check.
 """
 
 import argparse

@@ -3,14 +3,14 @@
 Subcommands: invariants, mingenset, syzygies, member, convert, verify,
 fixtures.  Exit codes: 0 on success, 1 when a verification or membership
 question comes back negative, 2 on bad input (including a generator-table
-mismatch).  INVFORGE_THREADS caps the worker threads used for batch
-validation (default: hardware parallelism).
+mismatch and any OS error such as an unreadable file), 3 on an internal
+failure.  Codes 2 and 3 print one ``error:`` or ``internal error:`` line to
+stderr and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -33,18 +33,6 @@ from .invariants import (
 from .rings import u_ring, x_ring
 from .syzygies import minimal_syzygies
 from .textio import PolyParseError, iter_format_json, iter_format_text, parse_poly
-
-
-def worker_count() -> int:
-    """Worker-thread cap from INVFORGE_THREADS, else hardware parallelism."""
-    raw = os.environ.get("INVFORGE_THREADS", "")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k < 1:
-        k = os.cpu_count() or 1
-    return k
 
 
 def _emit(poly, style: str, out) -> None:
@@ -136,7 +124,7 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_fixtures(args, out) -> int:
-    records = load_fixtures(args.n, workers=worker_count())
+    records = load_fixtures(args.n)
     for rec in records:
         line = f"{rec.name} [{rec.coordinates}] {rec.status}"
         if rec.note:
@@ -210,9 +198,12 @@ def main(argv=None, out=None) -> int:
     try:
         return args.func(args, out)
     except (PolyParseError, DegreeMismatchError, UnsupportedFormDegreeError,
-            FileNotFoundError, ValueError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,15 +5,15 @@ holds a generator in u-coordinates (``{name}_x.poly`` in x-coordinates) and
 ``syzygy-{k}.gen`` a relation in generator symbols.  Nothing is trusted on
 faith: every record is classified at load time as ``validated`` or
 ``transcription-suspect`` by running it through the invariance verifiers
-(generators) or exact expansion against the validated generators
-(relations).  Suspect records stay available but must not feed golden
+(generators) or ``check_syzygy`` against the validated generators
+(relations), which tests it exactly against the certified relation space
+of its degree.  Suspect records stay available but must not feed golden
 comparisons.
 """
 
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -27,6 +27,7 @@ VALIDATED = "validated"
 SUSPECT = "transcription-suspect"
 
 _DATA_ROOT = Path(__file__).parent / "fixtures"
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
 @dataclass
@@ -87,28 +88,21 @@ def generator_set_from_records(n: int, records) -> GeneratorSet:
     return GeneratorSet(n, tuple(gens))
 
 
-def load_fixtures(n: int, base: Path = None, workers: int = 1) -> list:
+def load_fixtures(n: int, base: Path = None) -> list:
     """Load and classify every fixture for one form degree."""
     root = Path(base) if base else _DATA_ROOT
     folder = root / f"n{n}"
     if not folder.is_dir():
         raise FileNotFoundError(f"no fixtures for n={n} under {root}")
 
-    gen_jobs = []
+    records = []
     for path in sorted(folder.glob("*.poly"), key=lambda p: _name_key(p.stem)):
         stem = path.stem
         if stem.endswith("_x"):
             name, coords = stem[:-2], "x"
         else:
             name, coords = stem, "u"
-        gen_jobs.append((name, coords, path.read_text().strip()))
-
-    if workers > 1 and len(gen_jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                lambda job: _validate_generator(n, *job), gen_jobs))
-    else:
-        records = [_validate_generator(n, *job) for job in gen_jobs]
+        records.append(_validate_generator(n, name, coords, path.read_text().strip()))
 
     gens = generator_set_from_records(n, records)
     gctx = gens.gen_context() if len(gens) else None
@@ -143,14 +137,19 @@ def load_generator_dir(n: int, path) -> GeneratorSet:
     """Read a --gens directory: every *.poly is a u-coordinate generator.
 
     Files with an ``_x`` suffix are skipped (they are the optional x-forms
-    written next to the u-forms).  Every generator must pass the u-ring
+    written next to the u-forms).  Every file stem must be an identifier of
+    the text grammar that is not a u-ring variable name, so relations print
+    with names that parse back, and every generator must pass the u-ring
     verifier; anything else is a usage error.
     """
     folder = Path(path)
+    reserved = set(u_ring(n).names()) | {"t"}
     gens = []
     for p in sorted(folder.glob("*.poly"), key=lambda p: _name_key(p.stem)):
         if p.stem.endswith("_x"):
             continue
+        if not _IDENTIFIER.fullmatch(p.stem) or p.stem in reserved:
+            raise ValueError(f"{p.name}: {p.stem!r} cannot name a generator")
         poly = parse_poly(p.read_text().strip(), u_ring(n))
         if poly.is_zero() or not verify_invariant_u(n, poly):
             raise ValueError(f"{p.name} is not a verified invariant")

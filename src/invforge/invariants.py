@@ -21,6 +21,7 @@ from .derivations import (
     reduced_operator,
 )
 from .exponents import grad, powers
+from .hilbert import invariant_dimension
 from .linalg import nullspace_sparse, solve_affine_sparse
 from .rings import (
     Polynomial,
@@ -41,6 +42,10 @@ class DegreeMismatchError(RuntimeError):
 
 class UnsupportedFormDegreeError(ValueError):
     """No stored generator table for this form degree."""
+
+
+class DimensionMismatchError(RuntimeError):
+    """A computed invariant basis disagrees with the Cayley-Sylvester count."""
 
 
 @dataclass(frozen=True)
@@ -114,15 +119,25 @@ def _nullspace_polynomials(ctx, candidates, columns):
 
 
 def invariant_basis(n: int, d: int) -> InvariantBasis:
-    """All invariants of degree d, via the reduced single-operator system."""
+    """All invariants of degree d, via the reduced single-operator system.
+
+    The basis size is checked against the Cayley-Sylvester count on every
+    call; a disagreement raises DimensionMismatchError.
+    """
     candidates = powers(n, d)
-    if not candidates:
-        return InvariantBasis(n, d, ())
-    ctx = u_ring(n)
-    op = reduced_operator(n)
-    columns = [apply_derivation(op, Polynomial.monomial(ctx, e))
-               for e in candidates]
-    return InvariantBasis(n, d, tuple(_nullspace_polynomials(ctx, candidates, columns)))
+    elements = ()
+    if candidates:
+        ctx = u_ring(n)
+        op = reduced_operator(n)
+        columns = [apply_derivation(op, Polynomial.monomial(ctx, e))
+                   for e in candidates]
+        elements = tuple(_nullspace_polynomials(ctx, candidates, columns))
+    expected = invariant_dimension(n, d)
+    if len(elements) != expected:
+        raise DimensionMismatchError(
+            f"degree-{d} invariant basis for n={n} has {len(elements)} elements,"
+            f" the Cayley-Sylvester count is {expected}")
+    return InvariantBasis(n, d, elements)
 
 
 def _x_monomials(n: int, d: int, w: int) -> list:

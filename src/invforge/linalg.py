@@ -74,6 +74,12 @@ class Eliminator:
                 new = {j: v // g for j, v in new.items()}
             row = new
 
+    def add_rows(self, rows: Iterable[dict]) -> "Eliminator":
+        for row in rows:
+            if row:
+                self.add_row(row)
+        return self
+
     @property
     def rank(self) -> int:
         return len(self.pivots)
@@ -114,31 +120,31 @@ class Eliminator:
             out.append((c, {j: Fraction(v, lead) for j, v in r.items()}))
         return out
 
+    def nullspace(self) -> list:
+        """Canonical nullspace basis of the row space eliminated so far.
+
+        One basis vector per free column, in ascending free-column order; the
+        vector carries 1 on its free column and 0 on every other free column.
+        """
+        rref = self.rref()
+        pivot_cols = {c for c, _ in rref}
+        basis = []
+        for f in range(self.ncols):
+            if f in pivot_cols:
+                continue
+            vec = [Fraction(0)] * self.ncols
+            vec[f] = Fraction(1)
+            for c, r in rref:
+                v = r.get(f)
+                if v:
+                    vec[c] = -v
+            basis.append(vec)
+        return basis
+
 
 def nullspace_sparse(ncols: int, rows: Iterable[dict]) -> list:
-    """Canonical nullspace basis of the matrix given by sparse rows.
-
-    One basis vector per free column, in ascending free-column order; the
-    vector carries 1 on its free column and 0 on every other free column.
-    """
-    elim = Eliminator(ncols)
-    for row in rows:
-        if row:
-            elim.add_row(row)
-    rref = elim.rref()
-    pivot_cols = {c for c, _ in rref}
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for c, r in rref:
-            v = r.get(f)
-            if v:
-                vec[c] = -v
-        basis.append(vec)
-    return basis
+    """Canonical nullspace basis of the matrix given by sparse rows."""
+    return Eliminator(ncols).add_rows(rows).nullspace()
 
 
 def solve_affine_sparse(ncols: int, rows: Iterable[dict]) -> Optional[list]:
@@ -148,10 +154,7 @@ def solve_affine_sparse(ncols: int, rows: Iterable[dict]) -> Optional[list]:
     under column index ``ncols``.  Free variables come back as 0.
     """
     rhs = ncols
-    elim = Eliminator(ncols + 1)
-    for row in rows:
-        if row:
-            elim.add_row(row)
+    elim = Eliminator(ncols + 1).add_rows(rows)
     if rhs in elim.pivots:
         return None
     sol = [Fraction(0)] * ncols
@@ -161,11 +164,7 @@ def solve_affine_sparse(ncols: int, rows: Iterable[dict]) -> Optional[list]:
 
 
 def rank_sparse(ncols: int, rows: Iterable[dict]) -> int:
-    elim = Eliminator(ncols)
-    for row in rows:
-        if row:
-            elim.add_row(row)
-    return elim.rank
+    return Eliminator(ncols).add_rows(rows).rank
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,46 @@
 """Algebraic relations among a generating set, per weighted degree.
 
 A syzygy is a generator-ring polynomial whose expansion through the
-generator polynomials vanishes identically.  The per-degree basis comes
-from the nullspace of the candidate-expansion matrix; the minimality
-filter quotients out products of lower-degree syzygies with generator
-monomials, which the per-degree solver alone would keep reporting.
+generator polynomials vanishes identically.  The degree-d relations are the
+nullspace of the candidate-expansion matrix A (columns: generator monomials
+of weighted degree d, rows: u-monomials).  Rather than expanding A, the
+engine evaluates the generators at integer points: one point gives one row
+of E = V*A, so null(A) is contained in null(E), and rank E <= rank A <=
+dim I_d because every column of A is a degree-d invariant.  Points are
+added until rank E reaches the Cayley-Sylvester count dim I_d; then the
+two nullspaces are equal and E certifies both the basis and the relation
+checks exactly.  When the certificate cannot be had (a generator that is
+not an invariant of its declared degree, or a set that does not span I_d)
+the engine falls back to expanding A.  The minimality filter quotients out
+products of lower-degree syzygies with generator monomials, which the
+per-degree solver alone would keep reporting.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .exponents import powers2
-from .invariants import GeneratorSet, expand_candidate
-from .linalg import Eliminator, nullspace_sparse
-from .rings import ContextMismatchError, Polynomial, monomial_key, normalize, u_ring
+from .hilbert import invariant_dimension
+from .invariants import GeneratorSet, expand_candidate, verify_invariant_u
+from .linalg import Eliminator
+from .rings import (
+    ContextMismatchError,
+    Polynomial,
+    degree,
+    evaluate,
+    monomial_key,
+    monomial_value,
+    normalize,
+    u_ring,
+)
+
+# The certificate gives up after this many consecutive points that do not
+# raise the rank; point coordinates are drawn from [-POINT_RANGE, POINT_RANGE]
+# (small values keep the integers in the elimination short).
+IDLE_POINTS = 8
+POINT_RANGE = 3
 
 
 @dataclass(frozen=True)
@@ -36,35 +62,135 @@ def expand_in_generators(gens: GeneratorSet, g: Polynomial,
     return total
 
 
-def syzygy_basis(gens: GeneratorSet, d: int, cache: dict = None) -> list:
-    """Canonical basis of all relations of weighted degree d."""
+def _candidates(gens: GeneratorSet, d: int) -> list:
     if not len(gens):
         raise ValueError("need a nonempty generator set")
-    candidates = powers2(gens.degrees(), d)
-    if not candidates:
-        return []
-    if cache is None:
-        cache = {}
+    return powers2(gens.degrees(), d)
+
+
+def _generators_are_invariants(gens: GeneratorSet, cache: dict) -> bool:
+    """The certificate's precondition: each generator is an invariant of its degree."""
+    ok = cache.get("generators-are-invariants")
+    if ok is None:
+        ok = all(not g.u_poly.is_zero() and degree(g.u_poly) == g.degree
+                 and verify_invariant_u(gens.n, g.u_poly) for g in gens)
+        cache["generators-are-invariants"] = ok
+    return ok
+
+
+def _values_at(gens: GeneratorSet, k: int, cache: dict) -> tuple:
+    """Generator values at the k-th point of a fixed sequence."""
+    key = ("values", k)
+    values = cache.get(key)
+    if values is None:
+        rng = random.Random(k)
+        point = [rng.randint(-POINT_RANGE, POINT_RANGE) for _ in range(gens.n)]
+        values = tuple(evaluate(g.u_poly, point) for g in gens)
+        cache[key] = values
+    return values
+
+
+def _certified_system(gens: GeneratorSet, d: int, candidates: list,
+                      cache: dict):
+    """Eliminator over evaluation rows with rank dim I_d, or None."""
+    key = ("certified", d)
+    if key in cache:
+        return cache[key]
+    elim = None
+    target = invariant_dimension(gens.n, d)
+    if len(candidates) >= target and _generators_are_invariants(gens, cache):
+        elim = Eliminator(len(candidates))
+        k = idle = 0
+        while elim.rank < target and idle < IDLE_POINTS:
+            values = _values_at(gens, k, cache)
+            before = elim.rank
+            elim.add_row({j: v for j, e in enumerate(candidates)
+                          if (v := monomial_value(e, values))})
+            k += 1
+            idle = 0 if elim.rank > before else idle + 1
+        if elim.rank < target:
+            elim = None
+    cache[key] = elim
+    return elim
+
+
+def _expansion_system(gens: GeneratorSet, candidates: list,
+                      cache: dict) -> Eliminator:
+    """Eliminator over the rows of the expanded candidate matrix A."""
     uctx = u_ring(gens.n)
     rows = {}
     for j, exps in enumerate(candidates):
         for e, c in expand_candidate(gens, exps, cache).terms.items():
             rows.setdefault(e, {})[j] = c
-    ordered = [rows[e] for e in sorted(rows, key=lambda e: monomial_key(uctx, e))]
+    ordered = (rows[e] for e in sorted(rows, key=lambda e: monomial_key(uctx, e)))
+    return Eliminator(len(candidates)).add_rows(ordered)
+
+
+def _relations(gens: GeneratorSet, d: int, candidates: list,
+               elim: Eliminator) -> list:
     gctx = gens.gen_context()
     out = []
-    for vec in nullspace_sparse(len(candidates), ordered):
+    for vec in elim.nullspace():
         terms = {candidates[j]: v for j, v in enumerate(vec) if v}
         out.append(Syzygy(normalize(Polynomial(gctx, terms)), d))
     return out
 
 
+def syzygy_basis(gens: GeneratorSet, d: int, cache: dict = None) -> list:
+    """Canonical basis of all relations of weighted degree d."""
+    candidates = _candidates(gens, d)
+    if not candidates:
+        return []
+    if cache is None:
+        cache = {}
+    elim = _certified_system(gens, d, candidates, cache)
+    if elim is None:
+        elim = _expansion_system(gens, candidates, cache)
+    return _relations(gens, d, candidates, elim)
+
+
+def syzygy_basis_by_expansion(gens: GeneratorSet, d: int,
+                              cache: dict = None) -> list:
+    """The same basis from the expanded matrix alone: the reference route."""
+    candidates = _candidates(gens, d)
+    if not candidates:
+        return []
+    elim = _expansion_system(gens, candidates, {} if cache is None else cache)
+    return _relations(gens, d, candidates, elim)
+
+
 def check_syzygy(gens: GeneratorSet, relation: Polynomial,
                  cache: dict = None) -> bool:
-    """True iff the relation expands to the exact zero polynomial."""
+    """True iff the relation expands to the exact zero polynomial.
+
+    Each weighted-degree component must be orthogonal to every pivot row of
+    its degree's certified evaluation system; a component without a
+    certificate is expanded instead.
+    """
     if relation.is_zero():
         return True
-    return expand_in_generators(gens, relation, cache).is_zero()
+    if relation.context != gens.gen_context():
+        raise ContextMismatchError("relation is over a different generator set")
+    if cache is None:
+        cache = {}
+    degs = gens.degrees()
+    parts = {}
+    for e, c in relation.terms.items():
+        parts.setdefault(sum(a * k for a, k in zip(e, degs)), {})[e] = c
+    for d, terms in parts.items():
+        candidates = powers2(degs, d)
+        elim = _certified_system(gens, d, candidates, cache)
+        if elim is None:
+            part = Polynomial(relation.context, terms)
+            if not expand_in_generators(gens, part, cache).is_zero():
+                return False
+            continue
+        index = {e: j for j, e in enumerate(candidates)}
+        vec = [(index[e], c) for e, c in terms.items()]
+        for row in elim.pivots.values():
+            if sum(row.get(j, 0) * c for j, c in vec):
+                return False
+    return True
 
 
 def minimal_syzygies(gens: GeneratorSet, degrees, cache: dict = None) -> list:

@@ -3,7 +3,8 @@ import json
 import subprocess
 import sys
 
-from invforge.cli import main, worker_count
+from invforge import cli
+from invforge.cli import main
 
 
 def run_cli(*argv):
@@ -117,13 +118,24 @@ def test_fixtures_subcommand():
     assert lines == ["f2 [u] validated", "f3 [u] validated"]
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("INVFORGE_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("INVFORGE_THREADS", "junk")
-    assert worker_count() >= 1
-    monkeypatch.delenv("INVFORGE_THREADS")
-    assert worker_count() >= 1
+def test_directory_target_exits_2(tmp_path, capsys):
+    gens_dir = tmp_path / "gens4"
+    run_cli("mingenset", "--n", "4", "--out", str(gens_dir))
+    capsys.readouterr()
+    code, _ = run_cli("member", "--n", "4", "--gens", str(gens_dir),
+                      "--target", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_internal_failure_exits_3(monkeypatch, capsys):
+    def broken(n, d):
+        raise RuntimeError("solver fault")
+    monkeypatch.setattr(cli, "invariant_basis", broken)
+    code, _ = run_cli("invariants", "--n", "3", "--degree", "4")
+    assert code == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: solver fault\n"
 
 
 def test_module_entry_point():

@@ -55,12 +55,6 @@ def test_fixture_bodies_round_trip_and_octavic_statuses():
             assert parse_poly(format_poly(rec.poly), rec.poly.context) == rec.poly
 
 
-def test_threaded_validation_matches_sequential():
-    seq = [(r.name, r.status) for r in load_fixtures(4, workers=1)]
-    par = [(r.name, r.status) for r in load_fixtures(4, workers=4)]
-    assert seq == par
-
-
 def test_corrupted_body_goes_suspect(tmp_path):
     folder = tmp_path / "n3"
     folder.mkdir()
@@ -89,3 +83,12 @@ def test_load_generator_dir_rejects_non_invariant(tmp_path):
     (folder / "f1.poly").write_text("u2\n")
     with pytest.raises(ValueError):
         load_generator_dir(3, folder)
+
+
+@pytest.mark.parametrize("stem", ["2f", "f-2", "u3", "x0", "t"])
+def test_load_generator_dir_rejects_bad_names(tmp_path, stem):
+    folder = tmp_path / "gens"
+    folder.mkdir()
+    (folder / f"{stem}.poly").write_text("x0*u4 + 3*u2^2\n")
+    with pytest.raises(ValueError, match="cannot name a generator"):
+        load_generator_dir(4, folder)

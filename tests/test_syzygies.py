@@ -1,9 +1,16 @@
 import pytest
 
-from invforge.fixtures import fixture_generator_set
-from invforge.invariants import mingenset
-from invforge.rings import Polynomial, normalize
-from invforge.syzygies import check_syzygy, expand_in_generators, minimal_syzygies, syzygy_basis
+from invforge import syzygies
+from invforge.fixtures import fixture_generator_set, fixture_root, load_generator_dir
+from invforge.invariants import Generator, GeneratorSet, mingenset
+from invforge.rings import Polynomial, normalize, u_ring
+from invforge.syzygies import (
+    check_syzygy,
+    expand_in_generators,
+    minimal_syzygies,
+    syzygy_basis,
+    syzygy_basis_by_expansion,
+)
 from invforge.textio import parse_poly
 
 REFERENCE_RELATION_5 = (
@@ -16,6 +23,20 @@ REFERENCE_RELATION_5 = (
 @pytest.fixture(scope="module")
 def ref5():
     return fixture_generator_set(5)
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Count the calls that take the expansion route."""
+    calls = []
+    expand = syzygies._expansion_system
+
+    def spy(gens, candidates, cache):
+        calls.append(len(candidates))
+        return expand(gens, candidates, cache)
+
+    monkeypatch.setattr(syzygies, "_expansion_system", spy)
+    return calls
 
 
 def test_expand_single_symbol():
@@ -98,3 +119,74 @@ def test_minimality_filter_removes_consequences(ref5):
     gctx = ref5.gen_context()
     f4 = parse_poly("f4", gctx)
     assert basis40[0].relation == normalize(f4 * first[0].relation)
+
+
+@pytest.mark.parametrize("n,degrees", [
+    (5, (24, 28, 36, 40)),
+    (6, (30,)),
+    pytest.param(8, (16,), marks=pytest.mark.slow),
+])
+def test_evaluation_matches_expansion(n, degrees, expansions):
+    gens = load_generator_dir(n, fixture_root() / f"n{n}")
+    for d in degrees:
+        got = syzygy_basis(gens, d)
+        assert not expansions
+        assert got == syzygy_basis_by_expansion(gens, d)
+        expansions.clear()
+
+
+def test_no_fallback_without_f18(ref5, expansions):
+    # f18^2 lies in k[f4, f8, f12] by the degree-36 relation itself, so the
+    # smaller set still spans the degree-36 invariants and is certified
+    gens = GeneratorSet(5, tuple(g for g in ref5 if g.name != "f18"))
+    assert syzygy_basis(gens, 36) == []
+    assert not expansions
+    assert syzygy_basis_by_expansion(gens, 36) == []
+
+
+@pytest.mark.parametrize("d", [16, 36])
+def test_fallback_when_generators_do_not_span(ref5, expansions, d):
+    # with f8 replaced by f4^2 the evaluation rank stalls below the count
+    f4 = ref5[0]
+    g8 = Generator("g8", 8, 20, f4.u_poly * f4.u_poly, None)
+    gens = GeneratorSet(5, tuple(g8 if g.name == "f8" else g for g in ref5))
+    got = syzygy_basis(gens, d)
+    assert expansions
+    assert got == syzygy_basis_by_expansion(gens, d)
+    assert len(got) > 1
+    for syz in got:
+        assert expand_in_generators(gens, syz.relation).is_zero()
+
+
+def test_fallback_with_too_few_candidates(ref5, expansions):
+    # without f8 there are 2 generator monomials of degree 16 and 4 invariants
+    gens = GeneratorSet(5, tuple(g for g in ref5 if g.name != "f8"))
+    assert syzygy_basis(gens, 16) == syzygy_basis_by_expansion(gens, 16) == []
+    assert expansions
+
+
+def test_fallback_when_a_generator_is_not_invariant(expansions):
+    # g2 and h4 are no invariants, so the Cayley-Sylvester count (1 in degree
+    # 4) bounds nothing: evaluation alone would stop at rank 1 and report
+    # three relations where the only one is f2*g2 = h4
+    ctx = u_ring(2)
+    gens = GeneratorSet(2, tuple(
+        Generator(name, deg, deg, Polynomial.monomial(ctx, e), None)
+        for name, deg, e in (("f2", 2, (1, 1)), ("g2", 2, (2, 0)),
+                             ("h4", 4, (3, 1)))))
+    got = syzygy_basis(gens, 4)
+    assert expansions
+    want = normalize(parse_poly("f2*g2 - h4", gens.gen_context()))
+    assert got == syzygy_basis_by_expansion(gens, 4) == [syzygies.Syzygy(want, 4)]
+    assert check_syzygy(gens, want)
+    assert not check_syzygy(gens, parse_poly("f2^2 - h4", gens.gen_context()))
+
+
+def test_mixed_degree_relation_checks_every_component(ref5):
+    gctx = ref5.gen_context()
+    rel = parse_poly(REFERENCE_RELATION_5, gctx)
+    f4 = parse_poly("f4", gctx)
+    cache = {}
+    assert check_syzygy(ref5, rel + f4 * rel, cache)
+    assert not check_syzygy(ref5, rel + f4, cache)
+    assert not check_syzygy(ref5, rel + f4 * f4 * f4, cache)
