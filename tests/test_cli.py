@@ -1,10 +1,14 @@
+import hashlib
 import io
 import json
 import subprocess
 import sys
 
+import pytest
+
 from invforge import cli
 from invforge.cli import main
+from invforge.fixtures import fixture_root
 
 
 def run_cli(*argv):
@@ -144,3 +148,45 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "x0*u2" in proc.stdout
+
+
+# sha256 of stdout per request; paths are relative to the bundled fixtures
+GOLDEN = [
+    (["invariants", "--n", "5", "--degree", "12"],
+     "55979db80549d1dffa02f04420061b8140db8b593282ef997c98851c1b8b11d2",
+     "5beaf61a1f91ad79a9b7a00ef1cf4ab27c807508822244a429766e29702e53e5"),
+    (["invariants", "--n", "6", "--degree", "6", "--coords", "x"],
+     "533d53cab834b6de28c86d22386cf7bcf4c7d4a547b4f7995c3700db59ef6461",
+     "28dff953d2995f0901800f9698b17a84df55fab3b1e92865cb994aeadb532c70"),
+    (["mingenset", "--n", "5"],
+     "3256f465e8f55ce45112c39cf8d37c85c3a2c162703bf22fa225a46fea2329bc",
+     "42f8753ba934279fb45c0260f24d41f03546b81bf8f1bfb584ad4fe237f31dc6"),
+    (["syzygies", "--n", "5", "--gens", "@n5", "--degrees", "36"],
+     "9b787ab520503e8bea3eb34dfdabcc863d0ac70f3bdf56bb0903bd69b12537b7",
+     "2d483bb141a01e62c17c46f043fbd93bd663cd44090467aa63778b4475242b71"),
+    (["syzygies", "--n", "8", "--gens", "@n8", "--degrees", "16"],
+     "24a1e251a9d4b427a9a2ab5865c86e341fc1f0efbefc7128d8e3c9270a666787",
+     "537dbf55b301e3e4a049748533a2d623a4b36ab916b9440ced610709611d3eb1"),
+    (["member", "--n", "5", "--gens", "@n5", "--target", "@n5/f18.poly"],
+     "013c94bceac28a9c160b7eddc647097bc93c4e8c465f620c661e01219217a38a",
+     "9fbe32dad4e47e9e74d622d4d73e40b94bbe478f61ff2f313372289ec6765b39"),
+    (["convert", "--n", "5", "--direction", "u2x", "@n5/f8.poly"],
+     "f37d1ce858b3f61ced0997d3f5f98ad3af6f511e3b0642d68525e6c2f78c9605",
+     "76b4f3f84189e1f5383fd91ebcab3ed1f6178e35e89a6411de1f6dd4994e6fb2"),
+]
+GOLDEN_CASES = [(argv + ["--format", fmt], digest)
+                for argv, text, js in GOLDEN
+                for fmt, digest in (("text", text), ("json", js))]
+GOLDEN_CASES.append(
+    (["fixtures", "--n", "5"],
+     "0444b4024aab033d7e8d002da0e0dd445de34db5d889aadac4c81fd98a7e7d41"))
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_CASES,
+                         ids=[" ".join(a) for a, _ in GOLDEN_CASES])
+def test_golden_output(argv, digest):
+    root = fixture_root()
+    argv = [str(root / a[1:]) if a.startswith("@") else a for a in argv]
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
