@@ -7,7 +7,6 @@ from .rings import (
     RingKind,
     VarContext,
     ZeroPolynomialError,
-    coeff_vector,
     degree,
     gen_ring,
     is_isobaric_balanced,
@@ -18,7 +17,6 @@ from .rings import (
     weight_x,
     x_ring,
 )
-from .linalg import RationalMatrix, nullspace, rank, solve_affine
 from .exponents import grad, powers, powers2
 from .derivations import (
     Derivation,

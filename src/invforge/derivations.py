@@ -3,8 +3,7 @@
 The two sl2 derivations act on k[x0..xn]; after passing to the coordinates
 x0, u2..un (kernel generators of the lowering derivation) the whole system
 collapses to a single first-order operator.  This module builds all of
-these derivations, the coordinate-change maps in both directions, and the
-collapsed binomial coefficient sums they rest on.
+these derivations and the coordinate-change maps in both directions.
 """
 
 from __future__ import annotations
@@ -66,9 +65,6 @@ class Derivation:
     def __post_init__(self):
         if len(self.images) != self.context.slot_count:
             raise ValueError("need exactly one image per variable slot")
-
-    def __call__(self, f: Polynomial) -> Polynomial:
-        return apply_derivation(self, f)
 
 
 def apply_derivation(d: Derivation, f: Polynomial) -> Polynomial:
@@ -331,47 +327,3 @@ def raising_action_on_u(i: int, n: int) -> Polynomial:
         e[i - 1] += 1
         total = total - Polynomial.monomial(ctx, e, i * (n - 1))
     return total
-
-
-# -- collapsed binomial coefficient sums ------------------------------------
-
-def raising_x0_coefficient_direct(i: int, n: int) -> int:
-    return sum((-1) ** (i - k + 1) * (n - (i - k)) * math.comb(i, k)
-               for k in range(i - 1))
-
-
-def raising_x0_coefficient(i: int, n: int) -> int:
-    """Collapsed x0*lam^(i+1) coefficient; closed form n + i - n*i."""
-    if i <= 1:
-        raise ValueError("defined for i > 1")
-    closed = n + i - n * i
-    direct = raising_x0_coefficient_direct(i, n)
-    if closed != direct:
-        raise AssertionError("coefficient sum disagrees with its closed form")
-    return closed
-
-
-def raising_u_coefficient_direct(p: int, i: int, n: int) -> int:
-    lo = 3 if p == 2 else p
-    return sum((-1) ** (k - p) * (n - (k - 1)) * math.comb(k, p) * math.comb(i, k - 1)
-               for k in range(lo, i + 2))
-
-
-def raising_u_coefficient(p: int, i: int, n: int) -> int:
-    """Collapsed u_p coefficient sum; piecewise closed form in p."""
-    if i <= 3 or not 2 <= p <= i + 1:
-        raise ValueError("defined for i > 3 and 2 <= p <= i+1")
-    if p == i + 1:
-        closed = n - i
-    elif p == i:
-        closed = 2 * i - n
-    elif p == i - 1:
-        closed = -i
-    elif p == 2:
-        closed = -(n - 1) * i
-    else:
-        closed = 0
-    direct = raising_u_coefficient_direct(p, i, n)
-    if closed != direct:
-        raise AssertionError("coefficient sum disagrees with its closed form")
-    return closed

@@ -1,14 +1,53 @@
 """Enumeration of the exponent vectors indexing unknown coefficients.
 
-Each routine solves a small linear Diophantine system over the nonnegative
-integers by depth-first search with remaining-budget pruning, and returns
-the solutions sorted in the canonical monomial order of the ring they
-index, so downstream matrices get a reproducible column order.
+Every candidate set is one weighted-composition problem over the slots of
+a variable context: exponent vectors a >= 0 with sum(a_j * deg_j) = d and,
+when a weight target is given, sum(a_j * wt_j) = w, where deg_j and wt_j
+are the slot degrees and weights of the context.  One depth-first search
+with remaining-budget pruning solves it and returns the solutions sorted
+in the context's canonical monomial order, so downstream matrices get a
+reproducible column order.
 """
 
 from __future__ import annotations
 
-from .rings import gen_ring, monomial_key, u_ring
+from .rings import VarContext, gen_ring, monomial_key, u_ring
+
+
+def _compositions(ctx: VarContext, d: int, w: int = None) -> list:
+    """Exponent vectors over ctx's slots of graded degree d (and weight w).
+
+    Slots are searched from the last to the first; slot 0 takes whatever
+    degree is left, so the weight-0 x0 slot of the u- and x-rings is never
+    branched on.
+    """
+    m = ctx.slot_count
+    degs = [ctx.slot_degree(i) for i in range(m)]
+    wts = [ctx.slot_weight(i) for i in range(m)]
+    if min(degs) < 1:
+        raise ValueError("every slot needs degree >= 1")
+    out = []
+    exps = [0] * m
+
+    def walk(j, rem_d, rem_w):
+        if j == 0:
+            a, r = divmod(rem_d, degs[0])
+            if a >= 0 and not r and (w is None or rem_w == a * wts[0]):
+                exps[0] = a
+                out.append(tuple(exps))
+            return
+        dj, wj = degs[j], wts[j]
+        top = rem_d // dj
+        if w is not None and wj > 0:
+            top = min(top, rem_w // wj)
+        for a in range(top + 1):
+            exps[j] = a
+            walk(j - 1, rem_d - a * dj, rem_w - a * wj)
+        exps[j] = 0
+
+    walk(m - 1, d, w or 0)
+    out.sort(key=lambda e: monomial_key(ctx, e))
+    return out
 
 
 def powers(n: int, d: int) -> list:
@@ -21,49 +60,13 @@ def powers(n: int, d: int) -> list:
         raise ValueError("need n >= 2 and d >= 1")
     if (n * d) % 2:
         return []
-    target_w = n * d // 2
-    out = []
-    exps = [0] * (n - 1)
-
-    def walk(i, rem_d, rem_w):
-        if i > n:
-            if rem_w == 0:
-                out.append((rem_d,) + tuple(exps))
-            return
-        top = min(rem_d, rem_w // i)
-        for a in range(top + 1):
-            exps[i - 2] = a
-            walk(i + 1, rem_d - a, rem_w - i * a)
-        exps[i - 2] = 0
-
-    walk(2, d, target_w)
-    ctx = u_ring(n)
-    out.sort(key=lambda e: monomial_key(ctx, e))
-    return out
+    return _compositions(u_ring(n), d, n * d // 2)
 
 
 def powers2(gen_degrees, d: int) -> list:
     """Exponents with sum(a_j * deg_j) = d, for syzygy candidates."""
-    degs = list(gen_degrees)
-    if not degs:
-        raise ValueError("need at least one generator degree")
-    out = []
-    exps = [0] * len(degs)
-
-    def walk(j, rem):
-        if j == len(degs):
-            if rem == 0:
-                out.append(tuple(exps))
-            return
-        for a in range(rem // degs[j] + 1):
-            exps[j] = a
-            walk(j + 1, rem - a * degs[j])
-        exps[j] = 0
-
-    walk(0, d)
-    ctx = gen_ring((f"g{j}", degs[j], 1) for j in range(len(degs)))
-    out.sort(key=lambda e: monomial_key(ctx, e))
-    return out
+    return _compositions(
+        gen_ring((f"g{j}", k, 1) for j, k in enumerate(gen_degrees)), d)
 
 
 def grad(gen_profile, target) -> list:
@@ -72,29 +75,7 @@ def grad(gen_profile, target) -> list:
     gen_profile lists (degree, weight) per generator; for genuine invariants
     the weight row is redundant but it is enforced anyway.
     """
-    profile = [tuple(p) for p in gen_profile]
-    if not profile:
-        raise ValueError("need at least one generator")
     td, tw = target
-    out = []
-    exps = [0] * len(profile)
-
-    def walk(j, rem_d, rem_w):
-        if j == len(profile):
-            if rem_d == 0 and rem_w == 0:
-                out.append(tuple(exps))
-            return
-        dj, wj = profile[j]
-        top = rem_d // dj
-        if wj > 0:
-            top = min(top, rem_w // wj)
-        for a in range(top + 1):
-            exps[j] = a
-            walk(j + 1, rem_d - a * dj, rem_w - a * wj)
-        exps[j] = 0
-
-    walk(0, td, tw)
-    ctx = gen_ring((f"g{j}", profile[j][0], profile[j][1])
-                   for j in range(len(profile)))
-    out.sort(key=lambda e: monomial_key(ctx, e))
-    return out
+    return _compositions(
+        gen_ring((f"g{j}", dj, wj) for j, (dj, wj) in enumerate(gen_profile)),
+        td, tw)

@@ -139,8 +139,9 @@ def load_generator_dir(n: int, path) -> GeneratorSet:
     Files with an ``_x`` suffix are skipped (they are the optional x-forms
     written next to the u-forms).  Every file stem must be an identifier of
     the text grammar that is not a u-ring variable name, so relations print
-    with names that parse back, and every generator must pass the u-ring
-    verifier; anything else is a usage error.
+    with names that parse back, and every generator must be a nonconstant
+    polynomial that passes the u-ring verifier; anything else is a usage
+    error.
     """
     folder = Path(path)
     reserved = set(u_ring(n).names()) | {"t"}
@@ -153,7 +154,10 @@ def load_generator_dir(n: int, path) -> GeneratorSet:
         poly = parse_poly(p.read_text().strip(), u_ring(n))
         if poly.is_zero() or not verify_invariant_u(n, poly):
             raise ValueError(f"{p.name} is not a verified invariant")
-        gens.append(Generator(p.stem, degree(poly), weight_u(poly), poly, None))
+        d = degree(poly)
+        if d == 0:
+            raise ValueError(f"{p.name} is a constant, not a generator")
+        gens.append(Generator(p.stem, d, weight_u(poly), poly, None))
     if not gens:
         raise ValueError(f"no generator files in {folder}")
     gens.sort(key=lambda g: (g.degree, g.name))

@@ -11,7 +11,8 @@ independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 from .derivations import (
     apply_derivation,
@@ -20,7 +21,7 @@ from .derivations import (
     raising_derivation,
     reduced_operator,
 )
-from .exponents import grad, powers
+from .exponents import _compositions, grad, powers
 from .hilbert import invariant_dimension
 from .linalg import nullspace_sparse, solve_affine_sparse
 from .rings import (
@@ -46,6 +47,10 @@ class UnsupportedFormDegreeError(ValueError):
 
 class DimensionMismatchError(RuntimeError):
     """A computed invariant basis disagrees with the Cayley-Sylvester count."""
+
+
+class NonInvariantError(RuntimeError):
+    """A solver result fails the invariance verifiers."""
 
 
 @dataclass(frozen=True)
@@ -100,22 +105,25 @@ class GeneratorSet:
         return GeneratorSet(self.n, self.generators + (g,))
 
 
-def _nullspace_polynomials(ctx, candidates, columns):
-    """Shared tail of the basis solvers: monomial-indexed nullspace.
+def monomial_rows(ctx: VarContext, columns: Iterable[Polynomial]) -> list:
+    """Sparse rows of the linear system whose j-th column is columns[j].
 
-    columns[j] is the image polynomial of candidate j; returns normalized
-    polynomials over the candidate monomials, in canonical nullspace order.
+    One row per monomial occurring in some column, in ctx's canonical order.
+    Columns are read one at a time: pass a generator, and no list of column
+    polynomials is ever held.
     """
     rows = {}
-    for j, img in enumerate(columns):
-        for e, c in img.terms.items():
+    for j, col in enumerate(columns):
+        for e, c in col.terms.items():
             rows.setdefault(e, {})[j] = c
-    ordered = [rows[e] for e in sorted(rows, key=lambda e: monomial_key(ctx, e))]
-    out = []
-    for vec in nullspace_sparse(len(candidates), ordered):
-        terms = {candidates[j]: v for j, v in enumerate(vec) if v}
-        out.append(normalize(Polynomial(ctx, terms)))
-    return out
+    return [rows[e] for e in sorted(rows, key=lambda e: monomial_key(ctx, e))]
+
+
+def nullspace_polynomials(ctx: VarContext, candidates, vectors) -> list:
+    """Normalized polynomials sum(v[j] * candidates[j]), one per vector."""
+    return [normalize(Polynomial(ctx, {candidates[j]: v
+                                       for j, v in enumerate(vec) if v}))
+            for vec in vectors]
 
 
 def invariant_basis(n: int, d: int) -> InvariantBasis:
@@ -124,14 +132,13 @@ def invariant_basis(n: int, d: int) -> InvariantBasis:
     The basis size is checked against the Cayley-Sylvester count on every
     call; a disagreement raises DimensionMismatchError.
     """
+    ctx = u_ring(n)
+    op = reduced_operator(n)
     candidates = powers(n, d)
-    elements = ()
-    if candidates:
-        ctx = u_ring(n)
-        op = reduced_operator(n)
-        columns = [apply_derivation(op, Polynomial.monomial(ctx, e))
-                   for e in candidates]
-        elements = tuple(_nullspace_polynomials(ctx, candidates, columns))
+    rows = monomial_rows(ctx, (apply_derivation(op, Polynomial.monomial(ctx, e))
+                               for e in candidates))
+    elements = tuple(nullspace_polynomials(
+        ctx, candidates, nullspace_sparse(len(candidates), rows)))
     expected = invariant_dimension(n, d)
     if len(elements) != expected:
         raise DimensionMismatchError(
@@ -140,52 +147,18 @@ def invariant_basis(n: int, d: int) -> InvariantBasis:
     return InvariantBasis(n, d, elements)
 
 
-def _x_monomials(n: int, d: int, w: int) -> list:
-    """Exponents over x0..xn with total degree d and x-weight w."""
-    out = []
-    exps = [0] * (n + 1)
-
-    def walk(i, rem_d, rem_w):
-        if i > n:
-            if rem_d == 0 and rem_w == 0:
-                out.append(tuple(exps))
-            return
-        if i == 0:
-            top = rem_d
-        else:
-            top = min(rem_d, rem_w // i)
-        for a in range(top + 1):
-            exps[i] = a
-            walk(i + 1, rem_d - a, rem_w - i * a)
-        exps[i] = 0
-
-    walk(0, d, w)
-    ctx = x_ring(n)
-    out.sort(key=lambda e: monomial_key(ctx, e))
-    return out
-
-
 def invariant_basis_direct(n: int, d: int) -> InvariantBasis:
     """Oracle: solve both derivation equations over the x-ring directly."""
     if (n * d) % 2:
         return InvariantBasis(n, d, ())
-    candidates = _x_monomials(n, d, n * d // 2)
-    if not candidates:
-        return InvariantBasis(n, d, ())
     ctx = x_ring(n)
-    down, up = lowering_derivation(n), raising_derivation(n)
-    rows = {}
-    for j, e in enumerate(candidates):
-        mono = Polynomial.monomial(ctx, e)
-        for tag, op in (("d", down), ("u", up)):
-            for me, c in apply_derivation(op, mono).terms.items():
-                rows.setdefault((tag, me), {})[j] = c
-    ordered = [rows[k] for k in sorted(rows, key=lambda k: (k[0], monomial_key(ctx, k[1])))]
-    out = []
-    for vec in nullspace_sparse(len(candidates), ordered):
-        terms = {candidates[j]: v for j, v in enumerate(vec) if v}
-        out.append(normalize(Polynomial(ctx, terms)))
-    return InvariantBasis(n, d, tuple(out))
+    candidates = _compositions(ctx, d, n * d // 2)
+    rows = []
+    for op in (lowering_derivation(n), raising_derivation(n)):
+        rows += monomial_rows(ctx, (apply_derivation(op, Polynomial.monomial(ctx, e))
+                                    for e in candidates))
+    return InvariantBasis(n, d, tuple(nullspace_polynomials(
+        ctx, candidates, nullspace_sparse(len(candidates), rows))))
 
 
 def verify_invariant_x(n: int, f: Polynomial) -> bool:
@@ -253,16 +226,9 @@ def is_member(gens: GeneratorSet, f: Polynomial,
         return None
     if cache is None:
         cache = {}
-    rhs_col = len(candidates)
-    rows = {}
-    for j, exps in enumerate(candidates):
-        for e, c in expand_candidate(gens, exps, cache).terms.items():
-            rows.setdefault(e, {})[j] = c
-    for e, c in f.terms.items():
-        rows.setdefault(e, {})[rhs_col] = c
-    ctx = u_ring(gens.n)
-    ordered = [rows[e] for e in sorted(rows, key=lambda e: monomial_key(ctx, e))]
-    sol = solve_affine_sparse(len(candidates), ordered)
+    # the target is the last column, which is the solver's right-hand side
+    columns = chain((expand_candidate(gens, e, cache) for e in candidates), (f,))
+    sol = solve_affine_sparse(len(candidates), monomial_rows(u_ring(gens.n), columns))
     if sol is None:
         return None
     terms = {candidates[j]: v for j, v in enumerate(sol) if v}
@@ -320,7 +286,8 @@ def mingenset(n: int, r: int, degrees) -> GeneratorSet:
                 continue
             x_form = expand_u_to_x(el, n)
             if not (verify_invariant_u(n, el) and verify_invariant_x(n, x_form)):
-                raise AssertionError("solver produced a non-invariant")
+                raise NonInvariantError(
+                    f"degree-{d} basis element fails the invariance verifiers")
             name = _next_name(d, taken)
             taken.add(name)
             gens = gens.with_generator(

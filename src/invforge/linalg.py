@@ -1,19 +1,16 @@
 """Exact rational linear algebra: rank, canonical nullspace, affine solve.
 
-The work happens in a fraction-free incremental eliminator over integer
-rows (cross-multiplied updates with content stripping, Bareiss style); the
-reduced echelon form is produced once at the end by exact back-substitution
-into rationals.  The RREF of a row space is unique, so every result here is
-deterministic no matter the insertion order of the rows.
-
-Dense matrices are small in this artifact; the engines feed the eliminator
-sparse rows directly through the module-level ``*_sparse`` helpers.
+The work happens in a fraction-free incremental eliminator over sparse
+integer rows (cross-multiplied updates with content stripping, Bareiss
+style); the reduced echelon form is produced once at the end by exact
+back-substitution into rationals.  The RREF of a row space is unique, so
+every result here is deterministic no matter the insertion order of the
+rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -36,6 +33,27 @@ def _int_row(row: dict) -> dict:
     return vals
 
 
+def _reduce(row: dict, p: dict, c: int) -> dict:
+    """row minus a multiple of pivot row p that clears column c, content 1."""
+    a, b = p[c], row[c]
+    g = math.gcd(a, abs(b))
+    a //= g
+    b //= g
+    new = {j: v * a for j, v in row.items()}
+    for j, v in p.items():
+        s = new.get(j, 0) - v * b
+        if s:
+            new[j] = s
+        elif j in new:
+            del new[j]
+    g = 0
+    for v in new.values():
+        g = math.gcd(g, abs(v))
+    if g > 1:
+        new = {j: v // g for j, v in new.items()}
+    return new
+
+
 class Eliminator:
     """Incremental row reduction; columns are 0..ncols-1 in fixed order."""
 
@@ -54,25 +72,7 @@ class Eliminator:
                     row = {j: -v for j, v in row.items()}
                 pivots[c] = row
                 return
-            a, b = p[c], row[c]
-            g = math.gcd(a, abs(b))
-            a //= g
-            b //= g
-            new = {}
-            for j, v in row.items():
-                new[j] = v * a
-            for j, v in p.items():
-                s = new.get(j, 0) - v * b
-                if s:
-                    new[j] = s
-                elif j in new:
-                    del new[j]
-            g = 0
-            for v in new.values():
-                g = math.gcd(g, abs(v))
-            if g > 1:
-                new = {j: v // g for j, v in new.items()}
-            row = new
+            row = _reduce(row, p, c)
 
     def add_rows(self, rows: Iterable[dict]) -> "Eliminator":
         for row in rows:
@@ -86,7 +86,7 @@ class Eliminator:
 
     def rref(self) -> list:
         """Reduced echelon rows as (pivot_col, {col: Fraction}), ascending."""
-        rows = {c: dict(r) for c, r in self.pivots.items()}
+        rows = dict(self.pivots)  # _reduce builds new rows, never edits one
         cols = sorted(rows)
         for c in reversed(cols):
             pc = rows[c]
@@ -96,23 +96,7 @@ class Eliminator:
                 r2 = rows[c2]
                 if c not in r2:
                     continue
-                a, b = pc[c], r2[c]
-                g = math.gcd(a, abs(b))
-                a //= g
-                b //= g
-                new = {j: v * a for j, v in r2.items()}
-                for j, v in pc.items():
-                    s = new.get(j, 0) - v * b
-                    if s:
-                        new[j] = s
-                    elif j in new:
-                        del new[j]
-                g = 0
-                for v in new.values():
-                    g = math.gcd(g, abs(v))
-                if g > 1:
-                    new = {j: v // g for j, v in new.items()}
-                rows[c2] = new
+                rows[c2] = _reduce(r2, pc, c)
         out = []
         for c in cols:
             r = rows[c]
@@ -165,69 +149,3 @@ def solve_affine_sparse(ncols: int, rows: Iterable[dict]) -> Optional[list]:
 
 def rank_sparse(ncols: int, rows: Iterable[dict]) -> int:
     return Eliminator(ncols).add_rows(rows).rank
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense exact matrix; entries row-major, length rows*cols."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @classmethod
-    def from_rows(cls, data) -> "RationalMatrix":
-        data = [list(r) for r in data]
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        if any(len(r) != cols for r in data):
-            raise ValueError("ragged rows")
-        return cls(rows, cols, tuple(c for r in data for c in r))
-
-    def entry(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
-    def _sparse_rows(self):
-        for i in range(self.rows):
-            row = {j: self.entries[i * self.cols + j]
-                   for j in range(self.cols)
-                   if self.entries[i * self.cols + j]}
-            if row:
-                yield row
-
-    def rank(self) -> int:
-        return rank_sparse(self.cols, self._sparse_rows())
-
-    def nullspace(self) -> list:
-        return nullspace_sparse(self.cols, self._sparse_rows())
-
-    def solve_affine(self, b) -> Optional[list]:
-        b = list(b)
-        if len(b) != self.rows:
-            raise ValueError("right-hand side length does not match rows")
-        def rows_with_rhs():
-            for i in range(self.rows):
-                row = {j: self.entries[i * self.cols + j]
-                       for j in range(self.cols)
-                       if self.entries[i * self.cols + j]}
-                if b[i]:
-                    row[self.cols] = b[i]
-                if row:
-                    yield row
-        return solve_affine_sparse(self.cols, rows_with_rhs())
-
-
-def rank(m: RationalMatrix) -> int:
-    return m.rank()
-
-
-def nullspace(m: RationalMatrix) -> list:
-    return m.nullspace()
-
-
-def solve_affine(m: RationalMatrix, b) -> Optional[list]:
-    return m.solve_affine(b)

@@ -277,15 +277,6 @@ class Polynomial:
         return sorted(self.terms.items(),
                       key=lambda t: monomial_key(ctx, t[0]), reverse=reverse)
 
-    def leading_monomial(self) -> tuple:
-        if not self.terms:
-            raise ZeroPolynomialError("zero polynomial has no leading monomial")
-        ctx = self.context
-        return max(self.terms, key=lambda e: monomial_key(ctx, e))
-
-    def coeff(self, expts: tuple):
-        return self.terms.get(tuple(expts), 0)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "<poly 0>"
@@ -334,16 +325,6 @@ def weight_x(f: Polynomial) -> int:
     return _common_weight(f)
 
 
-def is_isobaric(f: Polynomial) -> bool:
-    if f.is_zero():
-        raise ZeroPolynomialError("isobarity of the zero polynomial is undefined")
-    try:
-        _common_weight(f)
-    except NonIsobaricError:
-        return False
-    return True
-
-
 def is_isobaric_balanced(f: Polynomial, n: int) -> bool:
     """True iff f is isobaric and n*deg(f) = 2*weight(f).
 
@@ -381,22 +362,6 @@ def normalize(f: Polynomial) -> Polynomial:
     if out[lead] < 0:
         out = {e: -c for e, c in out.items()}
     return Polynomial(f.context, out)
-
-
-def coeff_vector(f: Polynomial, basis) -> list:
-    """Coefficients of f against an ordered monomial basis.
-
-    Raises if a term of f lies outside the basis; absent basis monomials
-    read off as 0, so the map is linear in f.
-    """
-    basis = [tuple(b) for b in basis]
-    idx = {e: i for i, e in enumerate(basis)}
-    out = [0] * len(basis)
-    for e, c in f.terms.items():
-        if e not in idx:
-            raise ValueError(f"term {e} outside the given basis")
-        out[idx[e]] = c
-    return out
 
 
 def monomial_value(expts: tuple, point) -> int:

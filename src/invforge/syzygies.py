@@ -23,16 +23,20 @@ from dataclasses import dataclass
 
 from .exponents import powers2
 from .hilbert import invariant_dimension
-from .invariants import GeneratorSet, expand_candidate, verify_invariant_u
+from .invariants import (
+    GeneratorSet,
+    expand_candidate,
+    monomial_rows,
+    nullspace_polynomials,
+    verify_invariant_u,
+)
 from .linalg import Eliminator
 from .rings import (
     ContextMismatchError,
     Polynomial,
     degree,
     evaluate,
-    monomial_key,
     monomial_value,
-    normalize,
     u_ring,
 )
 
@@ -117,23 +121,15 @@ def _certified_system(gens: GeneratorSet, d: int, candidates: list,
 def _expansion_system(gens: GeneratorSet, candidates: list,
                       cache: dict) -> Eliminator:
     """Eliminator over the rows of the expanded candidate matrix A."""
-    uctx = u_ring(gens.n)
-    rows = {}
-    for j, exps in enumerate(candidates):
-        for e, c in expand_candidate(gens, exps, cache).terms.items():
-            rows.setdefault(e, {})[j] = c
-    ordered = (rows[e] for e in sorted(rows, key=lambda e: monomial_key(uctx, e)))
-    return Eliminator(len(candidates)).add_rows(ordered)
+    columns = (expand_candidate(gens, e, cache) for e in candidates)
+    return Eliminator(len(candidates)).add_rows(
+        monomial_rows(u_ring(gens.n), columns))
 
 
 def _relations(gens: GeneratorSet, d: int, candidates: list,
                elim: Eliminator) -> list:
-    gctx = gens.gen_context()
-    out = []
-    for vec in elim.nullspace():
-        terms = {candidates[j]: v for j, v in enumerate(vec) if v}
-        out.append(Syzygy(normalize(Polynomial(gctx, terms)), d))
-    return out
+    return [Syzygy(rel, d) for rel in nullspace_polynomials(
+        gens.gen_context(), candidates, elim.nullspace())]
 
 
 def syzygy_basis(gens: GeneratorSet, d: int, cache: dict = None) -> list:

@@ -142,6 +142,20 @@ def test_internal_failure_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: RuntimeError: solver fault\n"
 
 
+@pytest.mark.parametrize("command", ["syzygies", "member"])
+def test_constant_generator_file_exits_2(tmp_path, capsys, command):
+    gens_dir = tmp_path / "gens"
+    gens_dir.mkdir()
+    n5 = fixture_root() / "n5"
+    (gens_dir / "f4.poly").write_text((n5 / "f4.poly").read_text())
+    (gens_dir / "c.poly").write_text("1\n")
+    extra = (["--degrees", "8"] if command == "syzygies"
+             else ["--target", str(n5 / "f8.poly")])
+    code, _ = run_cli(command, "--n", "5", "--gens", str(gens_dir), *extra)
+    assert code == 2
+    assert capsys.readouterr().err == "error: c.poly is a constant, not a generator\n"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "invforge", "mingenset", "--n", "2"],

@@ -12,8 +12,6 @@ from invforge.derivations import (
     project_x_to_u,
     raising_action_on_u,
     raising_derivation,
-    raising_u_coefficient,
-    raising_x0_coefficient,
     reduced_operator,
     u_lowering_derivation,
     u_raising_derivation,
@@ -170,13 +168,13 @@ def test_raising_action_closed_forms():
 
 
 def test_coefficient_sums_examples():
-    assert raising_x0_coefficient(2, 2) == 0
-    assert raising_x0_coefficient(3, 5) == -7
-    assert raising_u_coefficient(4, 4, 5) == 3
+    assert properties.raising_x0_coefficient(2, 2) == 0
+    assert properties.raising_x0_coefficient(3, 5) == -7
+    assert properties.raising_u_coefficient(4, 4, 5) == 3
     with pytest.raises(ValueError):
-        raising_x0_coefficient(1, 4)
+        properties.raising_x0_coefficient(1, 4)
     with pytest.raises(ValueError):
-        raising_u_coefficient(1, 5, 4)
+        properties.raising_u_coefficient(1, 5, 4)
 
 
 def test_leibniz_on_random_pairs():

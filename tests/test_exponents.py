@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invforge.exponents import grad, powers, powers2
+from invforge.exponents import _compositions, grad, powers, powers2
+from invforge.rings import gen_ring, monomial_key, u_ring, x_ring
 
 
 def brute_powers(n, d):
@@ -50,12 +51,22 @@ def test_grad_examples():
     assert grad([(4, 10)], (6, 15)) == []
 
 
+def canonical(ctx, exps):
+    return sorted(exps, key=lambda e: monomial_key(ctx, e))
+
+
 def test_entries_sorted_and_distinct():
     for n, d in [(3, 4), (4, 6), (5, 8), (6, 10)]:
         got = powers(n, d)
         assert len(set(got)) == len(got)
+        assert got == canonical(u_ring(n), got)
     got = powers2([2, 3, 4], 12)
     assert len(set(got)) == len(got)
+    assert got == canonical(gen_ring([("a", 2, 1), ("b", 3, 1), ("c", 4, 1)]), got)
+    profile = [(2, 5), (3, 1), (1, 0), (4, 10)]
+    got = grad(profile, (12, 20))
+    assert len(set(got)) == len(got) > 1
+    assert got == canonical(gen_ring(("g", d, w) for d, w in profile), got)
 
 
 def test_validation_errors():
@@ -63,6 +74,8 @@ def test_validation_errors():
         powers(1, 4)
     with pytest.raises(ValueError):
         powers2([], 3)
+    with pytest.raises(ValueError):
+        powers2([0], 3)
     with pytest.raises(ValueError):
         grad([], (2, 2))
 
@@ -94,6 +107,21 @@ def test_powers2_matches_brute_force(degs, d):
 def test_grad_matches_brute_force(profile, td, tw):
     got = grad(profile, (td, tw))
     assert set(got) == brute_grad(profile, (td, tw))
+
+
+@pytest.mark.parametrize("ring", [x_ring, u_ring], ids=["x", "u"])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 6), st.integers(0, 30))
+def test_ring_search_matches_brute_force(ring, n, d, w):
+    # degree d and weight w over the ring's slots; slot 0 has weight 0
+    ctx = ring(n)
+    weights = [ctx.slot_weight(i) for i in range(1, ctx.slot_count)]
+    brute = {(d - sum(a),) + a
+             for a in itertools.product(range(d + 1), repeat=len(weights))
+             if sum(a) <= d and sum(x * k for x, k in zip(a, weights)) == w}
+    got = _compositions(ctx, d, w)
+    assert set(got) == brute
+    assert got == canonical(ctx, got)
 
 
 @settings(max_examples=40, deadline=None)

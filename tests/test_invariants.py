@@ -1,9 +1,13 @@
+import io
+
 import pytest
 
+from invforge import cli, invariants
 from invforge.derivations import expand_u_to_x
 from invforge.invariants import (
     DegreeMismatchError,
     GeneratorSet,
+    NonInvariantError,
     UnsupportedFormDegreeError,
     invariant_basis,
     invariant_basis_direct,
@@ -108,6 +112,13 @@ def test_mingenset_degree_mismatch():
         mingenset(2, 2, [2, 2])       # only one quadratic generator exists
     with pytest.raises(DegreeMismatchError):
         mingenset(2, 1, [2, 4])       # count disagrees with the list
+
+
+def test_mingenset_non_invariant_is_named_error(monkeypatch):
+    monkeypatch.setattr(invariants, "verify_invariant_x", lambda n, f: False)
+    with pytest.raises(NonInvariantError):
+        mingenset(2, 1, [2])
+    assert cli.main(["mingenset", "--n", "2"], out=io.StringIO()) == 3
 
 
 def test_mingenset_minimality():

@@ -6,7 +6,6 @@ from invforge.rings import (
     NonIsobaricError,
     Polynomial,
     ZeroPolynomialError,
-    coeff_vector,
     degree,
     is_isobaric_balanced,
     normalize,
@@ -119,15 +118,6 @@ def test_normalize_clears_fractions():
     assert normalize(f) == p("x0*x2 - x1^2", X2)
 
 
-def test_coeff_vector_examples():
-    basis = [(2, 2, 1)]
-    assert coeff_vector(p("3*x0^2*u2^2*u3", U3), basis) == [3]
-    assert coeff_vector(Polynomial.zero(U3), [(1, 0, 0), (0, 1, 0)]) == [0, 0]
-    assert coeff_vector(p("x0 + 2*u2", U3), [(0, 1, 0), (1, 0, 0)]) == [2, 1]
-    with pytest.raises(ValueError):
-        coeff_vector(p("u3", U3), [(1, 0, 0)])
-
-
 def test_substitute_projection_example():
     X4 = x_ring(4)
     f = p("x4*x0 - 4*x1*x3 + 3*x2^2", X4)
@@ -204,16 +194,6 @@ def test_normalize_scale_invariant(f, c):
         return
     assert normalize(f.scale(c)) == normalize(f)
     assert normalize(normalize(f)) == normalize(f)
-
-
-@settings(max_examples=60, deadline=None)
-@given(polys(U3, max_exp=2), polys(U3, max_exp=2), coeffs, coeffs)
-def test_coeff_vector_linear(f, g, a, b):
-    basis = sorted(set(f.terms) | set(g.terms))
-    lhs = coeff_vector(f.scale(a) + g.scale(b), basis)
-    vf = coeff_vector(f, basis)
-    vg = coeff_vector(g, basis)
-    assert lhs == [a * x + b * y for x, y in zip(vf, vg)]
 
 
 @settings(max_examples=40, deadline=None)
