@@ -2,7 +2,7 @@
 """Recompute the minimal generating sets and check them against the bundled data.
 
 Runs n = 2..6 by default; pass --all to include the octavic (n = 8, a few
-minutes of exact arithmetic).
+seconds of exact arithmetic).
 """
 
 import argparse

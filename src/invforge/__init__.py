@@ -25,14 +25,12 @@ from .derivations import (
     expand_u_to_x,
     full_operator,
     grading_derivation,
-    kernel_projection,
     lowering_derivation,
     project_x_to_u,
     raising_derivation,
     reduced_operator,
     u_lowering_derivation,
     u_raising_derivation,
-    u_variable_in_x,
     x_variable_in_u,
 )
 from .invariants import (

@@ -4,6 +4,14 @@ The two sl2 derivations act on k[x0..xn]; after passing to the coordinates
 x0, u2..un (kernel generators of the lowering derivation) the whole system
 collapses to a single first-order operator.  This module builds all of
 these derivations and the coordinate-change maps in both directions.
+
+u -> x never substitutes the Laurent images of the ui.  Since the lowering
+derivation L kills x0 and every ui, it kills the x-form of any u-polynomial
+f; writing that x-form as sum_k x1^k * g_k (no g_k containing x1), L = 0
+becomes a two-term recursion for g_(k+1) in g_k and g_(k-1), starting from
+g_0 = f with ui -> xi.  The g_k are unique, so the recursion is exact, and
+its one division by x0 per step is exact precisely when the x-form is a
+polynomial (see expand_u_to_x).  x -> u is the projection x1 -> 0.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from .rings import (
     RingKind,
     VarContext,
     lambda_u_ring,
-    local_x_ring,
     u_ring,
     x_ring,
 )
@@ -192,51 +199,6 @@ def full_operator(n: int) -> Derivation:
 
 # -- coordinate changes ----------------------------------------------------
 
-def _lambda_in_x(n: int) -> Polynomial:
-    # lam = -x1/x0 inside the localized x-ring
-    ctx = local_x_ring(n)
-    e = [0] * ctx.slot_count
-    e[0], e[1] = -1, 1
-    return Polynomial.monomial(ctx, e, -1)
-
-
-def kernel_projection(f: Polynomial, n: int) -> Polynomial:
-    """Project k[X] onto the lowering derivation's kernel.
-
-    sum over i of lower^i(f) * lam^i / i!, a finite sum because the lowering
-    derivation is locally nilpotent; the image is annihilated by it.
-    """
-    ctx = local_x_ring(n)
-    lam = _lambda_in_x(n)
-    down = lowering_derivation(n)
-    total = embed(f, ctx)
-    cur = f
-    lam_power = Polynomial.one(ctx)
-    i = 0
-    while True:
-        cur = apply_derivation(down, cur)
-        if cur.is_zero():
-            return total
-        i += 1
-        lam_power = lam_power * lam
-        total = total + embed(cur, ctx) * lam_power.scale(Fraction(1, math.factorial(i)))
-
-
-def u_variable_in_x(i: int, n: int) -> Polynomial:
-    """The coordinate ui written in the localized x-ring."""
-    if not 2 <= i <= n:
-        raise ValueError("u-index out of range")
-    ctx = local_x_ring(n)
-    lam = _lambda_in_x(n)
-    total = Polynomial.zero(ctx)
-    lam_power = Polynomial.one(ctx)
-    for k in range(i + 1):
-        xvar = embed(Polynomial.variable(x_ring(n), i - k), ctx)
-        total = total + xvar.scale(math.comb(i, k)) * lam_power
-        lam_power = lam_power * lam
-    return total
-
-
 def x_variable_in_u(i: int, n: int) -> Polynomial:
     """The coordinate xi written in the mixed (x0, lam, u) presentation."""
     if not 2 <= i <= n:
@@ -276,24 +238,50 @@ def project_x_to_u(f: Polynomial) -> Polynomial:
 
 
 def expand_u_to_x(f: Polynomial, n: int) -> Polynomial:
-    """Expand a u-polynomial into the x-ring through the closed forms.
+    """Write a u-polynomial in the x-ring by the lowering recursion.
 
-    Raises ResidualDenominatorError if a negative x0 exponent survives the
-    cancellation, i.e. the input was not a polynomial in the xi.
+    The x-form is sum_k x1^k * g_k with no g_k containing x1.  Setting x1 = 0
+    sends ui to xi, so g_0 is f with ui -> xi.  Every ui and x0 is killed by
+    the lowering derivation L = sum_i i*x(i-1)*d/dxi, hence so is the x-form,
+    and the x1^m coefficient of L(x-form) = 0 reads
+
+        (m+1)*x0*g_(m+1) = -(2*dg_(m-1)/dx2 + sum_(i>=3) i*x(i-1)*dg_m/dxi).
+
+    The g_k are the unique x1-coefficients of the x-form, so the recursion
+    reproduces them exactly and stops once two consecutive ones vanish.  A
+    division by x0 that is not exact means the x-form keeps an x0^-1 term:
+    ResidualDenominatorError, i.e. the input is not a polynomial in the xi.
     """
     if f.context != u_ring(n):
         raise ContextMismatchError("expected a u-ring polynomial")
-    ctx = local_x_ring(n)
-    images = {0: embed(Polynomial.variable(x_ring(n), 0), ctx)}
-    for slot in range(1, n):
-        images[slot] = u_variable_in_x(slot + 1, n)
-    from .rings import substitute
-    result = substitute(f, images, ctx)
-    for e in result.terms:
-        if e[0] < 0:
-            raise ResidualDenominatorError(
-                f"x0^{e[0]} survives; input is not polynomial in the x-ring")
-    return Polynomial(x_ring(n), result.terms)
+    out = {}
+    prev, cur = {}, {(e[0], 0) + e[1:]: c for e, c in f.terms.items()}
+    m = 0
+    while prev or cur:
+        for e, c in cur.items():
+            out[(e[0], m) + e[2:]] = c
+        rhs = {}
+        for e, c in prev.items():
+            if e[2]:
+                key = e[:2] + (e[2] - 1,) + e[3:]
+                rhs[key] = rhs.get(key, 0) + 2 * e[2] * c
+        for e, c in cur.items():
+            for i in range(3, n + 1):
+                if e[i]:
+                    key = e[:i - 1] + (e[i - 1] + 1, e[i] - 1) + e[i + 1:]
+                    rhs[key] = rhs.get(key, 0) + i * e[i] * c
+        m += 1
+        nxt = {}
+        for e, c in rhs.items():
+            if not c:
+                continue
+            if not e[0]:
+                raise ResidualDenominatorError(
+                    "x0^-1 survives; input is not polynomial in the x-ring")
+            nxt[(e[0] - 1,) + e[1:]] = (-c // m if isinstance(c, int) and not c % m
+                                        else Fraction(-c, m))
+        prev, cur = cur, nxt
+    return Polynomial(x_ring(n), out)
 
 
 # -- closed forms of the raising action in u-coordinates --------------------

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invforge.derivations import (
     ResidualDenominatorError,
@@ -7,7 +8,6 @@ from invforge.derivations import (
     expand_u_to_x,
     full_operator,
     grading_derivation,
-    kernel_projection,
     lowering_derivation,
     project_x_to_u,
     raising_action_on_u,
@@ -15,13 +15,16 @@ from invforge.derivations import (
     reduced_operator,
     u_lowering_derivation,
     u_raising_derivation,
-    u_variable_in_x,
     x_variable_in_u,
 )
+from invforge.exponents import _compositions
+from invforge.fixtures import fixture_root, load_generator_dir
+from invforge.invariants import invariant_basis
 from invforge.rings import Polynomial, lambda_u_ring, local_x_ring, u_ring, x_ring
 from invforge.textio import parse_poly
 
 import properties
+from properties import expand_u_to_x_by_substitution, kernel_projection, u_variable_in_x
 
 U3 = u_ring(3)
 
@@ -128,16 +131,8 @@ def test_projection_to_u_examples():
 
 def test_expand_matches_elementwise_substitution():
     # substituting the closed forms slot by slot agrees with the expander
-    from invforge.rings import substitute, u_ring as _u
-    U4 = _u(4)
-    f = p("x0*u4 + 3*u2^2", U4)
-    loc = local_x_ring(4)
-    images = {0: embed(p("x0", x_ring(4)), loc)}
-    for slot in range(1, 4):
-        images[slot] = u_variable_in_x(slot + 1, 4)
-    via_subst = substitute(f, images, loc)
-    assert all(e[0] >= 0 for e in via_subst.terms)
-    assert Polynomial(x_ring(4), via_subst.terms) == expand_u_to_x(f, 4)
+    f = p("x0*u4 + 3*u2^2", u_ring(4))
+    assert expand_u_to_x_by_substitution(f, 4) == expand_u_to_x(f, 4)
 
 
 def test_expand_u_to_x_examples():
@@ -145,8 +140,79 @@ def test_expand_u_to_x_examples():
     got = expand_u_to_x(p("4*x0*u2^3 + x0^2*u3^2", U3), 3)
     want = p("4*x0*x2^3 - 3*x1^2*x2^2 + x0^2*x3^2 - 6*x0*x1*x2*x3 + 4*x1^3*x3", x_ring(3))
     assert got == want
+    assert expand_u_to_x(Polynomial.zero(U3), 3).is_zero()
+    assert expand_u_to_x(p("3/2*x0^2", U3), 3) == p("3/2*x0^2", x_ring(3))
+
+
+@pytest.mark.parametrize("text,n", [("u2", 2), ("x0*u3", 3), ("x0*u2 + u3", 4),
+                                    ("x0^2*u4 + u2^2", 4)],
+                         ids=["u2", "x0u3", "x0u2+u3", "x0^2u4+u2^2"])
+def test_residual_denominator_in_both_routes(text, n):
+    f = p(text, u_ring(n))
     with pytest.raises(ResidualDenominatorError):
-        expand_u_to_x(p("u2", u_ring(2)), 2)
+        expand_u_to_x(f, n)
+    with pytest.raises(ResidualDenominatorError):
+        expand_u_to_x_by_substitution(f, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_expand_matches_substitution_on_bundled_generators(n):
+    for g in load_generator_dir(n, fixture_root() / f"n{n}"):
+        assert expand_u_to_x(g.u_poly, n) == expand_u_to_x_by_substitution(g.u_poly, n)
+
+
+def test_expand_certified_on_octavic_generators():
+    # substitution takes ~20 s at n = 8; certify instead: the x-form projects
+    # back to f and is killed by the lowering derivation, and the recursion
+    # behind expand_u_to_x shows these two facts determine it
+    down = lowering_derivation(8)
+    for g in load_generator_dir(8, fixture_root() / "n8"):
+        fx = expand_u_to_x(g.u_poly, 8)
+        assert project_x_to_u(fx) == g.u_poly
+        assert apply_derivation(down, fx).is_zero()
+
+
+@st.composite
+def isobaric_u_polys(draw):
+    """x0^k times a random isobaric u-polynomial: some convert, some do not."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 4))
+    w = draw(st.integers(0, n * d))
+    monos = _compositions(u_ring(n), d, w)
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(monos), max_size=len(monos)))
+    f = Polynomial(u_ring(n), dict(zip(monos, coeffs)))
+    k = draw(st.integers(0, w))
+    return n, f * Polynomial.monomial(u_ring(n), (k,) + (0,) * (n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(isobaric_u_polys())
+def test_expand_matches_substitution_on_isobaric(case):
+    n, f = case
+    try:
+        want = expand_u_to_x_by_substitution(f, n)
+    except ResidualDenominatorError:
+        with pytest.raises(ResidualDenominatorError):
+            expand_u_to_x(f, n)
+    else:
+        assert expand_u_to_x(f, n) == want
+
+
+_BASES = {(n, d): invariant_basis(n, d).elements
+          for n, ds in ((3, (4,)), (4, (2, 3)), (5, (4,)), (6, (2, 4)))
+          for d in ds}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted({n for n, _ in _BASES})), st.data())
+def test_products_of_invariants_convert(n, data):
+    keys = [k for k in _BASES if k[0] == n]
+    picks = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3))
+    f = Polynomial.one(u_ring(n))
+    for key in picks:
+        el = data.draw(st.sampled_from(_BASES[key]))
+        f = f * el.scale(data.draw(st.integers(1, 4)))
+    assert expand_u_to_x(f, n) == expand_u_to_x_by_substitution(f, n)
 
 
 def test_raising_action_closed_forms():

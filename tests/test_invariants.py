@@ -1,23 +1,29 @@
 import io
+import random
 
 import pytest
 
 from invforge import cli, invariants
-from invforge.derivations import expand_u_to_x
+from invforge.derivations import apply_derivation, expand_u_to_x, reduced_operator
+from invforge.exponents import _compositions, grad, powers
+from invforge.fixtures import fixture_root, load_generator_dir
 from invforge.invariants import (
     DegreeMismatchError,
     GeneratorSet,
     NonInvariantError,
     UnsupportedFormDegreeError,
+    expand_candidate,
     invariant_basis,
     invariant_basis_direct,
     is_member,
     known_degree_table,
     mingenset,
+    monomial_rows,
     verify_invariant_u,
     verify_invariant_x,
 )
-from invforge.rings import Polynomial, normalize, u_ring, x_ring
+from invforge.linalg import nullspace_sparse, solve_affine_sparse
+from invforge.rings import Polynomial, monomial_key, normalize, u_ring, weight_u, x_ring
 from invforge.syzygies import expand_in_generators
 from invforge.textio import parse_poly
 
@@ -200,3 +206,48 @@ def test_context_construction_rejects_small_n():
         u_ring(1)
     with pytest.raises(ValueError):
         x_ring(0)
+
+
+def test_monomial_rows_descending():
+    # one column whose coefficient names its monomial, so every row says
+    # which monomial it belongs to
+    monos = [e for d in (3, 4, 5) for e in _compositions(U5, d)]
+    random.Random(5).shuffle(monos)
+    col = Polynomial(U5, {e: k + 1 for k, e in enumerate(monos)})
+    rows = monomial_rows(U5, [col, col.scale(2)])
+    assert len(rows) == len(monos)
+    keys = [monomial_key(U5, monos[row[0] - 1]) for row in rows]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    assert all(row[1] == 2 * row[0] for row in rows)
+
+
+def _basis_system(n, d):
+    ctx, op = u_ring(n), reduced_operator(n)
+    candidates = powers(n, d)
+    return len(candidates), monomial_rows(
+        ctx, (apply_derivation(op, Polynomial.monomial(ctx, e)) for e in candidates))
+
+
+def _member_system(gens, f):
+    target = (sum(next(iter(f.terms))), weight_u(f))
+    candidates = grad(gens.profile(), target)
+    cache = {}
+    columns = [expand_candidate(gens, e, cache) for e in candidates] + [f]
+    return len(candidates), monomial_rows(u_ring(gens.n), columns)
+
+
+def test_row_order_does_not_change_solutions():
+    # descending rows are the fast order; the reduced echelon form is unique,
+    # so ascending rows give the same nullspaces and particular solutions
+    gens = load_generator_dir(5, fixture_root() / "n5")
+    for d in range(2, 25, 2):
+        ncols, rows = _basis_system(5, d)
+        assert nullspace_sparse(ncols, rows) == nullspace_sparse(ncols, rows[::-1])
+        if d < 4:
+            continue
+        # basis elements are members; a lone candidate monomial is not
+        targets = list(invariant_basis(5, d)) + [Polynomial.monomial(U5, powers(5, d)[0])]
+        for f in targets:
+            ncols, rows = _member_system(gens, f)
+            assert solve_affine_sparse(ncols, rows) == solve_affine_sparse(ncols, rows[::-1])
+        assert solve_affine_sparse(ncols, rows) is None
