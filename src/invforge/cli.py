@@ -48,7 +48,10 @@ def _read_poly_arg(path: str, ctx):
 
 
 def _parse_degree_list(raw: str) -> list:
-    return [int(s) for s in raw.split(",") if s.strip()]
+    degrees = [int(s) for s in raw.split(",") if s.strip()]
+    if not degrees or min(degrees) < 1:
+        raise ValueError(f"--degrees needs positive integers, got {raw!r}")
+    return degrees
 
 
 def _cmd_invariants(args, out) -> int:

@@ -6,6 +6,19 @@ style); the reduced echelon form is produced once at the end by exact
 back-substitution into rationals.  The RREF of a row space is unique, so
 every result here is deterministic no matter the insertion order of the
 rows.
+
+``ModularEliminator`` keeps the RREF modulo the Mersenne prime
+``PRIME`` = 2^127 - 1 instead, which keeps every entry short.  Its rank is
+a lower bound for the rational rank of the rows it was fed.  Its nullspace
+is exact all the same: each vector read off the modular RREF is recovered
+by rational reconstruction and then checked with exact dot products against
+every row it keeps.  A checked vector for free column f has 1 on f, 0 on
+every other modular free column and nothing after f, so the
+ncols - rank_p checked vectors are independent; since rank_p <= rank_Q,
+they span the rational nullspace, their free columns are the rational
+RREF's, and they are its canonical basis.  Whenever reconstruction or a
+check fails the method returns None, and the caller eliminates the kept
+rows exactly.
 """
 
 from __future__ import annotations
@@ -122,6 +135,121 @@ class Eliminator:
                 v = r.get(f)
                 if v:
                     vec[c] = -v
+            basis.append(vec)
+        return basis
+
+
+PRIME = 2**127 - 1
+_BOUND = math.isqrt(PRIME // 2)  # numerator and denominator of a recovered entry
+
+
+def _residue(c) -> Optional[int]:
+    """c modulo PRIME, or None when its denominator is divisible by PRIME."""
+    if isinstance(c, Fraction):
+        den = c.denominator % PRIME
+        if not den:
+            return None
+        return c.numerator * pow(den, -1, PRIME) % PRIME
+    return c % PRIME
+
+
+def _rational(a: int) -> Optional[Fraction]:
+    """The r/s with |r|, |s| <= _BOUND congruent to a modulo PRIME, or None.
+
+    Wang, Guy & Davenport, "P-adic reconstruction of rational numbers",
+    SIGSAM Bull. 1982: stop the extended Euclidean remainder sequence of
+    (PRIME, a) at the first remainder within the bound.
+    """
+    r0, r1, s0, s1 = PRIME, a, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > _BOUND or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+class ModularEliminator:
+    """Incremental RREF modulo PRIME that keeps every exact row it is fed."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows = []       # the exact rows, as fed
+        self.pivots = {}     # pivot column -> {later non-pivot column: residue}
+        self.reduced = True  # every kept row was reduced modulo PRIME
+
+    def add_row(self, row: dict) -> None:
+        self.rows.append(row)
+        res = {}
+        for j, c in row.items():
+            v = _residue(c)
+            if v is None:
+                self.reduced = False
+                return
+            if v:
+                res[j] = v
+        # pivot rows vanish on every other pivot column: one pass clears them
+        pivots = self.pivots
+        acc = {j: v for j, v in res.items() if j not in pivots}
+        for c, f in res.items():
+            tail = pivots.get(c)
+            if tail is not None:
+                for j, v in tail.items():
+                    acc[j] = acc.get(j, 0) - f * v
+        acc = {j: r for j, v in acc.items() if (r := v % PRIME)}
+        if not acc:
+            return
+        c = min(acc)
+        inv = pow(acc.pop(c), -1, PRIME)
+        new = {j: v * inv % PRIME for j, v in acc.items()}
+        for tail in pivots.values():
+            f = tail.pop(c, 0)
+            if f:
+                for j, v in new.items():
+                    r = (tail.get(j, 0) - f * v) % PRIME
+                    if r:
+                        tail[j] = r
+                    else:
+                        tail.pop(j, None)
+        pivots[c] = new
+
+    @property
+    def rank(self) -> int:
+        """Rank modulo PRIME: at most the rational rank of the kept rows."""
+        return len(self.pivots)
+
+    def kills(self, vec: dict) -> bool:
+        """True iff every kept row is exactly orthogonal to vec {col: value}."""
+        den = math.lcm(*(v.denominator for v in vec.values()))
+        ints = [(j, int(v * den)) for j, v in vec.items() if v]
+        return not any(sum(row.get(j, 0) * v for j, v in ints)
+                       for row in self.rows)
+
+    def nullspace(self) -> Optional[list]:
+        """The canonical nullspace basis of the kept rows, or None.
+
+        Same form as ``Eliminator.nullspace``; None when a row could not be
+        reduced modulo PRIME, an entry cannot be reconstructed or a
+        reconstructed vector fails ``kills``.
+        """
+        if not self.reduced:
+            return None
+        basis = []
+        for f in range(self.ncols):
+            if f in self.pivots:
+                continue
+            vec = [Fraction(0)] * self.ncols
+            vec[f] = Fraction(1)
+            for c, tail in self.pivots.items():
+                v = tail.get(f)
+                if v:
+                    q = _rational(PRIME - v)
+                    if q is None:
+                        return None
+                    vec[c] = q
+            if not self.kills({j: v for j, v in enumerate(vec) if v}):
+                return None
             basis.append(vec)
         return basis
 

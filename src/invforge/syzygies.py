@@ -6,14 +6,27 @@ nullspace of the candidate-expansion matrix A (columns: generator monomials
 of weighted degree d, rows: u-monomials).  Rather than expanding A, the
 engine evaluates the generators at integer points: one point gives one row
 of E = V*A, so null(A) is contained in null(E), and rank E <= rank A <=
-dim I_d because every column of A is a degree-d invariant.  Points are
-added until rank E reaches the Cayley-Sylvester count dim I_d; then the
-two nullspaces are equal and E certifies both the basis and the relation
-checks exactly.  When the certificate cannot be had (a generator that is
-not an invariant of its declared degree, or a set that does not span I_d)
-the engine falls back to expanding A.  The minimality filter quotients out
-products of lower-degree syzygies with generator monomials, which the
-per-degree solver alone would keep reporting.
+dim I_d because every column of A is a degree-d invariant.  The rows go to
+a ``linalg.ModularEliminator``, and points are added until the rank of E
+modulo a prime reaches the Cayley-Sylvester count dim I_d.  Since
+rank_p E <= rank_Q E, that certifies rank E = rank A = dim I_d over Q, so
+null(E) = null(A) exactly and E answers both questions:
+
+* the basis is the modular eliminator's checked nullspace.  Every vector is
+  in null(E) by exact dot products, there are ncols - rank_p =
+  ncols - rank_Q of them, and each one's last nonzero entry is its own
+  free column, so they are the canonical (RREF) basis of null(A), the same
+  one the expansion route gives;
+* a relation checks iff each weighted-degree component v has E*v = 0 on the
+  kept rows, by exact dot products alone.
+
+Two fallbacks keep every answer exact.  When the certificate cannot be had
+(a generator that is not an invariant of its declared degree, a set that
+does not span I_d, or a rank that stalls) the engine expands A.  When the
+modular nullspace cannot be read back (a reconstruction or a check fails)
+the kept rows of E are eliminated exactly instead.  The minimality filter
+quotients out products of lower-degree syzygies with generator monomials,
+which the per-degree solver alone would keep reporting.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from .invariants import (
     nullspace_polynomials,
     verify_invariant_u,
 )
-from .linalg import Eliminator
+from .linalg import Eliminator, ModularEliminator
 from .rings import (
     ContextMismatchError,
     Polynomial,
@@ -96,14 +109,14 @@ def _values_at(gens: GeneratorSet, k: int, cache: dict) -> tuple:
 
 def _certified_system(gens: GeneratorSet, d: int, candidates: list,
                       cache: dict):
-    """Eliminator over evaluation rows with rank dim I_d, or None."""
+    """ModularEliminator over evaluation rows with rank dim I_d, or None."""
     key = ("certified", d)
     if key in cache:
         return cache[key]
     elim = None
     target = invariant_dimension(gens.n, d)
     if len(candidates) >= target and _generators_are_invariants(gens, cache):
-        elim = Eliminator(len(candidates))
+        elim = ModularEliminator(len(candidates))
         k = idle = 0
         while elim.rank < target and idle < IDLE_POINTS:
             values = _values_at(gens, k, cache)
@@ -127,9 +140,9 @@ def _expansion_system(gens: GeneratorSet, candidates: list,
 
 
 def _relations(gens: GeneratorSet, d: int, candidates: list,
-               elim: Eliminator) -> list:
+               nullspace: list) -> list:
     return [Syzygy(rel, d) for rel in nullspace_polynomials(
-        gens.gen_context(), candidates, elim.nullspace())]
+        gens.gen_context(), candidates, nullspace)]
 
 
 def syzygy_basis(gens: GeneratorSet, d: int, cache: dict = None) -> list:
@@ -139,10 +152,15 @@ def syzygy_basis(gens: GeneratorSet, d: int, cache: dict = None) -> list:
         return []
     if cache is None:
         cache = {}
-    elim = _certified_system(gens, d, candidates, cache)
-    if elim is None:
-        elim = _expansion_system(gens, candidates, cache)
-    return _relations(gens, d, candidates, elim)
+    system = _certified_system(gens, d, candidates, cache)
+    if system is None:
+        nullspace = _expansion_system(gens, candidates, cache).nullspace()
+    else:
+        nullspace = system.nullspace()
+        if nullspace is None:
+            nullspace = Eliminator(len(candidates)).add_rows(
+                system.rows).nullspace()
+    return _relations(gens, d, candidates, nullspace)
 
 
 def syzygy_basis_by_expansion(gens: GeneratorSet, d: int,
@@ -152,15 +170,15 @@ def syzygy_basis_by_expansion(gens: GeneratorSet, d: int,
     if not candidates:
         return []
     elim = _expansion_system(gens, candidates, {} if cache is None else cache)
-    return _relations(gens, d, candidates, elim)
+    return _relations(gens, d, candidates, elim.nullspace())
 
 
 def check_syzygy(gens: GeneratorSet, relation: Polynomial,
                  cache: dict = None) -> bool:
     """True iff the relation expands to the exact zero polynomial.
 
-    Each weighted-degree component must be orthogonal to every pivot row of
-    its degree's certified evaluation system; a component without a
+    Each weighted-degree component must be exactly orthogonal to every row
+    of its degree's certified evaluation system; a component without a
     certificate is expanded instead.
     """
     if relation.is_zero():
@@ -175,17 +193,15 @@ def check_syzygy(gens: GeneratorSet, relation: Polynomial,
         parts.setdefault(sum(a * k for a, k in zip(e, degs)), {})[e] = c
     for d, terms in parts.items():
         candidates = powers2(degs, d)
-        elim = _certified_system(gens, d, candidates, cache)
-        if elim is None:
+        system = _certified_system(gens, d, candidates, cache)
+        if system is None:
             part = Polynomial(relation.context, terms)
             if not expand_in_generators(gens, part, cache).is_zero():
                 return False
             continue
         index = {e: j for j, e in enumerate(candidates)}
-        vec = [(index[e], c) for e, c in terms.items()]
-        for row in elim.pivots.values():
-            if sum(row.get(j, 0) * c for j, c in vec):
-                return False
+        if not system.kills({index[e]: c for e, c in terms.items()}):
+            return False
     return True
 
 

@@ -339,7 +339,8 @@ def sparse_rows(data, rhs=None):
     return out
 
 
-def check_linalg_against_naive(seed=23, cases=120):
+def linalg_naive_cases(seed=23, cases=120):
+    """Small seeded rational systems as (dense rows, column count, rhs)."""
     rng = random.Random(seed)
     for _ in range(cases):
         rows = rng.randrange(1, 6)
@@ -347,14 +348,19 @@ def check_linalg_against_naive(seed=23, cases=120):
         data = [[Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
                  if rng.random() < 0.7 else 0
                  for _ in range(cols)] for _ in range(rows)]
+        b = [rng.randrange(-3, 4) for _ in range(rows)]
+        yield data, cols, b
+
+
+def check_linalg_against_naive(seed=23, cases=120):
+    for data, cols, b in linalg_naive_cases(seed, cases):
         _, pivots = naive_rref(data, cols)
         assert rank_sparse(cols, sparse_rows(data)) == len(pivots)
         got = nullspace_sparse(cols, sparse_rows(data))
         assert got == naive_nullspace(data, cols)
         for v in got:
             for row in data:
-                assert sum(a * b for a, b in zip(row, v)) == 0
-        b = [rng.randrange(-3, 4) for _ in range(rows)]
+                assert sum(a * x for a, x in zip(row, v)) == 0
         sol = solve_affine_sparse(cols, sparse_rows(data, b))
         aug = [list(r) + [bv] for r, bv in zip(data, b)]
         _, aug_pivots = naive_rref(aug, cols + 1)

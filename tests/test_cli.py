@@ -68,6 +68,22 @@ def test_mingenset_degree_mismatch_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["syzygies", "--n", "5", "--gens", "@n5", "--degrees", "-3"],
+    ["syzygies", "--n", "5", "--gens", "@n5", "--degrees", "0"],
+    ["syzygies", "--n", "5", "--gens", "@n5", "--degrees", "36,0"],
+    ["syzygies", "--n", "5", "--gens", "@n5", "--degrees", ","],
+    ["mingenset", "--n", "5", "--degrees", ",,"],
+    ["mingenset", "--n", "5", "--degrees", "4,-8"],
+], ids=" ".join)
+def test_bad_degree_list_exits_2(argv, capsys):
+    argv = [str(fixture_root() / "n5") if a == "@n5" else a for a in argv]
+    code, out = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: --degrees")
+
+
 def test_member_flow(tmp_path):
     gens_dir = tmp_path / "gens4"
     code, _ = run_cli("mingenset", "--n", "4", "--out", str(gens_dir))

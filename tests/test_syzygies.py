@@ -1,6 +1,6 @@
 import pytest
 
-from invforge import syzygies
+from invforge import linalg, syzygies
 from invforge.fixtures import fixture_generator_set, fixture_root, load_generator_dir
 from invforge.invariants import Generator, GeneratorSet, mingenset
 from invforge.rings import Polynomial, normalize, u_ring
@@ -75,6 +75,33 @@ def test_perturbed_relation_fails(ref5):
     bad = REFERENCE_RELATION_5.replace("1296*", "1297*")
     rel = parse_poly(bad, ref5.gen_context())
     assert not check_syzygy(ref5, rel)
+
+
+def bundled(n):
+    folder = fixture_root() / f"n{n}"
+    gens = load_generator_dir(n, folder)
+    body = (folder / "syzygy-1.gen").read_text().strip()
+    return gens, parse_poly(body, gens.gen_context())
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_perturbed_bundled_relation_fails(n, expansions):
+    gens, rel = bundled(n)
+    e, c = next(iter(rel.terms.items()))
+    bad = Polynomial(rel.context, {**rel.terms, e: c + 1})
+    cache = {}
+    assert check_syzygy(gens, rel, cache)
+    assert not check_syzygy(gens, bad, cache)
+    assert not expansions
+
+
+@pytest.mark.parametrize("n,d", [(6, 30), (8, 16)])
+def test_exact_rows_fallback(n, d, expansions, monkeypatch):
+    gens, _ = bundled(n)
+    want = syzygy_basis(gens, d)
+    monkeypatch.setattr(linalg.ModularEliminator, "nullspace", lambda self: None)
+    assert syzygy_basis(gens, d) == want
+    assert not expansions
 
 
 def test_minimal_syzygies_quintic(ref5):
