@@ -22,8 +22,7 @@ def run(n: int) -> None:
     r, degrees = known_degree_table(n)
     gens = mingenset(n, r, degrees)
     t0 = time.perf_counter()
-    cache = {}
-    found = minimal_syzygies(gens, DEGREES[n], cache)
+    found = minimal_syzygies(gens, DEGREES[n])
     dt = time.perf_counter() - t0
     print(f"n={n}: {len(found)} minimal relations at degrees "
           f"{[s.degree for s in found]} in {dt:.1f}s")
@@ -31,7 +30,7 @@ def run(n: int) -> None:
         body = format_poly(syz.relation)
         shown = body if len(body) < 100 else f"{body[:96]}... ({len(syz.relation.terms)} terms)"
         print(f"  degree {syz.degree}: {shown}")
-        assert check_syzygy(gens, syz.relation, cache)
+        assert check_syzygy(gens, syz.relation)
     reference = fixture_generator_set(n)
     bundled = [rec for rec in load_fixtures(n) if rec.coordinates == "gen"]
     for rec in bundled:

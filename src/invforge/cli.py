@@ -21,6 +21,7 @@ from .fixtures import (
     write_generator_dir,
 )
 from .invariants import (
+    _GENERATOR_TABLE,
     DegreeMismatchError,
     UnsupportedFormDegreeError,
     invariant_basis,
@@ -66,6 +67,10 @@ def _cmd_invariants(args, out) -> int:
 def _cmd_mingenset(args, out) -> int:
     if args.degrees:
         degrees = _parse_degree_list(args.degrees)
+        missing = sorted(set(_GENERATOR_TABLE.get(args.n, (0, ()))[1]) - set(degrees))
+        if missing:
+            print(f"note: --degrees omits the n={args.n} table degrees "
+                  f"{','.join(map(str, missing))}", file=sys.stderr)
     else:
         _, degrees = known_degree_table(args.n)
     gens = mingenset(args.n, len(degrees), degrees)

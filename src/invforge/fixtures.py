@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .invariants import Generator, GeneratorSet, verify_invariant_u, verify_invariant_x
+from .invariants import Generator, GeneratorSet, _verified, verify_invariant_u, verify_invariant_x
 from .rings import Polynomial, degree, u_ring, weight_u, x_ring
-from .syzygies import check_syzygy
+from .syzygies import _check
 from .textio import PolyParseError, parse_poly
 
 VALIDATED = "validated"
@@ -70,6 +70,9 @@ def _validate_generator(n: int, name: str, coords: str, body: str) -> FixtureRec
         return FixtureRecord(n, name, coords, body, SUSPECT, None, str(exc))
     if poly.is_zero():
         return FixtureRecord(n, name, coords, body, SUSPECT, poly, "parsed to zero")
+    if degree(poly) == 0:
+        return FixtureRecord(n, name, coords, body, SUSPECT, poly,
+                             "constant, not a generator")
     verify = verify_invariant_u if coords == "u" else verify_invariant_x
     if verify(n, poly):
         return FixtureRecord(n, name, coords, body, VALIDATED, poly)
@@ -78,14 +81,14 @@ def _validate_generator(n: int, name: str, coords: str, body: str) -> FixtureRec
 
 
 def generator_set_from_records(n: int, records) -> GeneratorSet:
-    """Generator set over the validated u-coordinate records, by degree."""
+    """Verified generator set over the validated u-coordinate records, by degree."""
     gens = []
     for rec in records:
         if rec.coordinates == "u" and rec.status == VALIDATED:
             d = degree(rec.poly)
             gens.append(Generator(rec.name, d, weight_u(rec.poly), rec.poly, None))
     gens.sort(key=lambda g: (g.degree, g.name))
-    return GeneratorSet(n, tuple(gens))
+    return _verified(GeneratorSet(n, tuple(gens)))
 
 
 def load_fixtures(n: int, base: Path = None) -> list:
@@ -106,7 +109,7 @@ def load_fixtures(n: int, base: Path = None) -> list:
 
     gens = generator_set_from_records(n, records)
     gctx = gens.gen_context() if len(gens) else None
-    cache = {}
+    values = []  # point values, shared by every relation's check
     for path in sorted(folder.glob("syzygy-*.gen"), key=lambda p: _name_key(p.stem.split("-")[-1])):
         body = path.read_text().strip()
         name = path.stem
@@ -121,7 +124,7 @@ def load_fixtures(n: int, base: Path = None) -> list:
         except PolyParseError as exc:
             records.append(FixtureRecord(n, name, "gen", body, SUSPECT, None, str(exc)))
             continue
-        if check_syzygy(gens, rel, cache):
+        if _check(gens, rel, values):
             records.append(FixtureRecord(n, name, "gen", body, VALIDATED, rel))
         else:
             records.append(FixtureRecord(n, name, "gen", body, SUSPECT, rel,
@@ -161,7 +164,7 @@ def load_generator_dir(n: int, path) -> GeneratorSet:
     if not gens:
         raise ValueError(f"no generator files in {folder}")
     gens.sort(key=lambda g: (g.degree, g.name))
-    return GeneratorSet(n, tuple(gens))
+    return _verified(GeneratorSet(n, tuple(gens)))
 
 
 def write_generator_dir(gens: GeneratorSet, path) -> None:

@@ -11,6 +11,7 @@ independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -27,6 +28,7 @@ from .linalg import nullspace_sparse, solve_affine_sparse
 from .rings import (
     Polynomial,
     VarContext,
+    degree,
     gen_ring,
     is_isobaric_balanced,
     monomial_key,
@@ -80,6 +82,16 @@ class Generator:
 
 @dataclass(frozen=True)
 class GeneratorSet:
+    """``verified``: every generator is a nonzero invariant of its degree.
+
+    That is the syzygy certificate's precondition.  It is checked on first
+    use, once per set, and is no field (not in ``__init__``, ``==``, ``hash``
+    or ``repr``).  ``load_generator_dir``, ``generator_set_from_records`` and
+    ``mingenset`` fill it in ahead of time, having just verified every
+    generator.  Point values and certified systems last one public call:
+    kept on a set, they would grow with every caller that holds it.
+    """
+
     n: int
     generators: tuple
 
@@ -103,6 +115,17 @@ class GeneratorSet:
 
     def with_generator(self, g: Generator) -> "GeneratorSet":
         return GeneratorSet(self.n, self.generators + (g,))
+
+    @cached_property
+    def verified(self) -> bool:
+        return all(not g.u_poly.is_zero() and degree(g.u_poly) == g.degree
+                   and verify_invariant_u(self.n, g.u_poly) for g in self)
+
+
+def _verified(gens: GeneratorSet) -> GeneratorSet:
+    """gens, marked verified by a caller that has just verified every generator."""
+    gens.__dict__["verified"] = True
+    return gens
 
 
 def monomial_rows(ctx: VarContext, columns: Iterable[Polynomial]) -> list:
@@ -184,22 +207,23 @@ def verify_invariant_u(n: int, f: Polynomial) -> bool:
     return apply_derivation(reduced_operator(n), f).is_zero()
 
 
-def _generator_power(gens: GeneratorSet, j: int, k: int, cache: dict) -> Polynomial:
-    if k == 0:
-        return Polynomial.one(u_ring(gens.n))
-    got = cache.get((j, k))
+def _generator_power(gens: GeneratorSet, j: int, k: int, powers: dict) -> Polynomial:
+    got = powers.get((j, k))
     if got is None:
         if k == 1:
             got = gens[j].u_poly
         else:
-            got = _generator_power(gens, j, k - 1, cache) * gens[j].u_poly
-        cache[(j, k)] = got
+            got = _generator_power(gens, j, k - 1, powers) * gens[j].u_poly
+        powers[(j, k)] = got
     return got
 
 
-def expand_candidate(gens: GeneratorSet, exps, cache: dict) -> Polynomial:
-    """Product of generator powers for one exponent vector, largest last."""
-    factors = [_generator_power(gens, j, k, cache)
+def expand_candidate(gens: GeneratorSet, exps, powers: dict) -> Polynomial:
+    """Product of generator powers for one exponent vector, largest last.
+
+    powers memoizes (j, k) -> gens[j]^k for the calling expansion.
+    """
+    factors = [_generator_power(gens, j, k, powers)
                for j, k in enumerate(exps) if k]
     if not factors:
         return Polynomial.one(u_ring(gens.n))
@@ -210,8 +234,7 @@ def expand_candidate(gens: GeneratorSet, exps, cache: dict) -> Polynomial:
     return acc
 
 
-def is_member(gens: GeneratorSet, f: Polynomial,
-              cache: dict = None) -> Optional[Polynomial]:
+def is_member(gens: GeneratorSet, f: Polynomial) -> Optional[Polynomial]:
     """Express f in the subring generated by gens, if possible.
 
     Returns the echelon particular representation as a generator-ring
@@ -229,10 +252,9 @@ def is_member(gens: GeneratorSet, f: Polynomial,
     candidates = grad(gens.profile(), target)
     if not candidates:
         return None
-    if cache is None:
-        cache = {}
+    powers = {}
     # the target is the last column, which is the solver's right-hand side
-    columns = chain((expand_candidate(gens, e, cache) for e in candidates), (f,))
+    columns = chain((expand_candidate(gens, e, powers) for e in candidates), (f,))
     sol = solve_affine_sparse(len(candidates), monomial_rows(u_ring(gens.n), columns))
     if sol is None:
         return None
@@ -281,13 +303,12 @@ def mingenset(n: int, r: int, degrees) -> GeneratorSet:
         raise DegreeMismatchError(
             f"expected {r} generator degrees, got {len(degrees)}")
     gens = GeneratorSet(n, ())
-    cache = {}
     taken = set()
     for d in sorted(set(degrees)):
         expected = degrees.count(d)
         found = 0
         for el in invariant_basis(n, d):
-            if len(gens) and is_member(gens, el, cache) is not None:
+            if len(gens) and is_member(gens, el) is not None:
                 continue
             x_form = expand_u_to_x(el, n)
             if not (verify_invariant_u(n, el) and verify_invariant_x(n, x_form)):
@@ -304,4 +325,4 @@ def mingenset(n: int, r: int, degrees) -> GeneratorSet:
         if found != expected:
             raise DegreeMismatchError(
                 f"expected {expected} new generators at degree {d}, found {found}")
-    return gens
+    return _verified(gens)

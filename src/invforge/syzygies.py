@@ -21,8 +21,10 @@ null(E) = null(A) exactly and E answers both questions:
   kept rows, by exact dot products alone.
 
 Two fallbacks keep every answer exact.  When the certificate cannot be had
-(a generator that is not an invariant of its declared degree, a set that
-does not span I_d, or a rank that stalls) the engine expands A.  When the
+(a set that does not span I_d, a rank that stalls, or, in a set built by
+hand, a generator that is not an invariant of its declared degree; loaded
+and computed sets arrive verified, see ``GeneratorSet.verified``) the
+engine expands A.  When the
 modular nullspace cannot be read back (a reconstruction or a check fails)
 the kept rows of E are eliminated exactly instead.  The minimality filter
 quotients out products of lower-degree syzygies with generator monomials,
@@ -36,22 +38,9 @@ from dataclasses import dataclass
 
 from .exponents import powers2
 from .hilbert import invariant_dimension
-from .invariants import (
-    GeneratorSet,
-    expand_candidate,
-    monomial_rows,
-    nullspace_polynomials,
-    verify_invariant_u,
-)
+from .invariants import GeneratorSet, expand_candidate, monomial_rows, nullspace_polynomials
 from .linalg import Eliminator, ModularEliminator
-from .rings import (
-    ContextMismatchError,
-    Polynomial,
-    degree,
-    evaluate,
-    monomial_value,
-    u_ring,
-)
+from .rings import ContextMismatchError, Polynomial, evaluate, monomial_value, u_ring
 
 # The certificate gives up after this many consecutive points that do not
 # raise the rank; point coordinates are drawn from [-POINT_RANGE, POINT_RANGE]
@@ -66,16 +55,14 @@ class Syzygy:
     degree: int           # weighted degree sum(a_j * deg f_j)
 
 
-def expand_in_generators(gens: GeneratorSet, g: Polynomial,
-                         cache: dict = None) -> Polynomial:
+def expand_in_generators(gens: GeneratorSet, g: Polynomial) -> Polynomial:
     """Substitute every generator symbol by its u-polynomial, exactly."""
     if g.context != gens.gen_context():
         raise ContextMismatchError("relation is over a different generator set")
-    if cache is None:
-        cache = {}
+    powers = {}
     total = Polynomial.zero(u_ring(gens.n))
     for e, c in g.terms.items():
-        total = total + expand_candidate(gens, e, cache).scale(c)
+        total = total + expand_candidate(gens, e, powers).scale(c)
     return total
 
 
@@ -85,56 +72,37 @@ def _candidates(gens: GeneratorSet, d: int) -> list:
     return powers2(gens.degrees(), d)
 
 
-def _generators_are_invariants(gens: GeneratorSet, cache: dict) -> bool:
-    """The certificate's precondition: each generator is an invariant of its degree."""
-    ok = cache.get("generators-are-invariants")
-    if ok is None:
-        ok = all(not g.u_poly.is_zero() and degree(g.u_poly) == g.degree
-                 and verify_invariant_u(gens.n, g.u_poly) for g in gens)
-        cache["generators-are-invariants"] = ok
-    return ok
-
-
-def _values_at(gens: GeneratorSet, k: int, cache: dict) -> tuple:
-    """Generator values at the k-th point of a fixed sequence."""
-    key = ("values", k)
-    values = cache.get(key)
-    if values is None:
-        rng = random.Random(k)
+def _values_at(gens: GeneratorSet, k: int, values: list) -> tuple:
+    """Generator values at the k-th point of a fixed sequence, kept in values."""
+    while len(values) <= k:
+        rng = random.Random(len(values))
         point = [rng.randint(-POINT_RANGE, POINT_RANGE) for _ in range(gens.n)]
-        values = tuple(evaluate(g.u_poly, point) for g in gens)
-        cache[key] = values
-    return values
+        values.append(tuple(evaluate(g.u_poly, point) for g in gens))
+    return values[k]
 
 
 def _certified_system(gens: GeneratorSet, d: int, candidates: list,
-                      cache: dict):
+                      values: list):
     """ModularEliminator over evaluation rows with rank dim I_d, or None."""
-    key = ("certified", d)
-    if key in cache:
-        return cache[key]
-    elim = None
     target = invariant_dimension(gens.n, d)
-    if len(candidates) >= target and _generators_are_invariants(gens, cache):
-        elim = ModularEliminator(len(candidates))
-        k = idle = 0
-        while elim.rank < target and idle < IDLE_POINTS:
-            values = _values_at(gens, k, cache)
-            before = elim.rank
-            elim.add_row({j: v for j, e in enumerate(candidates)
-                          if (v := monomial_value(e, values))})
-            k += 1
-            idle = 0 if elim.rank > before else idle + 1
-        if elim.rank < target:
-            elim = None
-    cache[key] = elim
-    return elim
+    if len(candidates) < target or not gens.verified:
+        return None
+    elim = ModularEliminator(len(candidates))
+    k = idle = 0
+    while elim.rank < target and idle < IDLE_POINTS:
+        point = _values_at(gens, k, values)
+        before = elim.rank
+        elim.add_row({j: v for j, e in enumerate(candidates)
+                      if (v := monomial_value(e, point))})
+        k += 1
+        idle = 0 if elim.rank > before else idle + 1
+    return elim if elim.rank == target else None
 
 
-def _expansion_system(gens: GeneratorSet, candidates: list,
-                      cache: dict) -> Eliminator:
+def _expansion_system(gens: GeneratorSet, candidates: list) -> Eliminator:
     """Eliminator over the rows of the expanded candidate matrix A."""
-    columns = (expand_candidate(gens, e, cache) for e in candidates)
+    powers = {}
+    columns = (expand_candidate(gens, e, powers) for e in candidates)
     return Eliminator(len(candidates)).add_rows(
         monomial_rows(u_ring(gens.n), columns))
 
@@ -145,16 +113,13 @@ def _relations(gens: GeneratorSet, d: int, candidates: list,
         gens.gen_context(), candidates, nullspace)]
 
 
-def syzygy_basis(gens: GeneratorSet, d: int, cache: dict = None) -> list:
-    """Canonical basis of all relations of weighted degree d."""
+def _basis(gens: GeneratorSet, d: int, values: list) -> list:
     candidates = _candidates(gens, d)
     if not candidates:
         return []
-    if cache is None:
-        cache = {}
-    system = _certified_system(gens, d, candidates, cache)
+    system = _certified_system(gens, d, candidates, values)
     if system is None:
-        nullspace = _expansion_system(gens, candidates, cache).nullspace()
+        nullspace = _expansion_system(gens, candidates).nullspace()
     else:
         nullspace = system.nullspace()
         if nullspace is None:
@@ -163,40 +128,35 @@ def syzygy_basis(gens: GeneratorSet, d: int, cache: dict = None) -> list:
     return _relations(gens, d, candidates, nullspace)
 
 
-def syzygy_basis_by_expansion(gens: GeneratorSet, d: int,
-                              cache: dict = None) -> list:
+def syzygy_basis(gens: GeneratorSet, d: int) -> list:
+    """Canonical basis of all relations of weighted degree d."""
+    return _basis(gens, d, [])
+
+
+def syzygy_basis_by_expansion(gens: GeneratorSet, d: int) -> list:
     """The same basis from the expanded matrix alone: the reference route."""
     candidates = _candidates(gens, d)
     if not candidates:
         return []
-    elim = _expansion_system(gens, candidates, {} if cache is None else cache)
+    elim = _expansion_system(gens, candidates)
     return _relations(gens, d, candidates, elim.nullspace())
 
 
-def check_syzygy(gens: GeneratorSet, relation: Polynomial,
-                 cache: dict = None) -> bool:
-    """True iff the relation expands to the exact zero polynomial.
-
-    Each weighted-degree component must be exactly orthogonal to every row
-    of its degree's certified evaluation system; a component without a
-    certificate is expanded instead.
-    """
+def _check(gens: GeneratorSet, relation: Polynomial, values: list) -> bool:
     if relation.is_zero():
         return True
     if relation.context != gens.gen_context():
         raise ContextMismatchError("relation is over a different generator set")
-    if cache is None:
-        cache = {}
     degs = gens.degrees()
     parts = {}
     for e, c in relation.terms.items():
         parts.setdefault(sum(a * k for a, k in zip(e, degs)), {})[e] = c
     for d, terms in parts.items():
         candidates = powers2(degs, d)
-        system = _certified_system(gens, d, candidates, cache)
+        system = _certified_system(gens, d, candidates, values)
         if system is None:
             part = Polynomial(relation.context, terms)
-            if not expand_in_generators(gens, part, cache).is_zero():
+            if not expand_in_generators(gens, part).is_zero():
                 return False
             continue
         index = {e: j for j, e in enumerate(candidates)}
@@ -205,7 +165,17 @@ def check_syzygy(gens: GeneratorSet, relation: Polynomial,
     return True
 
 
-def minimal_syzygies(gens: GeneratorSet, degrees, cache: dict = None) -> list:
+def check_syzygy(gens: GeneratorSet, relation: Polynomial) -> bool:
+    """True iff the relation expands to the exact zero polynomial.
+
+    Each weighted-degree component must be exactly orthogonal to every row
+    of its degree's certified evaluation system; a component without a
+    certificate is expanded instead.
+    """
+    return _check(gens, relation, [])
+
+
+def minimal_syzygies(gens: GeneratorSet, degrees) -> list:
     """New relations per degree, modulo consequences of earlier ones.
 
     For each degree d in ascending order, the span of m * s over earlier
@@ -213,12 +183,11 @@ def minimal_syzygies(gens: GeneratorSet, degrees, cache: dict = None) -> list:
     degree is removed from the degree-d basis; whatever extends that span
     is reported, in the basis order.
     """
-    if cache is None:
-        cache = {}
     gen_degs = gens.degrees()
+    values = []
     minimal = []
     for d in sorted(set(degrees)):
-        basis = syzygy_basis(gens, d, cache)
+        basis = _basis(gens, d, values)
         if not basis:
             continue
         candidates = powers2(gen_degs, d)

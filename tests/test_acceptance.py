@@ -91,22 +91,19 @@ def test_criterion_4_quintic_generating_set(store):
         reference = fixture_generator_set(5)
         # the degree-4 reference generator is a scalar multiple of ours
         assert normalize(reference[0].u_poly) == normalize(gens[0].u_poly)
-        cache = {}
         for g in reference:
-            assert is_member(gens, g.u_poly, cache) is not None
-        cache = {}
+            assert is_member(gens, g.u_poly) is not None
         for g in gens:
-            assert is_member(reference, g.u_poly, cache) is not None
+            assert is_member(reference, g.u_poly) is not None
 
 
 def test_criterion_5_quintic_syzygy():
     with criterion(5, "n=5 degree-36 relation space and the printed identity", 120):
         reference = fixture_generator_set(5)
-        cache = {}
-        basis = syzygy_basis(reference, 36, cache)
+        basis = syzygy_basis(reference, 36)
         assert len(basis) == 1
         rel = parse_poly(QUINTIC_RELATION, reference.gen_context())
-        assert check_syzygy(reference, rel, cache)
+        assert check_syzygy(reference, rel)
 
 
 def test_criterion_6_sextic(store):
@@ -128,11 +125,10 @@ def test_criterion_7_octavic():
     with criterion(7, "n=8 nine generators and five minimal relations", 1800):
         gens = mingenset(8, 9, list(range(2, 11)))
         assert gens.degrees() == tuple(range(2, 11))
-        cache = {}
-        found = minimal_syzygies(gens, [16, 17, 18, 19, 20], cache)
+        found = minimal_syzygies(gens, [16, 17, 18, 19, 20])
         assert len(found) == 5
         for syz in found:
-            assert check_syzygy(gens, syz.relation, cache)
+            assert check_syzygy(gens, syz.relation)
 
 
 def test_criterion_8_oracle_equivalence():

@@ -63,6 +63,15 @@ def test_mingenset_unsupported_n_exits_2():
     assert code == 2
 
 
+def test_mingenset_names_missing_table_degrees(capsys):
+    code, out = run_cli("mingenset", "--n", "5", "--degrees", "4,8,12")
+    assert code == 0
+    assert out.count(" degree=") == 3
+    assert capsys.readouterr().err == "note: --degrees omits the n=5 table degrees 18\n"
+    run_cli("mingenset", "--n", "4", "--degrees", "3,2")
+    assert capsys.readouterr().err == ""
+
+
 def test_mingenset_degree_mismatch_exits_2():
     code, _ = run_cli("mingenset", "--n", "3", "--degrees", "2")
     assert code == 2

@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 from invforge.fixtures import (
@@ -5,6 +7,7 @@ from invforge.fixtures import (
     VALIDATED,
     available_fixture_ns,
     fixture_generator_set,
+    fixture_root,
     load_fixtures,
     load_generator_dir,
     write_generator_dir,
@@ -67,6 +70,18 @@ def test_corrupted_body_goes_suspect(tmp_path):
     assert by_name["bogus"].status == SUSPECT
     assert by_name["broken"].status == SUSPECT
     assert by_name["broken"].poly is None
+
+
+def test_constant_record_goes_suspect(tmp_path):
+    shutil.copytree(fixture_root() / "n5", tmp_path / "n5")
+    (tmp_path / "n5" / "c0.poly").write_text("7\n")
+    by_name = {r.name: r for r in load_fixtures(5, tmp_path)}
+    assert by_name["c0"].status == SUSPECT
+    assert by_name["c0"].note == "constant, not a generator"
+    assert by_name["syzygy-1"].status == VALIDATED
+    gens = fixture_generator_set(5, tmp_path)
+    assert gens.degrees() == (4, 8, 12, 18)
+    assert gens.verified
 
 
 def test_write_and_reload_generator_dir(tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from invforge import linalg, syzygies
+from invforge import invariants, linalg, syzygies
 from invforge.fixtures import fixture_generator_set, fixture_root, load_generator_dir
 from invforge.invariants import Generator, GeneratorSet, mingenset
 from invforge.rings import Polynomial, normalize, u_ring
@@ -31,11 +31,27 @@ def expansions(monkeypatch):
     calls = []
     expand = syzygies._expansion_system
 
-    def spy(gens, candidates, cache):
+    def spy(gens, candidates):
         calls.append(len(candidates))
-        return expand(gens, candidates, cache)
+        return expand(gens, candidates)
 
     monkeypatch.setattr(syzygies, "_expansion_system", spy)
+    return calls
+
+
+@pytest.fixture
+def verifications(monkeypatch):
+    """Record the polynomials passed to verify_invariant_u, from any module."""
+    calls = []
+    verify = invariants.verify_invariant_u
+
+    def spy(n, f):
+        calls.append(f)
+        return verify(n, f)
+
+    for module in (invariants, syzygies):
+        if getattr(module, "verify_invariant_u", None) is verify:
+            monkeypatch.setattr(module, "verify_invariant_u", spy)
     return calls
 
 
@@ -51,9 +67,8 @@ def test_expand_single_symbol():
 
 def test_single_generator_has_no_relations():
     gens = mingenset(2, 1, [2])
-    cache = {}
     for d in range(2, 21, 2):
-        assert syzygy_basis(gens, d, cache) == []
+        assert syzygy_basis(gens, d) == []
 
 
 def test_empty_candidate_set():
@@ -62,11 +77,10 @@ def test_empty_candidate_set():
 
 
 def test_quintic_relation_on_reference_generators(ref5):
-    cache = {}
-    basis = syzygy_basis(ref5, 36, cache)
+    basis = syzygy_basis(ref5, 36)
     assert len(basis) == 1
     rel = parse_poly(REFERENCE_RELATION_5, ref5.gen_context())
-    assert check_syzygy(ref5, rel, cache)
+    assert check_syzygy(ref5, rel)
     assert basis[0].relation == normalize(rel)
     assert basis[0].degree == 36
 
@@ -89,9 +103,8 @@ def test_perturbed_bundled_relation_fails(n, expansions):
     gens, rel = bundled(n)
     e, c = next(iter(rel.terms.items()))
     bad = Polynomial(rel.context, {**rel.terms, e: c + 1})
-    cache = {}
-    assert check_syzygy(gens, rel, cache)
-    assert not check_syzygy(gens, bad, cache)
+    assert check_syzygy(gens, rel)
+    assert not check_syzygy(gens, bad)
     assert not expansions
 
 
@@ -116,10 +129,9 @@ def test_zero_relation_checks():
 
 
 def test_every_returned_relation_expands_to_zero(ref5):
-    cache = {}
     for d in (24, 28, 36):
-        for syz in syzygy_basis(ref5, d, cache):
-            assert expand_in_generators(ref5, syz.relation, cache).is_zero()
+        for syz in syzygy_basis(ref5, d):
+            assert expand_in_generators(ref5, syz.relation).is_zero()
 
 
 def test_candidate_expansions_are_graded(ref5):
@@ -128,19 +140,18 @@ def test_candidate_expansions_are_graded(ref5):
     from invforge.exponents import powers2
     from invforge.invariants import expand_candidate
     from invforge.rings import weight_u
-    cache = {}
+    powers = {}
     for exps in powers2(ref5.degrees(), 36):
-        exp = expand_candidate(ref5, exps, cache)
+        exp = expand_candidate(ref5, exps, powers)
         assert {sum(e) for e in exp.terms} == {36}
         assert weight_u(exp) == 5 * 36 // 2
 
 
 def test_minimality_filter_removes_consequences(ref5):
     # degree 40 contains f4 * (the degree-36 relation); nothing new is minimal
-    cache = {}
-    first = minimal_syzygies(ref5, [36, 40], cache)
+    first = minimal_syzygies(ref5, [36, 40])
     assert [s.degree for s in first] == [36]
-    basis40 = syzygy_basis(ref5, 40, cache)
+    basis40 = syzygy_basis(ref5, 40)
     assert len(basis40) == 1
     # quotient correctness: that basis element is a generator-monomial multiple
     gctx = ref5.gen_context()
@@ -213,7 +224,23 @@ def test_mixed_degree_relation_checks_every_component(ref5):
     gctx = ref5.gen_context()
     rel = parse_poly(REFERENCE_RELATION_5, gctx)
     f4 = parse_poly("f4", gctx)
-    cache = {}
-    assert check_syzygy(ref5, rel + f4 * rel, cache)
-    assert not check_syzygy(ref5, rel + f4, cache)
-    assert not check_syzygy(ref5, rel + f4 * f4 * f4, cache)
+    assert check_syzygy(ref5, rel + f4 * rel)
+    assert not check_syzygy(ref5, rel + f4)
+    assert not check_syzygy(ref5, rel + f4 * f4 * f4)
+
+
+def test_loaded_set_is_not_verified_again(verifications):
+    gens, rel = bundled(6)
+    verifications.clear()
+    assert len(minimal_syzygies(gens, [30])) == 1
+    assert check_syzygy(gens, rel)
+    assert verifications == []
+
+
+def test_hand_built_set_is_verified_once(ref5, verifications):
+    gens = GeneratorSet(5, ref5.generators)
+    rel = parse_poly(REFERENCE_RELATION_5, gens.gen_context())
+    assert syzygy_basis(gens, 24) == []
+    assert len(syzygy_basis(gens, 36)) == 1
+    assert check_syzygy(gens, rel)
+    assert verifications == [g.u_poly for g in gens]
