@@ -4,7 +4,9 @@ dim I_d = p(d, n; nd/2) - p(d, n; nd/2 - 1), where p(d, n; w) counts the
 partitions of w into at most d parts, each at most n (Sturmfels,
 *Algorithms in Invariant Theory*; Derksen–Kemper, *Computational Invariant
 Theory*).  The p(d, n; w) are the coefficients of the Gaussian binomial
-[n + d choose n]_q = prod_{i=1..n} (1 - q^(d+i)) / (1 - q^i).
+[n + d choose n]_q = prod_{i=1..n} (1 - q^(d+i)) / (1 - q^i).  The same
+numbers count the solver's candidate monomials, so an oversized request is
+sized before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -30,3 +32,17 @@ def invariant_dimension(n: int, d: int) -> int:
         return 1
     c = _box_partitions(d, n, w)
     return c[w] - c[w - 1]
+
+
+def candidate_count(n: int, d: int) -> int:
+    """|powers(n, d)|: u-monomials of degree d and weight nd/2, 0 if none.
+
+    A monomial u0^a0 u2^a2 ... un^an is a partition of w = nd/2 into at most
+    d parts (a_i parts equal to i, the a0 zeros padding) with no part 1.
+    Those with a part 1 are, less that part, the partitions of w - 1 into
+    at most d - 1 parts, so the count is p(d, n; w) - p(d - 1, n; w - 1).
+    """
+    if n < 2 or d < 1 or (n * d) % 2:
+        return 0
+    w = n * d // 2
+    return _box_partitions(d, n, w)[w] - _box_partitions(d - 1, n, w - 1)[w - 1]

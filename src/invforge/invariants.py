@@ -23,7 +23,7 @@ from .derivations import (
     reduced_operator,
 )
 from .exponents import _compositions, grad, powers
-from .hilbert import invariant_dimension
+from .hilbert import candidate_count, invariant_dimension
 from .linalg import nullspace_sparse, solve_affine_sparse
 from .rings import (
     Polynomial,
@@ -37,6 +37,13 @@ from .rings import (
     weight_u,
     x_ring,
 )
+
+
+# Largest candidate set invariant_basis takes on.  The bundled tables need
+# at most 641 (n = 8, d = 10, about 2 s on a 2-vCPU Xeon host); n = 8,
+# d = 12 has 1430 and takes about 17 s, d = 14 has 2898 and ran past five
+# minutes.  Larger requests are refused before any work.
+MAX_CANDIDATES = 2000
 
 
 class DegreeMismatchError(RuntimeError):
@@ -158,8 +165,14 @@ def invariant_basis(n: int, d: int) -> InvariantBasis:
     """All invariants of degree d, via the reduced single-operator system.
 
     The basis size is checked against the Cayley-Sylvester count on every
-    call; a disagreement raises DimensionMismatchError.
+    call; a disagreement raises DimensionMismatchError.  A request with more
+    than MAX_CANDIDATES candidates raises ValueError, before any work.
     """
+    count = candidate_count(n, d)
+    if count > MAX_CANDIDATES:
+        raise ValueError(
+            f"invariants of degree {d} for n={n} need {count} candidate"
+            f" monomials, above the limit of {MAX_CANDIDATES}")
     ctx = u_ring(n)
     op = reduced_operator(n)
     candidates = powers(n, d)

@@ -364,20 +364,6 @@ def normalize(f: Polynomial) -> Polynomial:
     return Polynomial(f.context, out)
 
 
-def monomial_value(expts: tuple, point) -> int:
-    """Value of one monomial at a point given as one number per slot."""
-    v = 1
-    for x, k in zip(point, expts):
-        if k:
-            v *= x ** k
-    return v
-
-
-def evaluate(f: Polynomial, point):
-    """Exact value of f at a point given as one number per slot."""
-    return sum(c * monomial_value(e, point) for e, c in f.terms.items())
-
-
 def substitute(f: Polynomial, images: Mapping[int, Polynomial],
                target: VarContext = None) -> Polynomial:
     """Ring-homomorphic image of f under slot -> polynomial substitution.

@@ -20,6 +20,19 @@ null(E) = null(A) exactly and E answers both questions:
 * a relation checks iff each weighted-degree component v has E*v = 0 on the
   kept rows, by exact dot products alone.
 
+Each public call evaluates its generating set through one plan (``_Plan``):
+the u-poly terms of all generators, concatenated, with every exponent tuple
+split into a head (the first half of the slots) and a tail (the rest).  The
+bundled octavic set has 1512 terms but 295 distinct heads and 166 distinct
+tails.  At a point, one power table per coordinate gives every distinct
+head and tail value, each term is then ``c * head * tail`` and each
+generator the sum of its terms, in their stored order.  All of it is exact
+integer (or rational) arithmetic, so every value is the one the term-by-term
+sum gives, and the rows, the certificate and every answer are unchanged.
+The candidate row at a point comes from a second plan of the same kind, one
+per degree, over the generator slots with the generator values as
+coordinates.
+
 Two fallbacks keep every answer exact.  When the certificate cannot be had
 (a set that does not span I_d, a rank that stalls, or, in a set built by
 hand, a generator that is not an invariant of its declared degree; loaded
@@ -40,7 +53,7 @@ from .exponents import powers2
 from .hilbert import invariant_dimension
 from .invariants import GeneratorSet, expand_candidate, monomial_rows, nullspace_polynomials
 from .linalg import Eliminator, ModularEliminator
-from .rings import ContextMismatchError, Polynomial, evaluate, monomial_value, u_ring
+from .rings import ContextMismatchError, Polynomial, u_ring
 
 # The certificate gives up after this many consecutive points that do not
 # raise the rank; point coordinates are drawn from [-POINT_RANGE, POINT_RANGE]
@@ -72,28 +85,91 @@ def _candidates(gens: GeneratorSet, d: int) -> list:
     return powers2(gens.degrees(), d)
 
 
-def _values_at(gens: GeneratorSet, k: int, values: list) -> tuple:
-    """Generator values at the k-th point of a fixed sequence, kept in values."""
-    while len(values) <= k:
-        rng = random.Random(len(values))
-        point = [rng.randint(-POINT_RANGE, POINT_RANGE) for _ in range(gens.n)]
-        values.append(tuple(evaluate(g.u_poly, point) for g in gens))
-    return values[k]
+class _Plan:
+    """Exact values of a list of term dicts at a point, from shared factors.
+
+    Terms index a table of distinct heads (the first slots // 2 exponents)
+    and one of distinct tails (the rest); see the module docstring.
+    """
+
+    def __init__(self, polys, slots: int):
+        cut = slots // 2
+        heads, tails = {}, {}
+        self.coeffs, self.head_of, self.tail_of, self.ends = [], [], [], []
+        for terms in polys:
+            for e, c in terms.items():
+                self.coeffs.append(c)
+                self.head_of.append(heads.setdefault(e[:cut], len(heads)))
+                self.tail_of.append(tails.setdefault(e[cut:], len(tails)))
+            self.ends.append(len(self.coeffs))
+        self.starts = [0] + self.ends[:-1]
+        self.cut, self.head_count, self.tail_count = cut, len(heads), len(tails)
+        # one exponent column per slot: the head slots, then the tail slots
+        self.head_cols = [list(col) for col in zip(*heads)]
+        self.tail_cols = [list(col) for col in zip(*tails)]
+        self.tops = [max(col) for col in self.head_cols + self.tail_cols]
+
+    def values(self, point) -> list:
+        """One exact value per polynomial; point has one number per slot."""
+        tables = []
+        for x, top in zip(point, self.tops):
+            table = [1]
+            for _ in range(top):
+                table.append(table[-1] * x)
+            tables.append(table)
+        head = _products(tables[:self.cut], self.head_cols, self.head_count)
+        tail = _products(tables[self.cut:], self.tail_cols, self.tail_count)
+        terms = [c * head[a] * tail[b]
+                 for c, a, b in zip(self.coeffs, self.head_of, self.tail_of)]
+        return [sum(terms[s:e]) for s, e in zip(self.starts, self.ends)]
+
+
+def _products(tables, columns, count: int) -> list:
+    """For each of count rows r, the product of tables[i][columns[i][r]] over i."""
+    if not columns:
+        return [1] * count
+    vals = [tables[0][k] for k in columns[0]]
+    for table, col in zip(tables[1:], columns[1:]):
+        vals = [v * table[k] for v, k in zip(vals, col)]
+    return vals
+
+
+class _Points:
+    """Generator values at a fixed point sequence, kept for one public call.
+
+    The k-th point draws its coordinates from ``random.Random(k)``; the
+    evaluation plan is built on first use.
+    """
+
+    def __init__(self, gens: GeneratorSet):
+        self.gens = gens
+        self.plan = None
+        self.values = []
+
+    def __getitem__(self, k: int) -> list:
+        if self.plan is None:
+            self.plan = _Plan([g.u_poly.terms for g in self.gens],
+                              u_ring(self.gens.n).slot_count)
+        while len(self.values) <= k:
+            rng = random.Random(len(self.values))
+            point = [rng.randint(-POINT_RANGE, POINT_RANGE)
+                     for _ in range(self.gens.n)]
+            self.values.append(self.plan.values(point))
+        return self.values[k]
 
 
 def _certified_system(gens: GeneratorSet, d: int, candidates: list,
-                      values: list):
+                      points: _Points):
     """ModularEliminator over evaluation rows with rank dim I_d, or None."""
     target = invariant_dimension(gens.n, d)
     if len(candidates) < target or not gens.verified:
         return None
+    monomials = _Plan([{e: 1} for e in candidates], len(gens))
     elim = ModularEliminator(len(candidates))
     k = idle = 0
     while elim.rank < target and idle < IDLE_POINTS:
-        point = _values_at(gens, k, values)
         before = elim.rank
-        elim.add_row({j: v for j, e in enumerate(candidates)
-                      if (v := monomial_value(e, point))})
+        elim.add_row({j: v for j, v in enumerate(monomials.values(points[k])) if v})
         k += 1
         idle = 0 if elim.rank > before else idle + 1
     return elim if elim.rank == target else None
@@ -113,11 +189,11 @@ def _relations(gens: GeneratorSet, d: int, candidates: list,
         gens.gen_context(), candidates, nullspace)]
 
 
-def _basis(gens: GeneratorSet, d: int, values: list) -> list:
+def _basis(gens: GeneratorSet, d: int, points: _Points) -> list:
     candidates = _candidates(gens, d)
     if not candidates:
         return []
-    system = _certified_system(gens, d, candidates, values)
+    system = _certified_system(gens, d, candidates, points)
     if system is None:
         nullspace = _expansion_system(gens, candidates).nullspace()
     else:
@@ -130,7 +206,7 @@ def _basis(gens: GeneratorSet, d: int, values: list) -> list:
 
 def syzygy_basis(gens: GeneratorSet, d: int) -> list:
     """Canonical basis of all relations of weighted degree d."""
-    return _basis(gens, d, [])
+    return _basis(gens, d, _Points(gens))
 
 
 def syzygy_basis_by_expansion(gens: GeneratorSet, d: int) -> list:
@@ -142,7 +218,7 @@ def syzygy_basis_by_expansion(gens: GeneratorSet, d: int) -> list:
     return _relations(gens, d, candidates, elim.nullspace())
 
 
-def _check(gens: GeneratorSet, relation: Polynomial, values: list) -> bool:
+def _check(gens: GeneratorSet, relation: Polynomial, points: _Points) -> bool:
     if relation.is_zero():
         return True
     if relation.context != gens.gen_context():
@@ -153,7 +229,7 @@ def _check(gens: GeneratorSet, relation: Polynomial, values: list) -> bool:
         parts.setdefault(sum(a * k for a, k in zip(e, degs)), {})[e] = c
     for d, terms in parts.items():
         candidates = powers2(degs, d)
-        system = _certified_system(gens, d, candidates, values)
+        system = _certified_system(gens, d, candidates, points)
         if system is None:
             part = Polynomial(relation.context, terms)
             if not expand_in_generators(gens, part).is_zero():
@@ -172,7 +248,7 @@ def check_syzygy(gens: GeneratorSet, relation: Polynomial) -> bool:
     of its degree's certified evaluation system; a component without a
     certificate is expanded instead.
     """
-    return _check(gens, relation, [])
+    return _check(gens, relation, _Points(gens))
 
 
 def minimal_syzygies(gens: GeneratorSet, degrees) -> list:
@@ -184,10 +260,10 @@ def minimal_syzygies(gens: GeneratorSet, degrees) -> list:
     is reported, in the basis order.
     """
     gen_degs = gens.degrees()
-    values = []
+    points = _Points(gens)
     minimal = []
     for d in sorted(set(degrees)):
-        basis = _basis(gens, d, values)
+        basis = _basis(gens, d, points)
         if not basis:
             continue
         candidates = powers2(gen_degs, d)

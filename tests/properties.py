@@ -20,7 +20,8 @@ from invforge.derivations import (
     x_variable_in_u,
 )
 from invforge.exponents import _compositions
-from invforge.linalg import nullspace_sparse, rank_sparse, solve_affine_sparse
+from invforge.hilbert import invariant_dimension
+from invforge.linalg import ModularEliminator, nullspace_sparse, rank_sparse, solve_affine_sparse
 from invforge.rings import (
     Polynomial,
     lambda_u_ring,
@@ -369,3 +370,39 @@ def check_linalg_against_naive(seed=23, cases=120):
         if sol is not None:
             for row, bv in zip(data, b):
                 assert sum(a * x for a, x in zip(row, sol)) == bv
+
+
+def monomial_value_termwise(expts, point):
+    """Value of one monomial at a point, slot by slot."""
+    v = 1
+    for x, k in zip(point, expts):
+        if k:
+            v *= x ** k
+    return v
+
+
+def evaluate_termwise(terms, point):
+    """Exact value of a term dict at a point, one monomial at a time."""
+    return sum(c * monomial_value_termwise(e, point) for e, c in terms.items())
+
+
+def certified_rows_termwise(gens, d, candidates, point_range, idle_points):
+    """Rows of the certified evaluation system, evaluated term by term.
+
+    The same point sequence as ``syzygies._certified_system`` (the k-th point
+    drawn from random.Random(k)), the same stopping rule, and the exact rows
+    the modular eliminator keeps.
+    """
+    target = invariant_dimension(gens.n, d)
+    elim = ModularEliminator(len(candidates))
+    k = idle = 0
+    while elim.rank < target and idle < idle_points:
+        rng = random.Random(k)
+        point = [rng.randint(-point_range, point_range) for _ in range(gens.n)]
+        values = [evaluate_termwise(g.u_poly.terms, point) for g in gens]
+        before = elim.rank
+        elim.add_row({j: v for j, e in enumerate(candidates)
+                      if (v := monomial_value_termwise(e, values))})
+        k += 1
+        idle = 0 if elim.rank > before else idle + 1
+    return elim.rows

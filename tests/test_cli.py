@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -179,6 +180,16 @@ def test_constant_generator_file_exits_2(tmp_path, capsys, command):
     code, _ = run_cli(command, "--n", "5", "--gens", str(gens_dir), *extra)
     assert code == 2
     assert capsys.readouterr().err == "error: c.poly is a constant, not a generator\n"
+
+
+def test_oversized_invariants_request_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run_cli("invariants", "--n", "12", "--degree", "40")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n=12" in err and "degree 40" in err and "384781134" in err
 
 
 def test_module_entry_point():

@@ -2,6 +2,7 @@ import shutil
 
 import pytest
 
+from invforge import syzygies
 from invforge.fixtures import (
     SUSPECT,
     VALIDATED,
@@ -107,3 +108,25 @@ def test_load_generator_dir_rejects_bad_names(tmp_path, stem):
     (folder / f"{stem}.poly").write_text("x0*u4 + 3*u2^2\n")
     with pytest.raises(ValueError, match="cannot name a generator"):
         load_generator_dir(4, folder)
+
+
+def test_load_fixtures_builds_one_generator_plan(monkeypatch):
+    # every relation check of one load shares the generator values, so the
+    # generators' evaluation plan is built once; the other plans are the
+    # per-degree candidate plans, over the generator slots
+    gens = fixture_generator_set(8)
+    generator_terms = [g.u_poly.terms for g in gens]
+    built = []
+    plan = syzygies._Plan
+
+    def spy(polys, slots):
+        built.append(polys == generator_terms)
+        return plan(polys, slots)
+
+    monkeypatch.setattr(syzygies, "_Plan", spy)
+    records = load_fixtures(8)
+    relations = [r for r in records if r.coordinates == "gen"]
+    assert len(relations) == 5
+    assert all(r.status == VALIDATED for r in relations)
+    assert built.count(True) == 1
+    assert len(built) > 1

@@ -1,6 +1,7 @@
 import pytest
 
-from invforge.hilbert import invariant_dimension
+from invforge.exponents import powers
+from invforge.hilbert import candidate_count, invariant_dimension
 from invforge.invariants import invariant_basis
 
 
@@ -19,3 +20,10 @@ def test_known_dimensions():
     assert invariant_dimension(6, 30) == 47
     assert invariant_dimension(8, 20) == 102
     assert invariant_dimension(3, 5) == 0
+
+
+@pytest.mark.parametrize("n,top", [(2, 16), (3, 16), (4, 14), (5, 14), (6, 12), (7, 10), (8, 10)])
+def test_candidate_count_matches_enumeration(n, top):
+    for d in range(1, top + 1):
+        assert candidate_count(n, d) == len(powers(n, d))
+    assert candidate_count(n, 0) == candidate_count(1, 4) == 0

@@ -7,7 +7,10 @@ from invforge import cli, invariants
 from invforge.derivations import apply_derivation, expand_u_to_x, reduced_operator
 from invforge.exponents import _compositions, grad, powers
 from invforge.fixtures import fixture_root, load_generator_dir
+from invforge.hilbert import candidate_count
 from invforge.invariants import (
+    _GENERATOR_TABLE,
+    MAX_CANDIDATES,
     DegreeMismatchError,
     GeneratorSet,
     NonInvariantError,
@@ -249,3 +252,24 @@ def test_row_order_does_not_change_solutions():
             ncols, rows = _member_system(gens, f)
             assert solve_affine_sparse(ncols, rows) == solve_affine_sparse(ncols, rows[::-1])
         assert solve_affine_sparse(ncols, rows) is None
+
+
+def test_candidate_limit_covers_every_case_in_use():
+    # mingenset asks for every degree up to the largest table degree (the
+    # scripts and the generators benchmark); the oracle tests go up to
+    # d = 24 // n, the Hilbert test to (5, 12) and the query benchmark to
+    # (8, 6)
+    cases = {(n, d) for n, (_, degs) in _GENERATOR_TABLE.items()
+             for d in range(1, max(degs) + 1)}
+    cases |= {(n, d) for n in range(2, 9) for d in range(1, 24 // n + 1)}
+    largest = max(cases, key=lambda c: candidate_count(*c))
+    assert largest == (8, 10) and candidate_count(8, 10) == 641
+    assert candidate_count(8, 10) <= MAX_CANDIDATES < candidate_count(12, 40)
+
+
+def test_oversized_request_is_refused_before_enumeration(monkeypatch):
+    def enumerate_nothing(n, d):
+        raise AssertionError("enumerated an oversized request")
+    monkeypatch.setattr(invariants, "powers", enumerate_nothing)
+    with pytest.raises(ValueError, match=r"degree 40 for n=12 need 384781134 "):
+        invariant_basis(12, 40)

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from invforge import invariants, linalg, syzygies
+from invforge.exponents import powers2
 from invforge.fixtures import fixture_generator_set, fixture_root, load_generator_dir
 from invforge.invariants import Generator, GeneratorSet, mingenset
 from invforge.rings import Polynomial, normalize, u_ring
@@ -12,6 +16,8 @@ from invforge.syzygies import (
     syzygy_basis_by_expansion,
 )
 from invforge.textio import parse_poly
+
+from properties import certified_rows_termwise, evaluate_termwise
 
 REFERENCE_RELATION_5 = (
     "1296*f18^2 + 48*f12^3 - f4^5*f8^2 + 6*f4^3*f8^3 - 9*f4*f8^4"
@@ -244,3 +250,49 @@ def test_hand_built_set_is_verified_once(ref5, verifications):
     assert len(syzygy_basis(gens, 36)) == 1
     assert check_syzygy(gens, rel)
     assert verifications == [g.u_poly for g in gens]
+
+
+@st.composite
+def u_polynomial_sets(draw):
+    """(slot count, polynomials over u_ring(n), point) for n = 2..6 and 8."""
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 8]))
+    slots = u_ring(n).slot_count
+    exponents = st.tuples(*[st.integers(0, 4)] * slots)
+    coefficients = st.integers(-9, 9).filter(bool) | st.fractions(
+        min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    term_dicts = st.one_of(
+        st.builds(lambda c: {(0,) * slots: c}, coefficients),       # constant
+        st.dictionaries(exponents, coefficients, min_size=1, max_size=1),
+        st.dictionaries(exponents, coefficients, min_size=1, max_size=12))
+    polys = [Polynomial(u_ring(n), terms).terms
+             for terms in draw(st.lists(term_dicts, min_size=1, max_size=4))]
+    point = draw(st.lists(st.integers(-4, 4), min_size=slots, max_size=slots))
+    return slots, polys, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(u_polynomial_sets())
+@example((2, [{(0, 0): 3}, {(2, 1): -1, (1, 0): 2}], [0, 0]))
+@example((3, [{(1, 2, 0): 5, (0, 0, 4): -1}], [-3, 0, -1]))
+def test_plan_matches_termwise_evaluation(case):
+    slots, polys, point = case
+    got = syzygies._Plan(polys, slots).values(point)
+    assert got == [evaluate_termwise(terms, point) for terms in polys]
+
+
+def test_plan_on_single_slot_and_zero_point():
+    # one generator slot: the head is empty and every tail is the whole tuple
+    plan = syzygies._Plan([{(3,): 1}, {(0,): Fraction(1, 2)}], 1)
+    assert plan.values([-2]) == [-8, Fraction(1, 2)]
+    assert plan.values([0]) == [0, Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("n,d", [(5, 36), (6, 30), (8, 16)])
+def test_certified_rows_match_termwise_reference(n, d):
+    gens, _ = bundled(n)
+    candidates = powers2(gens.degrees(), d)
+    system = syzygies._certified_system(
+        gens, d, candidates, syzygies._Points(gens))
+    assert system is not None
+    assert system.rows == certified_rows_termwise(
+        gens, d, candidates, syzygies.POINT_RANGE, syzygies.IDLE_POINTS)
