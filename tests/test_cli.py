@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -200,43 +201,69 @@ def test_module_entry_point():
     assert "x0*u2" in proc.stdout
 
 
-# sha256 of stdout per request; paths are relative to the bundled fixtures
+# sha256 of stdout and the exit code per request; "@" paths are relative to
+# the bundled fixtures, "%" paths to tests/data
+DATA = Path(__file__).parent / "data"
 GOLDEN = [
-    (["invariants", "--n", "5", "--degree", "12"],
+    (["invariants", "--n", "5", "--degree", "12"], 0,
      "55979db80549d1dffa02f04420061b8140db8b593282ef997c98851c1b8b11d2",
      "5beaf61a1f91ad79a9b7a00ef1cf4ab27c807508822244a429766e29702e53e5"),
-    (["invariants", "--n", "6", "--degree", "6", "--coords", "x"],
+    (["invariants", "--n", "6", "--degree", "6", "--coords", "x"], 0,
      "533d53cab834b6de28c86d22386cf7bcf4c7d4a547b4f7995c3700db59ef6461",
      "28dff953d2995f0901800f9698b17a84df55fab3b1e92865cb994aeadb532c70"),
-    (["mingenset", "--n", "5"],
+    (["mingenset", "--n", "5"], 0,
      "3256f465e8f55ce45112c39cf8d37c85c3a2c162703bf22fa225a46fea2329bc",
      "42f8753ba934279fb45c0260f24d41f03546b81bf8f1bfb584ad4fe237f31dc6"),
-    (["syzygies", "--n", "5", "--gens", "@n5", "--degrees", "36"],
+    (["syzygies", "--n", "5", "--gens", "@n5", "--degrees", "36"], 0,
      "9b787ab520503e8bea3eb34dfdabcc863d0ac70f3bdf56bb0903bd69b12537b7",
      "2d483bb141a01e62c17c46f043fbd93bd663cd44090467aa63778b4475242b71"),
-    (["syzygies", "--n", "8", "--gens", "@n8", "--degrees", "16"],
+    (["syzygies", "--n", "8", "--gens", "@n8", "--degrees", "16"], 0,
      "24a1e251a9d4b427a9a2ab5865c86e341fc1f0efbefc7128d8e3c9270a666787",
      "537dbf55b301e3e4a049748533a2d623a4b36ab916b9440ced610709611d3eb1"),
-    (["member", "--n", "5", "--gens", "@n5", "--target", "@n5/f18.poly"],
+    (["member", "--n", "5", "--gens", "@n5", "--target", "@n5/f18.poly"], 0,
      "013c94bceac28a9c160b7eddc647097bc93c4e8c465f620c661e01219217a38a",
      "9fbe32dad4e47e9e74d622d4d73e40b94bbe478f61ff2f313372289ec6765b39"),
-    (["convert", "--n", "5", "--direction", "u2x", "@n5/f8.poly"],
+    (["convert", "--n", "5", "--direction", "u2x", "@n5/f8.poly"], 0,
      "f37d1ce858b3f61ced0997d3f5f98ad3af6f511e3b0642d68525e6c2f78c9605",
      "76b4f3f84189e1f5383fd91ebcab3ed1f6178e35e89a6411de1f6dd4994e6fb2"),
+    # f8 + f2*f6 - 2*f3*f5 + 3*f4^2, and the same plus 5*u4^8
+    (["member", "--n", "8", "--gens", "@n8", "--target", "%n8_member.poly"], 0,
+     "7d1e8138a95d837a0b125a78fd020710d983150a73ab4ef7d4067b0fa909642e",
+     "1ac5d20be52b4f2ad5985f256a675d6b8a1f0ad537fc42136f6b614be4b20d3a"),
+    (["member", "--n", "8", "--gens", "@n8", "--target", "%n8_non_member.poly"], 1,
+     "ac1b262badf802d4123e595071f0f00d00c111cc81aed5bf1721164375e29a51",
+     "ac1b262badf802d4123e595071f0f00d00c111cc81aed5bf1721164375e29a51"),
+    # 3/2*f4^2 - f8, hand-spaced, with t for x0
+    (["member", "--n", "5", "--gens", "@n5", "--target", "%n5_target.poly"], 0,
+     "c8a208db40d2f36398d785c3b785a1f86fe3331ea879f06312ce41ea76599c70",
+     "d408dfea09ea949355c942976ae5dcf10c67f3bbdd16620b00f5ecb2f8b0c2e6"),
+    # the x-form of the bundled octavic f10 (1430 terms)
+    (["convert", "--n", "8", "--direction", "x2u", "%n8_f10_x.poly"], 0,
+     "b31941ce730f74667b8d1c90319140380c0fcbf79675d1a74f68259e9ef2d251",
+     "21d2fa87c1fa4358bbb931f20b28fe90e44ac2010da67d3365f5c230600d6bbb"),
 ]
-GOLDEN_CASES = [(argv + ["--format", fmt], digest)
-                for argv, text, js in GOLDEN
+GOLDEN_CASES = [(argv + ["--format", fmt], code, digest)
+                for argv, code, text, js in GOLDEN
                 for fmt, digest in (("text", text), ("json", js))]
-GOLDEN_CASES.append(
-    (["fixtures", "--n", "5"],
-     "0444b4024aab033d7e8d002da0e0dd445de34db5d889aadac4c81fd98a7e7d41"))
+GOLDEN_CASES += [
+    (["fixtures", "--n", "5"], 0,
+     "0444b4024aab033d7e8d002da0e0dd445de34db5d889aadac4c81fd98a7e7d41"),
+    (["verify", "--n", "8", "--coords", "x", "%n8_f10_x.poly"], 0,
+     "6e12c7dfa08efa46a146a1f2363a0d90f289cf36f989160c1d961f2ff90d77ab"),
+]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_CASES,
-                         ids=[" ".join(a) for a, _ in GOLDEN_CASES])
-def test_golden_output(argv, digest):
-    root = fixture_root()
-    argv = [str(root / a[1:]) if a.startswith("@") else a for a in argv]
-    code, out = run_cli(*argv)
-    assert code == 0
+def _golden_path(arg: str) -> str:
+    if arg.startswith("@"):
+        return str(fixture_root() / arg[1:])
+    if arg.startswith("%"):
+        return str(DATA / arg[1:])
+    return arg
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_CASES,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN_CASES])
+def test_golden_output(argv, code, digest):
+    got, out = run_cli(*map(_golden_path, argv))
+    assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
