@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .rings import (
     ContextMismatchError,
@@ -75,26 +76,38 @@ class Derivation:
 
 
 def apply_derivation(d: Derivation, f: Polynomial) -> Polynomial:
-    """Leibniz-rule action: sum over slots of (df/dslot) * image(slot)."""
+    """Leibniz-rule action: sum over slots of (df/dslot) * image(slot).
+
+    Each slot's image terms are first shifted by -1 on that slot, so a term
+    c*x^e of f and an image term c'*x^h of slot s (e[s] = k != 0) add
+    k*c*c' to the coefficient of x^(e + h - unit_s) directly.  Every
+    product lands in one dict: the cost is linear in the number of
+    (term, image term) pairs, with no intermediate polynomial.
+    """
     if _embeds(f.context, d.context):
         ctx = d.context
         f = embed(f, ctx)
         images = d.images
-    elif _embeds(d.context, f.context):
+    elif _embeds(d.context, f.context) and len(d.images) == f.context.slot_count:
         ctx = f.context
         images = tuple(embed(g, ctx) for g in d.images)
     else:
         raise ContextMismatchError("derivation and argument contexts disagree")
-    total = Polynomial.zero(ctx)
+    shifted = []
+    for slot, g in enumerate(images):
+        if g.terms:
+            shifted.append((slot, [(h[:slot] + (h[slot] - 1,) + h[slot + 1:], c)
+                                   for h, c in g.terms.items()]))
+    out = {}
     for e, c in f.terms.items():
-        for slot, k in enumerate(e):
-            if not k or images[slot].is_zero():
-                continue
-            lowered = list(e)
-            lowered[slot] = k - 1
-            part = Polynomial.monomial(ctx, lowered, c * k) * images[slot]
-            total = total + part
-    return total
+        for slot, image in shifted:
+            k = e[slot]
+            if k:
+                ck = c * k
+                for h, ch in image:
+                    key = tuple(map(add, e, h))
+                    out[key] = out.get(key, 0) + ck * ch
+    return Polynomial(ctx, out)
 
 
 # -- the sl2 derivations ---------------------------------------------------

@@ -22,8 +22,7 @@ def _compositions(ctx: VarContext, d: int, w: int = None) -> list:
     branched on.
     """
     m = ctx.slot_count
-    degs = [ctx.slot_degree(i) for i in range(m)]
-    wts = [ctx.slot_weight(i) for i in range(m)]
+    degs, wts = ctx.slot_degrees, ctx.slot_weights
     if min(degs) < 1:
         raise ValueError("every slot needs degree >= 1")
     out = []

@@ -11,6 +11,8 @@ sized before anything is enumerated.
 
 from __future__ import annotations
 
+import math
+
 
 def _box_partitions(d: int, n: int, top: int) -> list:
     """p(d, n; w) for w = 0..top."""
@@ -46,3 +48,29 @@ def candidate_count(n: int, d: int) -> int:
         return 0
     w = n * d // 2
     return _box_partitions(d, n, w)[w] - _box_partitions(d - 1, n, w - 1)[w - 1]
+
+
+def generator_monomial_count(degrees, d: int, limit: int) -> int:
+    """|powers2(degrees, d)| when at most limit, else some number above it.
+
+    Coin change: ways[w] counts the exponent vectors of degree w over the
+    generators taken so far, in O(d) memory.  Past the degree where the
+    count provably exceeds limit, no table is built.  With g = gcd(degrees),
+    a <= b the two smallest of the degrees / g, and F < (a - 1)(top - 1)
+    the Frobenius number of the degrees / g (Schur's bound, top the
+    largest), every degree g*(N*a*b + r) with r > F has the N + 1 distinct
+    vectors v + i*b*e_a + (N - i)*a*e_b, i = 0..N, v of degree g*r.
+    """
+    g = math.gcd(*degrees)
+    if d < 0 or d % g:
+        return 0
+    ks, d = sorted(k // g for k in degrees), d // g
+    if len(ks) == 1:
+        return 1
+    if d >= limit * ks[0] * ks[1] + (ks[0] - 1) * (ks[-1] - 1):
+        return limit + 1
+    ways = [1] + [0] * d
+    for k in ks:
+        for w in range(k, d + 1):
+            ways[w] += ways[w - k]
+    return ways[d]

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Mapping
 
 
@@ -91,6 +93,14 @@ class VarContext:
         if self.kind is RingKind.LAMBDA_U:
             return 0 if i == 0 else (1 if i == 1 else i)
         return self.generators[i][2]
+
+    @cached_property
+    def slot_degrees(self) -> tuple:
+        return tuple(map(self.slot_degree, range(self.slot_count)))
+
+    @cached_property
+    def slot_weights(self) -> tuple:
+        return tuple(map(self.slot_weight, range(self.slot_count)))
 
     def allows_negative(self, i: int) -> bool:
         return i == 0 and self.kind in (RingKind.LOCAL_X, RingKind.LAMBDA_U)
@@ -293,15 +303,13 @@ def degree(f: Polynomial) -> int:
     """Total degree: maximum graded degree over the terms."""
     if f.is_zero():
         raise ZeroPolynomialError("degree of the zero polynomial is undefined")
-    ctx = f.context
-    return max(sum(e * ctx.slot_degree(i) for i, e in enumerate(exp))
-               for exp in f.terms)
+    degs = f.context.slot_degrees
+    return max(sum(map(mul, exp, degs)) for exp in f.terms)
 
 
 def _common_weight(f: Polynomial) -> int:
-    ctx = f.context
-    weights = {sum(e * ctx.slot_weight(i) for i, e in enumerate(exp))
-               for exp in f.terms}
+    wts = f.context.slot_weights
+    weights = {sum(map(mul, exp, wts)) for exp in f.terms}
     if len(weights) != 1:
         raise NonIsobaricError("polynomial is not isobaric")
     return weights.pop()

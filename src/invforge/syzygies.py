@@ -42,6 +42,11 @@ modular nullspace cannot be read back (a reconstruction or a check fails)
 the kept rows of E are eliminated exactly instead.  The minimality filter
 quotients out products of lower-degree syzygies with generator monomials,
 which the per-degree solver alone would keep reporting.
+
+A degree with more than MAX_CANDIDATES generator monomials is refused
+with ValueError, counted by ``hilbert.generator_monomial_count`` before
+anything is enumerated or evaluated; ``minimal_syzygies`` sizes every
+requested degree before it works on the first.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import random
 from dataclasses import dataclass
 
 from .exponents import powers2
-from .hilbert import invariant_dimension
+from .hilbert import generator_monomial_count, invariant_dimension
 from .invariants import GeneratorSet, expand_candidate, monomial_rows, nullspace_polynomials
 from .linalg import Eliminator, ModularEliminator
 from .rings import ContextMismatchError, Polynomial, u_ring
@@ -61,6 +66,13 @@ from .rings import ContextMismatchError, Polynomial, u_ring
 IDLE_POINTS = 8
 POINT_RANGE = 3
 
+# Largest number of generator monomials a syzygy degree may have.  The
+# bundled octavic set needs at most 107 (d = 20, 0.3 s on a 2-vCPU Xeon
+# host); d = 24 has 220 and takes 2 s, d = 28 has 422 and takes 16 s, and
+# the time grows about 2.8-fold per two degrees.  Larger requests are
+# refused before any point is evaluated.
+MAX_CANDIDATES = 500
+
 
 @dataclass(frozen=True)
 class Syzygy:
@@ -69,20 +81,33 @@ class Syzygy:
 
 
 def expand_in_generators(gens: GeneratorSet, g: Polynomial) -> Polynomial:
-    """Substitute every generator symbol by its u-polynomial, exactly."""
+    """Substitute every generator symbol by its u-polynomial, exactly.
+
+    Each term's generator product is scaled into one accumulating dict.
+    """
     if g.context != gens.gen_context():
         raise ContextMismatchError("relation is over a different generator set")
-    powers = {}
-    total = Polynomial.zero(u_ring(gens.n))
+    powers, out = {}, {}
     for e, c in g.terms.items():
-        total = total + expand_candidate(gens, e, powers).scale(c)
-    return total
+        for m, v in expand_candidate(gens, e, powers).terms.items():
+            out[m] = out.get(m, 0) + c * v
+    return Polynomial(u_ring(gens.n), out)
+
+
+def _count(gens: GeneratorSet, d: int) -> int:
+    """Number of degree-d generator monomials; ValueError above MAX_CANDIDATES."""
+    if not len(gens):
+        raise ValueError("need a nonempty generator set")
+    count = generator_monomial_count(gens.degrees(), d, MAX_CANDIDATES)
+    if count > MAX_CANDIDATES:
+        raise ValueError(
+            f"relations of degree {d} for n={gens.n} need at least {count}"
+            f" generator monomials, above the limit of {MAX_CANDIDATES}")
+    return count
 
 
 def _candidates(gens: GeneratorSet, d: int) -> list:
-    if not len(gens):
-        raise ValueError("need a nonempty generator set")
-    return powers2(gens.degrees(), d)
+    return powers2(gens.degrees(), d) if _count(gens, d) else []
 
 
 class _Plan:
@@ -228,7 +253,7 @@ def _check(gens: GeneratorSet, relation: Polynomial, points: _Points) -> bool:
     for e, c in relation.terms.items():
         parts.setdefault(sum(a * k for a, k in zip(e, degs)), {})[e] = c
     for d, terms in parts.items():
-        candidates = powers2(degs, d)
+        candidates = _candidates(gens, d)
         system = _certified_system(gens, d, candidates, points)
         if system is None:
             part = Polynomial(relation.context, terms)
@@ -259,10 +284,13 @@ def minimal_syzygies(gens: GeneratorSet, degrees) -> list:
     degree is removed from the degree-d basis; whatever extends that span
     is reported, in the basis order.
     """
+    degrees = sorted(set(degrees))
+    for d in degrees:
+        _count(gens, d)
     gen_degs = gens.degrees()
     points = _Points(gens)
     minimal = []
-    for d in sorted(set(degrees)):
+    for d in degrees:
         basis = _basis(gens, d, points)
         if not basis:
             continue

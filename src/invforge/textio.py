@@ -13,6 +13,12 @@ also accepts a bare coefficient term and a leading sign):
 explicit '*' separators.  The JSON schema is
 {"ring":{"kind":"x|u|gen","n":N},"terms":[{"c":"num[/den]","e":[...]}]}
 with the same term order.
+
+Parsing is linear in the text and holds one token at a time: one regex
+scan yields the tokens (kind, value, position), and one loop over them
+builds the term dict.  A character no token starts with is a
+PolyParseError at its position, and every other error names the position
+of the token it stopped at.
 """
 
 from __future__ import annotations
@@ -30,30 +36,21 @@ class PolyParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([+\-*/^()]))")
+# Every non-space character starts a match, so the matches tile the text up
+# to trailing whitespace; group 4 catches any character no token starts with.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([+\-*/^()])|(\S))")
+_KINDS = (None, "int", "name", "op")
 
 
 def _tokenize(text: str):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            rest = text[pos:]
-            stripped = rest.lstrip()
-            if not stripped:
-                break
-            at = pos + (len(rest) - len(stripped))
-            raise PolyParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group(1) is not None:
-            out.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            out.append(("name", m.group(2), m.start(2)))
-        else:
-            out.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
-    out.append(("end", None, len(text)))
-    return out
+    """Yield (kind, value, position) per token, then ("end", None, len(text))."""
+    for m in _TOKEN.finditer(text):
+        i = m.lastindex
+        if i == 4:
+            raise PolyParseError(f"unexpected character {m.group(4)!r}", m.start(4))
+        val = m.group(i)
+        yield _KINDS[i], int(val) if i == 1 else val, m.start(i)
+    yield "end", None, len(text)
 
 
 def _slot_table(ctx: VarContext) -> dict:
@@ -64,87 +61,77 @@ def _slot_table(ctx: VarContext) -> dict:
 
 
 def parse_poly(text: str, ctx: VarContext) -> Polynomial:
-    """Exact parse of the text grammar into the given context."""
+    """Exact parse of the text grammar into the given context.
+
+    One pass over the token stream; (kind, val, pos) is always the first
+    token not yet consumed.  A bad character anywhere in the text is the
+    error reported, ahead of any grammar error, so the rest of the text is
+    scanned before a grammar error is raised.
+    """
     tokens = _tokenize(text)
+    take = tokens.__next__
     slots = _slot_table(ctx)
-    k = 0
-
-    def peek():
-        return tokens[k]
-
-    def take():
-        nonlocal k
-        tok = tokens[k]
-        k += 1
-        return tok
-
-    def parse_factor():
-        kind, val, pos = take()
-        if kind != "name":
-            raise PolyParseError("expected a variable name", pos)
-        if val not in slots:
-            raise PolyParseError(f"unknown variable {val!r} for this ring", pos)
-        slot = slots[val]
-        power = 1
-        if peek()[0] == "op" and peek()[1] == "^":
-            take()
-            kind, val, pos = take()
-            if kind != "int":
-                raise PolyParseError("expected an exponent", pos)
-            power = val
-        return slot, power
-
-    def parse_term(sign: int):
-        coeff = None
-        if peek()[0] == "int":
-            coeff = take()[1]
-            if peek()[0] == "op" and peek()[1] == "/":
-                take()
-                kind, val, pos = take()
-                if kind != "int":
-                    raise PolyParseError("expected a denominator", pos)
-                if val == 0:
-                    raise PolyParseError("zero denominator", pos)
-                coeff = Fraction(coeff, val)
-            if peek()[0] == "op" and peek()[1] == "*":
-                take()
-                if peek()[0] != "name":
-                    raise PolyParseError("expected a variable after '*'", peek()[2])
-        exps = [0] * ctx.slot_count
-        saw_factor = False
-        while peek()[0] == "name":
-            slot, power = parse_factor()
-            exps[slot] += power
-            saw_factor = True
-            if peek()[0] == "op" and peek()[1] == "*":
-                take()
-                if peek()[0] != "name":
-                    raise PolyParseError("expected a variable after '*'", peek()[2])
-        if coeff is None:
-            if not saw_factor:
-                raise PolyParseError("expected a term", peek()[2])
-            coeff = 1
-        return tuple(exps), sign * coeff
-
+    width = ctx.slot_count
     terms = {}
     sign = 1
-    if peek()[0] == "op" and peek()[1] in "+-":
-        sign = -1 if take()[1] == "-" else 1
-    while True:
-        e, c = parse_term(sign)
-        s = terms.get(e, 0) + c
-        if s:
-            terms[e] = s
-        elif e in terms:
-            del terms[e]
-        kind, val, pos = peek()
-        if kind == "end":
-            break
+    try:
+        kind, val, pos = take()
         if kind == "op" and val in "+-":
-            take()
             sign = -1 if val == "-" else 1
-            continue
-        raise PolyParseError(f"unexpected {val!r}", pos)
+            kind, val, pos = take()
+        while True:
+            coeff = None
+            if kind == "int":
+                coeff = val
+                kind, val, pos = take()
+                if kind == "op" and val == "/":
+                    kind, val, pos = take()
+                    if kind != "int":
+                        raise PolyParseError("expected a denominator", pos)
+                    if val == 0:
+                        raise PolyParseError("zero denominator", pos)
+                    coeff = Fraction(coeff, val)
+                    kind, val, pos = take()
+                if kind == "op" and val == "*":
+                    kind, val, pos = take()
+                    if kind != "name":
+                        raise PolyParseError("expected a variable after '*'", pos)
+            exps = [0] * width
+            saw_factor = False
+            while kind == "name":
+                slot = slots.get(val)
+                if slot is None:
+                    raise PolyParseError(f"unknown variable {val!r} for this ring", pos)
+                kind, val, pos = take()
+                if kind == "op" and val == "^":
+                    kind, val, pos = take()
+                    if kind != "int":
+                        raise PolyParseError("expected an exponent", pos)
+                    exps[slot] += val
+                    kind, val, pos = take()
+                else:
+                    exps[slot] += 1
+                saw_factor = True
+                if kind == "op" and val == "*":
+                    kind, val, pos = take()
+                    if kind != "name":
+                        raise PolyParseError("expected a variable after '*'", pos)
+            if coeff is None:
+                if not saw_factor:
+                    raise PolyParseError("expected a term", pos)
+                coeff = 1
+            e = tuple(exps)
+            terms[e] = terms.get(e, 0) + sign * coeff
+            if kind == "end":
+                break
+            if kind != "op" or val not in "+-":
+                raise PolyParseError(f"unexpected {val!r}", pos)
+            sign = -1 if val == "-" else 1
+            kind, val, pos = take()
+    except PolyParseError:
+        for _ in tokens:
+            pass
+        raise
     return Polynomial(ctx, terms)
 
 

@@ -33,3 +33,19 @@ def gens5(store):
 @pytest.fixture(scope="session")
 def gens6(store):
     return store.get("mingenset6", lambda: mingenset(6, 5, [2, 4, 6, 10, 15]))
+
+
+@pytest.fixture
+def polynomial_arithmetic(monkeypatch):
+    """Counts of Polynomial.__add__ and __mul__ calls made during the test."""
+    from collections import Counter
+
+    from invforge.rings import Polynomial
+
+    calls = Counter()
+    for name in ("__add__", "__mul__"):
+        def spy(self, other, _name=name, _orig=getattr(Polynomial, name)):
+            calls[_name] += 1
+            return _orig(self, other)
+        monkeypatch.setattr(Polynomial, name, spy)
+    return calls

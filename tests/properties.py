@@ -2,10 +2,12 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 from invforge.derivations import (
     ResidualDenominatorError,
+    _embeds,
     apply_derivation,
     embed,
     full_operator,
@@ -23,6 +25,7 @@ from invforge.exponents import _compositions
 from invforge.hilbert import invariant_dimension
 from invforge.linalg import ModularEliminator, nullspace_sparse, rank_sparse, solve_affine_sparse
 from invforge.rings import (
+    ContextMismatchError,
     Polynomial,
     lambda_u_ring,
     local_x_ring,
@@ -32,6 +35,7 @@ from invforge.rings import (
     weight_u,
     x_ring,
 )
+from invforge.textio import PolyParseError, _slot_table
 
 
 def random_polynomial(rng, ctx, max_terms=4, max_exp=3, zero_ok=True):
@@ -406,3 +410,140 @@ def certified_rows_termwise(gens, d, candidates, point_range, idle_points):
         k += 1
         idle = 0 if elim.rank > before else idle + 1
     return elim.rows
+
+
+# -- term-by-term references of the request-path kernels ----------------------
+
+def apply_derivation_termwise(d, f):
+    """Leibniz rule with one polynomial product and sum per (term, slot)."""
+    if _embeds(f.context, d.context):
+        ctx = d.context
+        f = embed(f, ctx)
+        images = d.images
+    elif _embeds(d.context, f.context):
+        ctx = f.context
+        images = tuple(embed(g, ctx) for g in d.images)
+    else:
+        raise ContextMismatchError("derivation and argument contexts disagree")
+    total = Polynomial.zero(ctx)
+    for e, c in f.terms.items():
+        for slot, k in enumerate(e):
+            if not k or images[slot].is_zero():
+                continue
+            lowered = list(e)
+            lowered[slot] = k - 1
+            part = Polynomial.monomial(ctx, lowered, c * k) * images[slot]
+            total = total + part
+    return total
+
+
+_TOKEN_REFERENCE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([+\-*/^()]))")
+
+
+def tokenize_reference(text: str):
+    """The text tokens, one anchored match per token."""
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_REFERENCE.match(text, pos)
+        if not m or m.end() == m.start():
+            rest = text[pos:]
+            stripped = rest.lstrip()
+            if not stripped:
+                break
+            at = pos + (len(rest) - len(stripped))
+            raise PolyParseError(f"unexpected character {stripped[0]!r}", at)
+        if m.group(1) is not None:
+            out.append(("int", int(m.group(1)), m.start(1)))
+        elif m.group(2) is not None:
+            out.append(("name", m.group(2), m.start(2)))
+        else:
+            out.append(("op", m.group(3), m.start(3)))
+        pos = m.end()
+    out.append(("end", None, len(text)))
+    return out
+
+
+def parse_poly_reference(text: str, ctx):
+    """Recursive-descent parse of the text grammar over tokenize_reference."""
+    tokens = tokenize_reference(text)
+    slots = _slot_table(ctx)
+    k = 0
+
+    def peek():
+        return tokens[k]
+
+    def take():
+        nonlocal k
+        tok = tokens[k]
+        k += 1
+        return tok
+
+    def parse_factor():
+        kind, val, pos = take()
+        if kind != "name":
+            raise PolyParseError("expected a variable name", pos)
+        if val not in slots:
+            raise PolyParseError(f"unknown variable {val!r} for this ring", pos)
+        slot = slots[val]
+        power = 1
+        if peek()[0] == "op" and peek()[1] == "^":
+            take()
+            kind, val, pos = take()
+            if kind != "int":
+                raise PolyParseError("expected an exponent", pos)
+            power = val
+        return slot, power
+
+    def parse_term(sign: int):
+        coeff = None
+        if peek()[0] == "int":
+            coeff = take()[1]
+            if peek()[0] == "op" and peek()[1] == "/":
+                take()
+                kind, val, pos = take()
+                if kind != "int":
+                    raise PolyParseError("expected a denominator", pos)
+                if val == 0:
+                    raise PolyParseError("zero denominator", pos)
+                coeff = Fraction(coeff, val)
+            if peek()[0] == "op" and peek()[1] == "*":
+                take()
+                if peek()[0] != "name":
+                    raise PolyParseError("expected a variable after '*'", peek()[2])
+        exps = [0] * ctx.slot_count
+        saw_factor = False
+        while peek()[0] == "name":
+            slot, power = parse_factor()
+            exps[slot] += power
+            saw_factor = True
+            if peek()[0] == "op" and peek()[1] == "*":
+                take()
+                if peek()[0] != "name":
+                    raise PolyParseError("expected a variable after '*'", peek()[2])
+        if coeff is None:
+            if not saw_factor:
+                raise PolyParseError("expected a term", peek()[2])
+            coeff = 1
+        return tuple(exps), sign * coeff
+
+    terms = {}
+    sign = 1
+    if peek()[0] == "op" and peek()[1] in "+-":
+        sign = -1 if take()[1] == "-" else 1
+    while True:
+        e, c = parse_term(sign)
+        s = terms.get(e, 0) + c
+        if s:
+            terms[e] = s
+        elif e in terms:
+            del terms[e]
+        kind, val, pos = peek()
+        if kind == "end":
+            break
+        if kind == "op" and val in "+-":
+            take()
+            sign = -1 if val == "-" else 1
+            continue
+        raise PolyParseError(f"unexpected {val!r}", pos)
+    return Polynomial(ctx, terms)

@@ -193,6 +193,27 @@ def test_oversized_invariants_request_exits_2_at_once(capsys):
     assert "n=12" in err and "degree 40" in err and "384781134" in err
 
 
+@pytest.mark.parametrize("coords", ["u", "x"])
+@pytest.mark.parametrize("text", ["0", "x0 - x0", "1/2*x0*u2 - 1/2*t*u2"])
+def test_verify_zero_polynomial_exits_2(tmp_path, capsys, coords, text):
+    f = tmp_path / "zero.poly"
+    f.write_text(text.replace("u2", "x2" if coords == "x" else "u2") + "\n")
+    code, out = run_cli("verify", "--n", "4", "--coords", coords, str(f))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: verify expects a nonzero polynomial\n"
+
+
+def test_oversized_syzygies_request_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run_cli("syzygies", "--n", "8", "--gens", str(fixture_root() / "n8"),
+                        "--degrees", "16,40")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "degree 40" in err and "2265" in err and "limit of 500" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "invforge", "mingenset", "--n", "2"],

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invforge.derivations import (
+    Derivation,
     ResidualDenominatorError,
     apply_derivation,
     embed,
@@ -20,7 +21,15 @@ from invforge.derivations import (
 from invforge.exponents import _compositions
 from invforge.fixtures import fixture_root, load_generator_dir
 from invforge.invariants import invariant_basis
-from invforge.rings import Polynomial, lambda_u_ring, local_x_ring, u_ring, x_ring
+from invforge.rings import (
+    ContextMismatchError,
+    Polynomial,
+    RingKind,
+    lambda_u_ring,
+    local_x_ring,
+    u_ring,
+    x_ring,
+)
 from invforge.textio import parse_poly
 
 import properties
@@ -273,3 +282,64 @@ def test_reduced_operator_grading():
 
 def test_full_operator_agrees_on_balanced():
     properties.check_full_operator_agreement()
+
+
+def _laurent_polys(ctx, max_exp=3):
+    """Polynomials over ctx, with negative x0 exponents where ctx allows them."""
+    low = -2 if ctx.allows_negative(0) else 0
+    expt = st.tuples(st.integers(low, max_exp),
+                     *[st.integers(0, max_exp)] * (ctx.slot_count - 1))
+    coeffs = st.one_of(st.integers(-6, 6),
+                       st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    return st.dictionaries(expt, coeffs, max_size=4).map(lambda t: Polynomial(ctx, t))
+
+
+# (derivation ring, argument ring): same ring, the argument embedded into the
+# derivation's ring, and the images embedded into the argument's ring
+_RING_PAIRS = [(x_ring, x_ring), (u_ring, u_ring), (local_x_ring, local_x_ring),
+               (lambda_u_ring, lambda_u_ring), (local_x_ring, x_ring),
+               (x_ring, local_x_ring), (lambda_u_ring, u_ring),
+               (u_ring, lambda_u_ring)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_RING_PAIRS), st.integers(2, 4), st.data())
+def test_apply_derivation_matches_termwise(rings, n, data):
+    dctx, fctx = rings[0](n), rings[1](n)
+    images = [data.draw(_laurent_polys(dctx)) for _ in range(dctx.slot_count)]
+    for slot in data.draw(st.sets(st.integers(0, dctx.slot_count - 1))):
+        images[slot] = Polynomial.zero(dctx)
+    d = Derivation(dctx, tuple(images))
+    f = data.draw(_laurent_polys(fctx))
+    if dctx.slot_count != fctx.slot_count and fctx.kind is RingKind.LAMBDA_U:
+        # u-slot images have no lam slot to act on; the termwise rule read
+        # them at the wrong slots
+        with pytest.raises(ContextMismatchError):
+            apply_derivation(d, f)
+        return
+    got = apply_derivation(d, f)
+    assert got == properties.apply_derivation_termwise(d, f)
+    larger = dctx.kind in (RingKind.LOCAL_X, RingKind.LAMBDA_U)
+    assert got.context == (dctx if larger else fctx)
+    assert all(got.terms.values())
+
+
+def test_apply_derivation_on_zero_images_and_disjoint_rings():
+    zero = Derivation(U3, (Polynomial.zero(U3),) * 3)
+    f = p("x0*u2^3 + 2*u3^2", U3)
+    assert apply_derivation(zero, f).is_zero()
+    assert properties.apply_derivation_termwise(zero, f).is_zero()
+    with pytest.raises(ContextMismatchError):
+        apply_derivation(reduced_operator(3), p("x0*x2", x_ring(2)))
+
+
+def test_apply_derivation_sums_in_one_dict(polynomial_arithmetic):
+    f10 = load_generator_dir(8, fixture_root() / "n8")[-1].u_poly
+    op = reduced_operator(8)
+    x_form = expand_u_to_x(f10, 8)
+    lower, upper = lowering_derivation(8), raising_derivation(8)
+    polynomial_arithmetic.clear()
+    assert apply_derivation(op, f10).is_zero()
+    assert apply_derivation(lower, x_form).is_zero()
+    assert apply_derivation(upper, x_form).is_zero()
+    assert not polynomial_arithmetic

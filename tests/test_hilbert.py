@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from invforge.exponents import powers
-from invforge.hilbert import candidate_count, invariant_dimension
+from invforge.exponents import powers, powers2
+from invforge.hilbert import candidate_count, generator_monomial_count, invariant_dimension
 from invforge.invariants import invariant_basis
 
 
@@ -27,3 +28,21 @@ def test_candidate_count_matches_enumeration(n, top):
     for d in range(1, top + 1):
         assert candidate_count(n, d) == len(powers(n, d))
     assert candidate_count(n, 0) == candidate_count(1, 4) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=5), st.integers(0, 40),
+       st.integers(-2, 60))
+def test_generator_monomial_count_matches_enumeration(degrees, limit, d):
+    count = generator_monomial_count(degrees, d, limit)
+    exact = len(powers2(degrees, d))
+    assert count == exact if count <= limit else exact > limit
+
+
+def test_generator_monomial_count_past_the_bound_is_immediate():
+    # the octavic degrees 2..10: no table of 10^12 entries is built
+    assert generator_monomial_count(range(2, 11), 10**12, 500) == 501
+    # every quintic generator degree is even
+    assert generator_monomial_count((4, 8, 12, 18), 10**12 + 1, 500) == 0
+    assert generator_monomial_count((4,), 10**12, 500) == 1
+    assert generator_monomial_count((2, 2), 2 * 500, 500) == 501

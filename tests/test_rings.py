@@ -6,7 +6,9 @@ from invforge.rings import (
     NonIsobaricError,
     Polynomial,
     ZeroPolynomialError,
+    _common_weight,
     degree,
+    gen_ring,
     is_isobaric_balanced,
     normalize,
     substitute,
@@ -202,3 +204,37 @@ def test_substitute_multiplicative(f, g):
     X = x_ring(2)
     images = {0: p("x0 + x1", X), 1: p("x2^2 - x1", X)}
     assert substitute(f * g, images) == substitute(f, images) * substitute(g, images)
+
+
+def test_degree_and_weight_on_weighted_generator_slots():
+    # slots of degree 4, 8 and 3 with weights 10, 20 and 9
+    G = gen_ring([("f4", 4, 10), ("f8", 8, 20), ("g3", 3, 9)])
+    rel = p("f4^2 - 3*f8 + 2*f4*g3^3", G)
+    assert G.slot_degrees == (4, 8, 3) and G.slot_weights == (10, 20, 9)
+    assert degree(rel) == 4 + 9
+    assert degree(p("f8*g3 + f4", G)) == 11
+    with pytest.raises(NonIsobaricError):
+        _common_weight(rel)
+    assert _common_weight(p("f4^2 - 3*f8", G)) == 20
+    assert _common_weight(p("g3^4*f8", G)) == 56
+    with pytest.raises(ZeroPolynomialError):
+        degree(Polynomial.zero(G))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 9)), min_size=1, max_size=4),
+       st.data())
+def test_degree_and_weight_read_slot_by_slot(profile, data):
+    G = gen_ring((f"g{j}", d, w) for j, (d, w) in enumerate(profile))
+    f = data.draw(polys(G))
+    if f.is_zero():
+        return
+    graded = [(sum(e * G.slot_degree(i) for i, e in enumerate(exp)),
+               sum(e * G.slot_weight(i) for i, e in enumerate(exp))) for exp in f.terms]
+    assert degree(f) == max(d for d, _ in graded)
+    weights = {w for _, w in graded}
+    if len(weights) == 1:
+        assert _common_weight(f) == weights.pop()
+    else:
+        with pytest.raises(NonIsobaricError):
+            _common_weight(f)

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from invforge import invariants, linalg, syzygies
 from invforge.exponents import powers2
+from invforge.hilbert import generator_monomial_count
 from invforge.fixtures import fixture_generator_set, fixture_root, load_generator_dir
 from invforge.invariants import Generator, GeneratorSet, mingenset
 from invforge.rings import Polynomial, normalize, u_ring
@@ -296,3 +297,52 @@ def test_certified_rows_match_termwise_reference(n, d):
     assert system is not None
     assert system.rows == certified_rows_termwise(
         gens, d, candidates, syzygies.POINT_RANGE, syzygies.IDLE_POINTS)
+
+
+def test_expansion_sums_in_one_dict(ref5, polynomial_arithmetic):
+    rel = parse_poly(REFERENCE_RELATION_5, ref5.gen_context())
+    powers = {}
+    polynomial_arithmetic.clear()
+    for e in rel.terms:
+        invariants.expand_candidate(ref5, e, powers)
+    products = polynomial_arithmetic["__mul__"]
+    polynomial_arithmetic.clear()
+    assert expand_in_generators(ref5, rel).is_zero()
+    # the generator products alone, and no sum or scaling product per term
+    assert polynomial_arithmetic == {"__mul__": products}
+    polynomial_arithmetic.clear()
+    linear = parse_poly("f4 - 2*f8 + 3/2*f12", ref5.gen_context())
+    assert expand_in_generators(ref5, linear) == (
+        ref5[0].u_poly - ref5[1].u_poly.scale(2) + ref5[2].u_poly.scale(Fraction(3, 2)))
+    polynomial_arithmetic.clear()
+    expand_in_generators(ref5, linear)
+    assert not polynomial_arithmetic
+
+
+# (n, degrees) the scripts, the benchmark and the tests ask relations for
+SYZYGY_CASES = [(5, d) for d in (24, 28, 36, 40)] + [(6, d) for d in (30, 32, 34)] \
+    + [(8, d) for d in range(16, 21)]
+
+
+def test_syzygy_limit_covers_every_case_in_use():
+    counts = {(n, d): generator_monomial_count(bundled(n)[0].degrees(), d, 10**6)
+              for n, d in SYZYGY_CASES}
+    assert max(counts, key=counts.get) == (8, 20) and counts[8, 20] == 107
+    assert counts[8, 20] <= syzygies.MAX_CANDIDATES
+    assert generator_monomial_count(range(2, 11), 40, 10**6) == 2265
+
+
+def test_oversized_syzygy_request_is_refused_before_any_work(monkeypatch):
+    gens, relation = bundled(8)
+
+    def nothing(*args):
+        raise AssertionError("worked on an oversized request")
+    for name in ("powers2", "_certified_system"):
+        monkeypatch.setattr(syzygies, name, nothing)
+    with pytest.raises(ValueError, match=r"degree 40 for n=8 need at least 2265 "):
+        minimal_syzygies(gens, [16, 40])
+    big = parse_poly("f10^4", gens.gen_context())
+    with pytest.raises(ValueError, match="above the limit of 500"):
+        check_syzygy(gens, big)
+    with pytest.raises(ValueError, match="above the limit"):
+        syzygy_basis(gens, 10**12)

@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 from invforge.rings import Polynomial, gen_ring, u_ring, x_ring
 from invforge.textio import (
     PolyParseError,
+    _tokenize,
     format_poly,
     iter_format_text,
     parse_poly,
     parse_poly_json,
 )
+
+from properties import parse_poly_reference, tokenize_reference
 
 X2, X3, U3, U4, U8 = x_ring(2), x_ring(3), u_ring(3), u_ring(4), u_ring(8)
 
@@ -101,3 +104,41 @@ def test_round_trip_parse_format(terms):
     f = Polynomial(U3, terms)
     assert parse_poly(format_poly(f), U3) == f
     assert parse_poly_json(format_poly(f, "json"), U3) == f
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except PolyParseError as exc:
+        return "error", str(exc), exc.pos
+
+
+_CONTEXTS = (X3, U4, gen_ring([("f2", 2, 2), ("f3b", 3, 3)]))
+# every character class the grammar knows, some it rejects, and whitespace
+_ALPHABET = "0123456789xutf_b+-*/^() \t\n@#.é٣ "
+
+
+@st.composite
+def texts(draw):
+    """A formatted polynomial, then a few random edits of it."""
+    ctx = draw(st.sampled_from(_CONTEXTS))
+    expt = st.tuples(*[st.integers(0, 12)] * ctx.slot_count)
+    f = Polynomial(ctx, draw(st.dictionaries(expt, coeffs, max_size=5)))
+    text = list(format_poly(f))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        ch = draw(st.sampled_from(_ALPHABET))
+        if op == "insert":
+            text.insert(at, ch)
+        elif at < len(text):
+            text[at:at + 1] = [] if op == "delete" else [ch]
+    return ctx, "".join(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(texts(), st.tuples(st.sampled_from(_CONTEXTS), st.text(_ALPHABET))))
+def test_tokens_and_errors_match_the_reference(case):
+    ctx, text = case
+    assert _outcome(lambda t: list(_tokenize(t)), text) == _outcome(tokenize_reference, text)
+    assert _outcome(parse_poly, text, ctx) == _outcome(parse_poly_reference, text, ctx)
