@@ -88,6 +88,7 @@ def apply_derivation(d: Derivation, f: Polynomial) -> Polynomial:
         ctx = d.context
         f = embed(f, ctx)
         images = d.images
+    # a u-ring derivation has no image for the lambda slot of the mixed ring
     elif _embeds(d.context, f.context) and len(d.images) == f.context.slot_count:
         ctx = f.context
         images = tuple(embed(g, ctx) for g in d.images)
