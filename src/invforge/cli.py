@@ -5,12 +5,13 @@ fixtures.  Exit codes: 0 on success, 1 when a verification or membership
 question comes back negative, 2 on bad input (including a generator-table
 mismatch and any OS error such as an unreadable file), 3 on an internal
 failure.  Codes 2 and 3 print one ``error:`` or ``internal error:`` line to
-stderr and no traceback.
+stderr and no traceback.  The argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -138,6 +139,7 @@ def _cmd_fixtures(args, out) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invforge",

@@ -14,18 +14,19 @@ explicit '*' separators.  The JSON schema is
 {"ring":{"kind":"x|u|gen","n":N},"terms":[{"c":"num[/den]","e":[...]}]}
 with the same term order.
 
-Parsing is linear in the text and holds one token at a time: one regex
-scan yields the tokens (kind, value, position), and one loop over them
-builds the term dict.  A character no token starts with is a
-PolyParseError at its position, and every other error names the position
-of the token it stopped at.
+Parsing reads one term at a time: one anchored regex match takes a term's
+sign, coefficient and factor list, and one findall splits the factors.
+Only a text outside the grammar is scanned token by token (kind, value,
+position), to name its error: a character no token starts with, anywhere
+in the text, is a PolyParseError at its position, and every other error
+names the position of the token it stopped at.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from .rings import Polynomial, VarContext
 
@@ -60,29 +61,63 @@ def _slot_table(ctx: VarContext) -> dict:
     return table
 
 
+# One term: sign, then numerator / denominator, then the factor list.  A
+# '*' is taken only where a factor follows it, and names and integers are
+# maximal, so the matches split the text exactly where the tokens do.
+_STAR = r"(?:\s*\*(?=\s*[A-Za-z_]))?"
+_TERM = re.compile(r"\s*([+-])?\s*(?:(\d+)(?:\s*/\s*(\d+))?" + _STAR + r")?"
+                   r"((?:\s*[A-Za-z_]\w*(?:\s*\^\s*\d+)?" + _STAR + r")*)\s*")
+_FACTOR = re.compile(r"([A-Za-z_]\w*)(?:\s*\^\s*(\d+))?")
+
+
 def parse_poly(text: str, ctx: VarContext) -> Polynomial:
     """Exact parse of the text grammar into the given context.
 
-    One pass over the token stream; (kind, val, pos) is always the first
-    token not yet consumed.  A bad character anywhere in the text is the
-    error reported, ahead of any grammar error, so the rest of the text is
-    scanned before a grammar error is raised.
+    One regex match per term.  A text the matches cannot tile, or a term
+    with an unknown variable or a zero denominator, is outside the grammar.
+    """
+    slots = _slot_table(ctx)
+    width = ctx.slot_count
+    terms = {}
+    pos, end = 0, len(text)
+    while pos < end or not terms:
+        m = _TERM.match(text, pos)
+        sign, num, den, factors = m.groups()
+        if (sign is None and pos) or not (num or factors) or den and not int(den):
+            _raise_parse_error(text, ctx)
+        coeff = 1 if num is None else int(num)
+        if den is not None:
+            coeff = Fraction(coeff, int(den))
+        exps = [0] * width
+        for name, k in _FACTOR.findall(factors):
+            slot = slots.get(name)
+            if slot is None:
+                _raise_parse_error(text, ctx)
+            exps[slot] += int(k) if k else 1
+        e = tuple(exps)
+        terms[e] = terms.get(e, 0) + (-coeff if sign == "-" else coeff)
+        pos = m.end()
+    return Polynomial(ctx, terms)
+
+
+def _raise_parse_error(text: str, ctx: VarContext) -> NoReturn:
+    """Walk the tokens of a text outside the grammar and raise its error.
+
+    (kind, val, pos) is always the first token not yet consumed.  A bad
+    character anywhere in the text is the error reported, ahead of any
+    grammar error, so the rest of the text is scanned before a grammar
+    error is raised.
     """
     tokens = _tokenize(text)
     take = tokens.__next__
     slots = _slot_table(ctx)
-    width = ctx.slot_count
-    terms = {}
-    sign = 1
     try:
         kind, val, pos = take()
         if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
             kind, val, pos = take()
         while True:
-            coeff = None
+            empty = kind != "int"
             if kind == "int":
-                coeff = val
                 kind, val, pos = take()
                 if kind == "op" and val == "/":
                     kind, val, pos = take()
@@ -90,49 +125,37 @@ def parse_poly(text: str, ctx: VarContext) -> Polynomial:
                         raise PolyParseError("expected a denominator", pos)
                     if val == 0:
                         raise PolyParseError("zero denominator", pos)
-                    coeff = Fraction(coeff, val)
                     kind, val, pos = take()
                 if kind == "op" and val == "*":
                     kind, val, pos = take()
                     if kind != "name":
                         raise PolyParseError("expected a variable after '*'", pos)
-            exps = [0] * width
-            saw_factor = False
             while kind == "name":
-                slot = slots.get(val)
-                if slot is None:
+                if val not in slots:
                     raise PolyParseError(f"unknown variable {val!r} for this ring", pos)
+                empty = False
                 kind, val, pos = take()
                 if kind == "op" and val == "^":
                     kind, val, pos = take()
                     if kind != "int":
                         raise PolyParseError("expected an exponent", pos)
-                    exps[slot] += val
                     kind, val, pos = take()
-                else:
-                    exps[slot] += 1
-                saw_factor = True
                 if kind == "op" and val == "*":
                     kind, val, pos = take()
                     if kind != "name":
                         raise PolyParseError("expected a variable after '*'", pos)
-            if coeff is None:
-                if not saw_factor:
-                    raise PolyParseError("expected a term", pos)
-                coeff = 1
-            e = tuple(exps)
-            terms[e] = terms.get(e, 0) + sign * coeff
+            if empty:
+                raise PolyParseError("expected a term", pos)
             if kind == "end":
                 break
             if kind != "op" or val not in "+-":
                 raise PolyParseError(f"unexpected {val!r}", pos)
-            sign = -1 if val == "-" else 1
             kind, val, pos = take()
     except PolyParseError:
         for _ in tokens:
             pass
         raise
-    return Polynomial(ctx, terms)
+    raise RuntimeError("parse_poly rejected a text of the grammar")
 
 
 def _coeff_str(c) -> str:
@@ -198,13 +221,22 @@ def format_poly(f: Polynomial, style: str = "text") -> str:
 
 
 def parse_poly_json(data, ctx: VarContext) -> Polynomial:
-    """Inverse of the JSON rendering, given the matching context."""
+    """Inverse of the JSON rendering, given the matching context.
+
+    Repeated exponent lists are summed, as in the text format; a ring
+    header of another kind or n and a misfit exponent list are ValueErrors.
+    """
     import json as _json
     if isinstance(data, str):
         data = _json.loads(data)
+    ring = data.get("ring")
+    if ring is not None and (ring.get("kind"), ring.get("n")) != (ctx.kind.value, ctx.n):
+        raise ValueError(f"JSON ring {ring} is not the {ctx.kind.value} ring with n={ctx.n}")
     terms = {}
     for t in data["terms"]:
+        e = tuple(t["e"])
+        if len(e) != ctx.slot_count or any(type(k) is not int or k < 0 for k in e):
+            raise ValueError(f"exponent list {list(e)} does not fit {ctx.slot_count} slots")
         c = t["c"]
-        coeff = Fraction(c) if "/" in c else int(c)
-        terms[tuple(t["e"])] = coeff
+        terms[e] = terms.get(e, 0) + (Fraction(c) if "/" in c else int(c))
     return Polynomial(ctx, terms)

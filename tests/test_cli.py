@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -214,12 +215,47 @@ def test_oversized_syzygies_request_exits_2_at_once(capsys):
     assert "degree 40" in err and "2265" in err and "limit of 500" in err
 
 
+def run_cli_subprocess(*argv):
+    """One request in a fresh interpreter, with this checkout's package on its path."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "invforge", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "invforge", "mingenset", "--n", "2"],
-        capture_output=True, text=True)
+    proc = run_cli_subprocess("mingenset", "--n", "2")
     assert proc.returncode == 0
     assert "x0*u2" in proc.stdout
+
+
+def test_one_parser_serves_a_sequence_of_requests(tmp_path, capsys):
+    malformed = tmp_path / "malformed.poly"
+    malformed.write_text("x0*u2 +\n")
+    requests = [
+        ["invariants", "--n", "4", "--bogus"],
+        ["fixtures", "--n", "4", "--validate"],
+        ["fixtures", "--n", "4"],
+        ["invariants", "--n", "4", "--degree", "6"],
+        ["invariants", "--n", "4", "--degree", "6", "--format", "json"],
+        ["verify", "--n", "4", str(malformed)],
+    ]
+    capsys.readouterr()
+    got = []
+    for argv in requests:
+        try:
+            code, out = run_cli(*argv)
+        except SystemExit as exc:
+            code, out = exc.code, ""
+        got.append((code, out, capsys.readouterr().err))
+    assert [code for code, _, _ in got] == [2, 0, 0, 0, 0, 2]
+    for argv, (code, out, err) in zip(requests, got):
+        fresh = run_cli_subprocess(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    parser = cli.build_parser()
+    assert parser is cli.build_parser()
+    assert parser.parse_args(["fixtures", "--n", "4", "--validate"]).validate
+    assert not parser.parse_args(["fixtures", "--n", "4"]).validate
 
 
 # sha256 of stdout and the exit code per request; "@" paths are relative to

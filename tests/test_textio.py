@@ -1,8 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invforge import textio
+from invforge.fixtures import fixture_root, load_generator_dir
 from invforge.rings import Polynomial, gen_ring, u_ring, x_ring
 from invforge.textio import (
     PolyParseError,
@@ -87,6 +91,27 @@ def test_json_x_and_gen_kinds():
     assert parse_poly_json(doc, gctx) == g
 
 
+def test_json_sums_repeated_exponents():
+    doc = {"ring": {"kind": "x", "n": 2},
+           "terms": [{"c": "1", "e": [1, 0, 0]}, {"c": "1/2", "e": [1, 0, 0]}]}
+    assert parse_poly_json(doc, X2) == parse_poly("x0 + 1/2*x0", X2)
+
+
+@pytest.mark.parametrize("doc", [
+    {"terms": [{"c": "1", "e": [1, 0]}]},
+    {"terms": [{"c": "1", "e": [1, 0, 0, 0]}]},
+    {"terms": [{"c": "1", "e": [2, -1, 0]}]},
+    {"terms": [{"c": "1", "e": [1.5, 0, 0]}]},
+    {"ring": {"kind": "u", "n": 2}, "terms": [{"c": "1", "e": [1, 0, 0]}]},
+    {"ring": {"kind": "x", "n": 3}, "terms": [{"c": "1", "e": [1, 0, 0]}]},
+], ids=["short", "long", "negative", "fractional", "ring kind", "ring n"])
+def test_json_rejects_what_the_ring_cannot_hold(doc):
+    with pytest.raises(ValueError):
+        parse_poly_json(doc, X2)
+    with pytest.raises(ValueError):
+        parse_poly_json(json.dumps(doc), X2)
+
+
 def test_gen_ring_symbols_parse():
     gctx = gen_ring([("f4", 4, 10), ("f8", 8, 20)])
     rel = parse_poly("f4^2 - 3*f8", gctx)
@@ -142,3 +167,50 @@ def test_tokens_and_errors_match_the_reference(case):
     ctx, text = case
     assert _outcome(lambda t: list(_tokenize(t)), text) == _outcome(tokenize_reference, text)
     assert _outcome(parse_poly, text, ctx) == _outcome(parse_poly_reference, text, ctx)
+
+
+DATA = Path(__file__).parent / "data"
+TEXT_FILES = (sorted(fixture_root().glob("n*/*.poly")) + sorted(fixture_root().glob("n*/*.gen"))
+              + sorted(DATA.iterdir()))
+
+
+def _context_of(path: Path):
+    """The ring a bundled text is written in, read from its directory or file name."""
+    n = int(re.match(r"n(\d+)", path.name if path.parent == DATA else path.parent.name)[1])
+    if path.suffix == ".gen":
+        return load_generator_dir(n, path.parent).gen_context()
+    return x_ring(n) if path.stem.endswith("_x") else u_ring(n)
+
+
+@pytest.fixture
+def token_loop_texts(monkeypatch):
+    """The texts parse_poly hands to the token loop during the test."""
+    seen, real = [], textio._raise_parse_error
+    monkeypatch.setattr(textio, "_raise_parse_error", lambda text, ctx: seen.append(text) or real(text, ctx))
+    return seen
+
+
+@pytest.mark.parametrize("path", TEXT_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_bundled_texts_parse_a_term_at_a_time(path, token_loop_texts):
+    ctx = _context_of(path)
+    raw = path.read_text()
+    for text in (raw, raw.strip()):
+        assert parse_poly(text, ctx) == parse_poly_reference(text, ctx)
+    assert token_loop_texts == []
+
+
+@pytest.mark.parametrize("text,message,pos", [
+    ("x0 u2", "unknown variable 'u2' for this ring", 3),
+    ("3/0*u2", "zero denominator", 2),
+    ("x0^", "expected an exponent", 3),
+    ("3*", "expected a variable after '*'", 2),
+    ("-", "expected a term", 1),
+    ("", "expected a term", 0),
+    ("x0 + @", "unexpected character '@'", 5),
+    ("x0 2", "unexpected 2", 3),
+])
+def test_term_boundary_errors_match_the_reference(text, message, pos, token_loop_texts):
+    expected = ("error", f"{message} (at position {pos})", pos)
+    assert _outcome(parse_poly_reference, text, X3) == expected
+    assert _outcome(parse_poly, text, X3) == expected
+    assert token_loop_texts == [text]
