@@ -23,15 +23,12 @@ from .derivations import (
     ResidualDenominatorError,
     apply_derivation,
     expand_u_to_x,
-    full_operator,
-    grading_derivation,
     lowering_derivation,
     project_x_to_u,
     raising_derivation,
     reduced_operator,
     u_lowering_derivation,
     u_raising_derivation,
-    x_variable_in_u,
 )
 from .invariants import (
     DegreeMismatchError,
@@ -40,7 +37,6 @@ from .invariants import (
     InvariantBasis,
     UnsupportedFormDegreeError,
     invariant_basis,
-    invariant_basis_direct,
     is_member,
     known_degree_table,
     mingenset,

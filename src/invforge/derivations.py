@@ -16,7 +16,6 @@ polynomial (see expand_u_to_x).  x -> u is the projection x1 -> 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -24,9 +23,7 @@ from operator import add
 from .rings import (
     ContextMismatchError,
     Polynomial,
-    RingKind,
     VarContext,
-    lambda_u_ring,
     u_ring,
     x_ring,
 )
@@ -34,33 +31,6 @@ from .rings import (
 
 class ResidualDenominatorError(ValueError):
     """A u-polynomial failed to clear x0 from its denominator in the x-ring."""
-
-
-# -- context embeddings ----------------------------------------------------
-
-def _embeds(src: VarContext, dst: VarContext) -> bool:
-    if src == dst:
-        return True
-    if src.kind is RingKind.X and dst.kind is RingKind.LOCAL_X:
-        return src.n == dst.n
-    if src.kind is RingKind.U and dst.kind is RingKind.LAMBDA_U:
-        return src.n == dst.n
-    return False
-
-
-def embed(f: Polynomial, dst: VarContext) -> Polynomial:
-    """Reinterpret f inside a larger compatible context."""
-    src = f.context
-    if src == dst:
-        return f
-    if not _embeds(src, dst):
-        raise ContextMismatchError(
-            f"cannot embed {src.kind.value} into {dst.kind.value}")
-    if src.kind is RingKind.X:
-        return Polynomial(dst, f.terms)
-    # u-ring into the mixed ring: slot 1 becomes the lambda slot
-    terms = {(e[0], 0) + e[1:]: c for e, c in f.terms.items()}
-    return Polynomial(dst, terms)
 
 
 @dataclass(frozen=True)
@@ -84,18 +54,10 @@ def apply_derivation(d: Derivation, f: Polynomial) -> Polynomial:
     product lands in one dict: the cost is linear in the number of
     (term, image term) pairs, with no intermediate polynomial.
     """
-    if _embeds(f.context, d.context):
-        ctx = d.context
-        f = embed(f, ctx)
-        images = d.images
-    # a u-ring derivation has no image for the lambda slot of the mixed ring
-    elif _embeds(d.context, f.context) and len(d.images) == f.context.slot_count:
-        ctx = f.context
-        images = tuple(embed(g, ctx) for g in d.images)
-    else:
+    if f.context != d.context:
         raise ContextMismatchError("derivation and argument contexts disagree")
     shifted = []
-    for slot, g in enumerate(images):
+    for slot, g in enumerate(d.images):
         if g.terms:
             shifted.append((slot, [(h[:slot] + (h[slot] - 1,) + h[slot + 1:], c)
                                    for h, c in g.terms.items()]))
@@ -108,7 +70,7 @@ def apply_derivation(d: Derivation, f: Polynomial) -> Polynomial:
                 for h, ch in image:
                     key = tuple(map(add, e, h))
                     out[key] = out.get(key, 0) + ck * ch
-    return Polynomial(ctx, out)
+    return Polynomial(d.context, out)
 
 
 # -- the sl2 derivations ---------------------------------------------------
@@ -153,20 +115,6 @@ def u_raising_derivation(n: int) -> Derivation:
     return Derivation(ctx, tuple(images))
 
 
-def grading_derivation(n: int) -> Derivation:
-    """ui -> (n-2i)*ui, x0 -> n*x0: the degree/weight grading operator.
-
-    Defined by its eigenvalues; every monomial is an eigenvector with
-    eigenvalue n*deg - 2*weight, so the balanced polynomials are exactly
-    its kernel.
-    """
-    ctx = u_ring(n)
-    images = [Polynomial.variable(ctx, 0).scale(n)]
-    for i in range(2, n + 1):
-        images.append(Polynomial.variable(ctx, i - 1).scale(n - 2 * i))
-    return Derivation(ctx, tuple(images))
-
-
 def reduced_operator(n: int) -> Derivation:
     """The single operator x0*raise_u - (n-1)*u2*lower_u on the u-ring.
 
@@ -183,52 +131,7 @@ def reduced_operator(n: int) -> Derivation:
     return Derivation(ctx, images)
 
 
-def full_operator(n: int) -> Derivation:
-    """The reduction operator on the mixed (x0, lam, u) presentation.
-
-    Carries the lambda bookkeeping explicitly; on a weight-balanced
-    u-polynomial (no lambda), its value coincides with reduced_operator's,
-    so annihilation there certifies invariance without leaving the mixed
-    ring.
-    """
-    ctx = lambda_u_ring(n)
-    x0 = Polynomial.variable(ctx, 0)
-    lam = Polynomial.variable(ctx, 1)
-    u2 = Polynomial.variable(ctx, 2)
-
-    def u(i):
-        return Polynomial.variable(ctx, i)
-
-    images = [(x0 * x0 * lam).scale(-n),
-              x0 * lam * lam - u2.scale(n - 1)]
-    for i in range(2, n + 1):
-        img = (x0 * u(i)).scale(-(n - 2 * i)) * lam
-        if i < n:
-            img = img + (x0 * u(i + 1)).scale(n - i)
-        if i >= 3:
-            img = img - (u2 * u(i - 1)).scale(i * (n - 1))
-        images.append(img)
-    return Derivation(ctx, tuple(images))
-
-
 # -- coordinate changes ----------------------------------------------------
-
-def x_variable_in_u(i: int, n: int) -> Polynomial:
-    """The coordinate xi written in the mixed (x0, lam, u) presentation."""
-    if not 2 <= i <= n:
-        raise ValueError("x-index out of range")
-    ctx = lambda_u_ring(n)
-    lam = Polynomial.variable(ctx, 1)
-    total = Polynomial.zero(ctx)
-    lam_power = Polynomial.one(ctx)
-    for k in range(i - 1):
-        u = Polynomial.variable(ctx, i - k)
-        total = total + u.scale((-1) ** k * math.comb(i, k)) * lam_power
-        lam_power = lam_power * lam
-    lam_power = lam_power * lam
-    x0 = Polynomial.variable(ctx, 0)
-    return total + x0.scale((-1) ** i) * lam_power
-
 
 def project_x_to_u(f: Polynomial) -> Polynomial:
     """Multiplicative projection x0 -> x0, x1 -> 0, xi -> ui.
@@ -296,36 +199,3 @@ def expand_u_to_x(f: Polynomial, n: int) -> Polynomial:
                                         else Fraction(-c, m))
         prev, cur = cur, nxt
     return Polynomial(x_ring(n), out)
-
-
-# -- closed forms of the raising action in u-coordinates --------------------
-
-def raising_action_on_lambda(n: int) -> Polynomial:
-    """Image of lam under the raising derivation, in the mixed ring."""
-    ctx = lambda_u_ring(n)
-    lam = Polynomial.variable(ctx, 1)
-    u2_over_x0 = Polynomial.monomial(ctx, (-1, 0, 1) + (0,) * (n - 2), n - 1)
-    return lam * lam - u2_over_x0
-
-
-def raising_action_on_u(i: int, n: int) -> Polynomial:
-    """Image of ui under the raising derivation, in the mixed ring.
-
-    (n-i)*u(i+1) - (n-2i)*ui*lam for i = 2, with the additional correction
-    -i*(n-1)*u2*u(i-1)/x0 once i exceeds 2; u(n+1) is identically zero.
-    """
-    if not 2 <= i <= n:
-        raise ValueError("u-index out of range")
-    ctx = lambda_u_ring(n)
-    lam = Polynomial.variable(ctx, 1)
-    total = Polynomial.zero(ctx)
-    if i < n:
-        total = total + Polynomial.variable(ctx, i + 1).scale(n - i)
-    total = total - Polynomial.variable(ctx, i).scale(n - 2 * i) * lam
-    if i > 2:
-        e = [0] * ctx.slot_count
-        e[0] = -1
-        e[2] += 1
-        e[i - 1] += 1
-        total = total - Polynomial.monomial(ctx, e, i * (n - 1))
-    return total

@@ -45,16 +45,6 @@ def fixture_root() -> Path:
     return _DATA_ROOT
 
 
-def available_fixture_ns(base: Path = None) -> list:
-    root = Path(base) if base else _DATA_ROOT
-    out = []
-    for p in sorted(root.glob("n*")):
-        m = re.fullmatch(r"n(\d+)", p.name)
-        if m and p.is_dir():
-            out.append(int(m.group(1)))
-    return out
-
-
 def _name_key(name: str):
     m = re.match(r"[a-z]+(\d+)(.*)", name)
     if m:

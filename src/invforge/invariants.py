@@ -3,9 +3,9 @@
 The per-degree solver turns the reduced operator's action on candidate
 monomials into a homogeneous linear system indexed directly by monomials
 (columns: degree-d weight-balanced candidates, rows: image monomials) and
-reads invariants off the canonical nullspace.  A brute-force solver over
-the original two-derivation system in x-coordinates serves as the
-independent oracle.
+reads invariants off the canonical nullspace.  The brute-force solver over
+the original two-derivation system in x-coordinates, the independent
+oracle, lives with the test suite's property batteries.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .derivations import (
     raising_derivation,
     reduced_operator,
 )
-from .exponents import _compositions, grad, powers
+from .exponents import grad, powers
 from .hilbert import candidate_count, invariant_dimension
 from .linalg import nullspace_sparse, solve_affine_sparse
 from .rings import (
@@ -35,15 +35,23 @@ from .rings import (
     normalize,
     u_ring,
     weight_u,
-    x_ring,
 )
 
 
-# Largest candidate set invariant_basis takes on.  The bundled tables need
-# at most 641 (n = 8, d = 10, about 2 s on a 2-vCPU Xeon host); n = 8,
-# d = 12 has 1430 and takes about 17 s, d = 14 has 2898 and ran past five
-# minutes.  Larger requests are refused before any work.
+# Largest candidate set invariant_basis and is_member take on.  The bundled
+# tables need at most 641 (n = 8, d = 10, about 2 s on a 2-vCPU Xeon host);
+# n = 8, d = 12 has 1430 and takes about 17 s, d = 14 has 2898 and ran past
+# five minutes.  Larger requests are refused before any work.
 MAX_CANDIDATES = 2000
+
+
+def _refuse_oversized(n: int, d: int, what: str) -> None:
+    """ValueError when degree d for n has more than MAX_CANDIDATES candidates."""
+    count = candidate_count(n, d)
+    if count > MAX_CANDIDATES:
+        raise ValueError(
+            f"{what} of degree {d} for n={n} need {count} candidate"
+            f" monomials, above the limit of {MAX_CANDIDATES}")
 
 
 class DegreeMismatchError(RuntimeError):
@@ -168,11 +176,7 @@ def invariant_basis(n: int, d: int) -> InvariantBasis:
     call; a disagreement raises DimensionMismatchError.  A request with more
     than MAX_CANDIDATES candidates raises ValueError, before any work.
     """
-    count = candidate_count(n, d)
-    if count > MAX_CANDIDATES:
-        raise ValueError(
-            f"invariants of degree {d} for n={n} need {count} candidate"
-            f" monomials, above the limit of {MAX_CANDIDATES}")
+    _refuse_oversized(n, d, "invariants")
     ctx = u_ring(n)
     op = reduced_operator(n)
     candidates = powers(n, d)
@@ -186,20 +190,6 @@ def invariant_basis(n: int, d: int) -> InvariantBasis:
             f"degree-{d} invariant basis for n={n} has {len(elements)} elements,"
             f" the Cayley-Sylvester count is {expected}")
     return InvariantBasis(n, d, elements)
-
-
-def invariant_basis_direct(n: int, d: int) -> InvariantBasis:
-    """Oracle: solve both derivation equations over the x-ring directly."""
-    if (n * d) % 2:
-        return InvariantBasis(n, d, ())
-    ctx = x_ring(n)
-    candidates = _compositions(ctx, d, n * d // 2)
-    rows = []
-    for op in (lowering_derivation(n), raising_derivation(n)):
-        rows += monomial_rows(ctx, (apply_derivation(op, Polynomial.monomial(ctx, e))
-                                    for e in candidates))
-    return InvariantBasis(n, d, tuple(nullspace_polynomials(
-        ctx, candidates, nullspace_sparse(len(candidates), rows))))
 
 
 def verify_invariant_x(n: int, f: Polynomial) -> bool:
@@ -252,7 +242,8 @@ def is_member(gens: GeneratorSet, f: Polynomial) -> Optional[Polynomial]:
 
     Returns the echelon particular representation as a generator-ring
     polynomial, or None when f is not a member.  f must be nonzero,
-    homogeneous and isobaric.
+    homogeneous and isobaric.  A degree with more than MAX_CANDIDATES
+    candidate monomials raises ValueError, before any work.
     """
     if f.is_zero():
         raise ValueError("membership of the zero polynomial is not asked")
@@ -260,6 +251,7 @@ def is_member(gens: GeneratorSet, f: Polynomial) -> Optional[Polynomial]:
     if len(degs) != 1:
         raise ValueError("membership needs a homogeneous polynomial")
     target = (degs.pop(), weight_u(f))
+    _refuse_oversized(gens.n, target[0], "members")
     if not len(gens):
         return None
     candidates = grad(gens.profile(), target)

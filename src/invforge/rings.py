@@ -19,11 +19,9 @@ from typing import Iterable, Mapping
 
 
 class RingKind(Enum):
-    X = "x"            # k[x0..xn]
-    U = "u"            # k[x0, u2..un]
-    LOCAL_X = "xloc"   # k[x0..xn, x0^-1]
-    LAMBDA_U = "ulam"  # k[x0, x0^-1, lam, u2..un], internal mixed presentation
-    GEN = "gen"        # k[g1..gm], gj named generator symbols
+    X = "x"      # k[x0..xn]
+    U = "u"      # k[x0, u2..un]
+    GEN = "gen"  # k[g1..gm], gj named generator symbols
 
 
 class ContextMismatchError(ValueError):
@@ -43,10 +41,9 @@ class VarContext:
     """A variable context: ring kind plus whatever names its slots.
 
     Slot layout by kind (n = binary form degree):
-      X / LOCAL_X : slots 0..n hold x0..xn, slot i has weight i
-      U           : slot 0 holds x0 (weight 0), slots 1..n-1 hold u2..un
-      LAMBDA_U    : slot 0 x0 (may be negative), slot 1 lam, slots 2..n u2..un
-      GEN         : slot j holds generators[j] = (name, degree, weight)
+      X   : slots 0..n hold x0..xn, slot i has weight i
+      U   : slot 0 holds x0 (weight 0), slots 1..n-1 hold u2..un
+      GEN : slot j holds generators[j] = (name, degree, weight)
     """
 
     kind: RingKind
@@ -62,21 +59,17 @@ class VarContext:
 
     @property
     def slot_count(self) -> int:
-        if self.kind in (RingKind.X, RingKind.LOCAL_X):
+        if self.kind is RingKind.X:
             return self.n + 1
         if self.kind is RingKind.U:
             return self.n
-        if self.kind is RingKind.LAMBDA_U:
-            return self.n + 1
         return len(self.generators)
 
     def slot_name(self, i: int) -> str:
-        if self.kind in (RingKind.X, RingKind.LOCAL_X):
+        if self.kind is RingKind.X:
             return f"x{i}"
         if self.kind is RingKind.U:
             return "x0" if i == 0 else f"u{i + 1}"
-        if self.kind is RingKind.LAMBDA_U:
-            return "x0" if i == 0 else ("lam" if i == 1 else f"u{i}")
         return self.generators[i][0]
 
     def slot_degree(self, i: int) -> int:
@@ -86,12 +79,10 @@ class VarContext:
         return 1
 
     def slot_weight(self, i: int) -> int:
-        if self.kind in (RingKind.X, RingKind.LOCAL_X):
+        if self.kind is RingKind.X:
             return i
         if self.kind is RingKind.U:
             return 0 if i == 0 else i + 1
-        if self.kind is RingKind.LAMBDA_U:
-            return 0 if i == 0 else (1 if i == 1 else i)
         return self.generators[i][2]
 
     @cached_property
@@ -101,9 +92,6 @@ class VarContext:
     @cached_property
     def slot_weights(self) -> tuple:
         return tuple(map(self.slot_weight, range(self.slot_count)))
-
-    def allows_negative(self, i: int) -> bool:
-        return i == 0 and self.kind in (RingKind.LOCAL_X, RingKind.LAMBDA_U)
 
     def names(self) -> tuple:
         return tuple(self.slot_name(i) for i in range(self.slot_count))
@@ -115,14 +103,6 @@ def x_ring(n: int) -> VarContext:
 
 def u_ring(n: int) -> VarContext:
     return VarContext(RingKind.U, n)
-
-
-def local_x_ring(n: int) -> VarContext:
-    return VarContext(RingKind.LOCAL_X, n)
-
-
-def lambda_u_ring(n: int) -> VarContext:
-    return VarContext(RingKind.LAMBDA_U, n)
 
 
 def gen_ring(generators: Iterable[tuple]) -> VarContext:
@@ -179,7 +159,7 @@ class Polynomial:
         if len(e) != ctx.slot_count:
             raise ValueError("exponent tuple length does not match context")
         for i, k in enumerate(e):
-            if k < 0 and not ctx.allows_negative(i):
+            if k < 0:
                 raise ValueError(f"negative exponent on {ctx.slot_name(i)}")
         if not coeff:
             return cls.zero(ctx)
@@ -328,7 +308,7 @@ def weight_x(f: Polynomial) -> int:
     """Common x-weight of an isobaric polynomial in the x-ring."""
     if f.is_zero():
         raise ZeroPolynomialError("weight of the zero polynomial is undefined")
-    if f.context.kind not in (RingKind.X, RingKind.LOCAL_X):
+    if f.context.kind is not RingKind.X:
         raise ContextMismatchError("weight_x expects an x-ring polynomial")
     return _common_weight(f)
 
@@ -377,9 +357,7 @@ def substitute(f: Polynomial, images: Mapping[int, Polynomial],
     """Ring-homomorphic image of f under slot -> polynomial substitution.
 
     Every slot occurring in f with a nonzero exponent needs an image; all
-    images must share one target context.  A negative exponent (localized
-    x0) is only substitutable when its image is a single term, which is then
-    inverted exactly.
+    images must share one target context.
     """
     if target is None:
         for g in images.values():
@@ -401,18 +379,7 @@ def substitute(f: Polynomial, images: Mapping[int, Polynomial],
         if slot not in images:
             raise ValueError(
                 f"no image for occurring variable {f.context.slot_name(slot)}")
-        g = images[slot]
-        if k >= 0:
-            val = g ** k
-        else:
-            if len(g.terms) != 1:
-                raise ValueError("cannot invert a non-monomial image")
-            (e, c), = g.terms.items()
-            inv_e = tuple(x * k for x in e)
-            for i, x in enumerate(inv_e):
-                if x < 0 and not target.allows_negative(i):
-                    raise ValueError("inverted image leaves the target ring")
-            val = Polynomial(target, {inv_e: Fraction(1) / c ** (-k)})
+        val = images[slot] ** k
         power_cache[key] = val
         return val
 

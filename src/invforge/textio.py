@@ -194,10 +194,7 @@ def iter_format_text(f: Polynomial) -> Iterator[str]:
 
 
 def _ring_json(ctx: VarContext) -> str:
-    kind = {"x": "x", "u": "u", "gen": "gen"}.get(ctx.kind.value)
-    if kind is None:
-        raise ValueError("only x, u and generator rings serialize to JSON")
-    return f'{{"kind":"{kind}","n":{ctx.n}}}'
+    return f'{{"kind":"{ctx.kind.value}","n":{ctx.n}}}'
 
 
 def iter_format_json(f: Polynomial) -> Iterator[str]:

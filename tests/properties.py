@@ -4,31 +4,26 @@ import math
 import random
 import re
 from fractions import Fraction
+from operator import mul
 
 from invforge.derivations import (
+    Derivation,
     ResidualDenominatorError,
-    _embeds,
     apply_derivation,
-    embed,
-    full_operator,
-    grading_derivation,
     lowering_derivation,
-    raising_action_on_lambda,
-    raising_action_on_u,
     raising_derivation,
     reduced_operator,
     u_lowering_derivation,
     u_raising_derivation,
-    x_variable_in_u,
 )
 from invforge.exponents import _compositions
 from invforge.hilbert import invariant_dimension
+from invforge.invariants import InvariantBasis, monomial_rows, nullspace_polynomials
 from invforge.linalg import ModularEliminator, nullspace_sparse, rank_sparse, solve_affine_sparse
 from invforge.rings import (
     ContextMismatchError,
     Polynomial,
-    lambda_u_ring,
-    local_x_ring,
+    gen_ring,
     monomial_key,
     substitute,
     u_ring,
@@ -63,107 +58,249 @@ def check_leibniz(pairs=200, seed=7):
         assert lhs == rhs
 
 
-# -- the u-coordinates as Laurent polynomials in x ---------------------------
+# -- the lemmas' own derivations and the mixed presentation -------------------
 
-def _lambda_in_x(n: int) -> Polynomial:
-    # lam = -x1/x0 inside the localized x-ring
-    ctx = local_x_ring(n)
-    e = [0] * ctx.slot_count
-    e[0], e[1] = -1, 1
-    return Polynomial.monomial(ctx, e, -1)
+def grading_derivation(n: int) -> Derivation:
+    """ui -> (n-2i)*ui, x0 -> n*x0: the degree/weight grading operator.
 
-
-def kernel_projection(f: Polynomial, n: int) -> Polynomial:
-    """Project k[X] onto the lowering derivation's kernel.
-
-    sum over i of lower^i(f) * lam^i / i!, a finite sum because the lowering
-    derivation is locally nilpotent; the image is annihilated by it.
+    Defined by its eigenvalues; every monomial is an eigenvector with
+    eigenvalue n*deg - 2*weight, so the balanced polynomials are exactly
+    its kernel.
     """
-    ctx = local_x_ring(n)
-    lam = _lambda_in_x(n)
-    down = lowering_derivation(n)
-    total = embed(f, ctx)
-    cur = f
-    lam_power = Polynomial.one(ctx)
-    i = 0
-    while True:
-        cur = apply_derivation(down, cur)
-        if cur.is_zero():
-            return total
-        i += 1
-        lam_power = lam_power * lam
-        total = total + embed(cur, ctx) * lam_power.scale(Fraction(1, math.factorial(i)))
+    ctx = u_ring(n)
+    images = [Polynomial.variable(ctx, 0).scale(n)]
+    for i in range(2, n + 1):
+        images.append(Polynomial.variable(ctx, i - 1).scale(n - 2 * i))
+    return Derivation(ctx, tuple(images))
 
 
-def u_variable_in_x(i: int, n: int) -> Polynomial:
-    """The coordinate ui written in the localized x-ring."""
+def mixed_ring(n: int):
+    """The mixed presentation k[x0, lam, u2..un] as a generator ring.
+
+    lam = -x1/x0 has degree 0 and weight 1; x0 and ui keep their u-ring
+    degree and weight.  Slot 0 is x0, slot 1 lam and slot i is ui.  Every
+    closed form below that would divide by x0 is multiplied through by x0,
+    so no slot needs a negative exponent.
+    """
+    return gen_ring((("x0", 1, 0), ("lam", 0, 1))
+                    + tuple((f"u{i}", 1, i) for i in range(2, n + 1)))
+
+
+def u_in_mixed(f: Polynomial) -> Polynomial:
+    """A u-ring polynomial inside the mixed ring, with no lam."""
+    return Polynomial(mixed_ring(f.context.n),
+                      {(e[0], 0) + e[1:]: c for e, c in f.terms.items()})
+
+
+def full_operator(n: int) -> Derivation:
+    """The reduction operator on the mixed (x0, lam, u) presentation.
+
+    Carries the lambda bookkeeping explicitly; on a weight-balanced
+    u-polynomial (no lambda), its value coincides with reduced_operator's.
+    """
+    ctx = mixed_ring(n)
+    x0 = Polynomial.variable(ctx, 0)
+    lam = Polynomial.variable(ctx, 1)
+    u2 = Polynomial.variable(ctx, 2)
+
+    def u(i):
+        return Polynomial.variable(ctx, i)
+
+    images = [(x0 * x0 * lam).scale(-n),
+              x0 * lam * lam - u2.scale(n - 1)]
+    for i in range(2, n + 1):
+        img = (x0 * u(i)).scale(-(n - 2 * i)) * lam
+        if i < n:
+            img = img + (x0 * u(i + 1)).scale(n - i)
+        if i >= 3:
+            img = img - (u2 * u(i - 1)).scale(i * (n - 1))
+        images.append(img)
+    return Derivation(ctx, tuple(images))
+
+
+def x_variable_in_u(i: int, n: int) -> Polynomial:
+    """The coordinate xi written in the mixed (x0, lam, u) presentation."""
     if not 2 <= i <= n:
-        raise ValueError("u-index out of range")
-    ctx = local_x_ring(n)
-    lam = _lambda_in_x(n)
+        raise ValueError("x-index out of range")
+    ctx = mixed_ring(n)
+    lam = Polynomial.variable(ctx, 1)
     total = Polynomial.zero(ctx)
     lam_power = Polynomial.one(ctx)
-    for k in range(i + 1):
-        xvar = embed(Polynomial.variable(x_ring(n), i - k), ctx)
-        total = total + xvar.scale(math.comb(i, k)) * lam_power
+    for k in range(i - 1):
+        u = Polynomial.variable(ctx, i - k)
+        total = total + u.scale((-1) ** k * math.comb(i, k)) * lam_power
         lam_power = lam_power * lam
+    lam_power = lam_power * lam
+    x0 = Polynomial.variable(ctx, 0)
+    return total + x0.scale((-1) ** i) * lam_power
+
+
+def raising_action_on_lambda(n: int) -> Polynomial:
+    """x0 times the raising derivation's image of lam, in the mixed ring."""
+    ctx = mixed_ring(n)
+    x0, lam, u2 = (Polynomial.variable(ctx, k) for k in range(3))
+    return x0 * lam * lam - u2.scale(n - 1)
+
+
+def raising_action_on_u(i: int, n: int) -> Polynomial:
+    """x0 times the raising derivation's image of ui, in the mixed ring.
+
+    x0*((n-i)*u(i+1) - (n-2i)*ui*lam), less i*(n-1)*u2*u(i-1) once i
+    exceeds 2; u(n+1) is identically zero.
+    """
+    if not 2 <= i <= n:
+        raise ValueError("u-index out of range")
+    ctx = mixed_ring(n)
+    x0, lam, u2 = (Polynomial.variable(ctx, k) for k in range(3))
+    total = Polynomial.zero(ctx)
+    if i < n:
+        total = total + Polynomial.variable(ctx, i + 1).scale(n - i)
+    total = x0 * (total - Polynomial.variable(ctx, i).scale(n - 2 * i) * lam)
+    if i > 2:
+        total = total - (u2 * Polynomial.variable(ctx, i - 1)).scale(i * (n - 1))
     return total
 
 
-def expand_u_to_x_by_substitution(f: Polynomial, n: int) -> Polynomial:
-    """Reference u -> x conversion: substitute the Laurent images of the ui.
+# -- the u-coordinates in x, cleared of x0 denominators ----------------------
+#
+# With lam = -x1/x0, ui = sum_k C(i,k) * x(i-k) * lam^k is a Laurent
+# polynomial in x; Ui = x0^(i-1)*ui is a polynomial.  A Laurent x-form is
+# carried as a pair (P, k) standing for P / x0^k.
 
-    The independent route that derivations.expand_u_to_x replaced; raises
+def u_variable_in_x(i: int, n: int) -> Polynomial:
+    """Ui = x0^(i-1)*ui, the coordinate ui cleared of its x0 denominators."""
+    if not 2 <= i <= n:
+        raise ValueError("u-index out of range")
+    ctx = x_ring(n)
+    x0 = Polynomial.variable(ctx, 0)
+    minus_x1 = -Polynomial.variable(ctx, 1)
+    # the k = i term is x0*lam^i = x0 * (-x1)^i / x0^i
+    total = minus_x1 ** i
+    for k in range(i):
+        xvar = Polynomial.variable(ctx, i - k).scale(math.comb(i, k))
+        total = total + xvar * minus_x1 ** k * x0 ** (i - 1 - k)
+    return total
+
+
+def kernel_projection(f: Polynomial, n: int):
+    """(P, m): P / x0^m is the projection of f onto the lowering kernel.
+
+    The projection is sum over k of lower^k(f) * lam^k / k!, a finite sum
+    because the lowering derivation is locally nilpotent; m is the last k
+    with lower^k(f) != 0, so P is a polynomial.  The lowering derivation
+    kills x0, hence the projection lies in its kernel iff P does.
+    """
+    down = lowering_derivation(n)
+    steps = [f]
+    while not (nxt := apply_derivation(down, steps[-1])).is_zero():
+        steps.append(nxt)
+    m = len(steps) - 1
+    ctx = x_ring(n)
+    x0 = Polynomial.variable(ctx, 0)
+    minus_x1 = -Polynomial.variable(ctx, 1)
+    total = Polynomial.zero(ctx)
+    for k, g in enumerate(steps):
+        total = total + g * (minus_x1 ** k * x0 ** (m - k)).scale(
+            Fraction(1, math.factorial(k)))
+    return total, m
+
+
+def x0_cleared(f: Polynomial, n: int):
+    """(P, k): P / x0^k is the x-form of f, with k >= 0 as small as the terms allow.
+
+    f lies in the u-ring or the mixed ring.  Substituting x0 -> 1,
+    lam -> -x1 and ui -> Ui into a term of degree d and weight w gives
+    x0^(w-d) times its x-form: the x0 powers cancel exactly.  Terms are
+    substituted in groups of equal d - w, each then multiplied by
+    x0^(d - w + k).
+    """
+    ctx = x_ring(n)
+    named = {"x0": Polynomial.one(ctx), "lam": -Polynomial.variable(ctx, 1)}
+    named.update((f"u{i}", u_variable_in_x(i, n)) for i in range(2, n + 1))
+    images = {slot: named[name] for slot, name in enumerate(f.context.names())}
+    degs, wts = f.context.slot_degrees, f.context.slot_weights
+    groups = {}
+    for e, c in f.terms.items():
+        shift = sum(map(mul, e, degs)) - sum(map(mul, e, wts))
+        groups.setdefault(shift, {})[e] = c
+    k = max(0, -min(groups, default=0))
+    x0 = Polynomial.variable(ctx, 0)
+    total = Polynomial.zero(ctx)
+    for shift, terms in groups.items():
+        part = substitute(Polynomial(f.context, terms), images, ctx)
+        total = total + part * x0 ** (shift + k)
+    return total, k
+
+
+def divide_by_x0(P: Polynomial, k: int) -> Polynomial:
+    """P / x0^k; ResidualDenominatorError when x0^k does not divide P."""
+    if any(e[0] < k for e in P.terms):
+        raise ResidualDenominatorError("a negative x0 power survives")
+    return Polynomial(P.context, {(e[0] - k,) + e[1:]: c for e, c in P.terms.items()})
+
+
+def same_x_form(a, b) -> bool:
+    """Whether the pairs (P1, k1) and (P2, k2) stand for one Laurent polynomial."""
+    (p1, k1), (p2, k2) = a, b
+    x0 = Polynomial.variable(p1.context, 0)
+    return p1 * x0 ** k2 == p2 * x0 ** k1
+
+
+def raise_x_form(P: Polynomial, k: int, n: int):
+    """The raising derivation R of P / x0^k, as a pair.
+
+    R(x0) = n*x1, so R(P / x0^k) = (x0*R(P) - k*n*x1*P) / x0^(k+1).
+    """
+    ctx = x_ring(n)
+    x0, x1 = Polynomial.variable(ctx, 0), Polynomial.variable(ctx, 1)
+    image = x0 * apply_derivation(raising_derivation(n), P) - (x1 * P).scale(k * n)
+    return image, k + 1
+
+
+def expand_u_to_x_by_substitution(f: Polynomial, n: int) -> Polynomial:
+    """Reference u -> x conversion: the x0-cleared substitution ui -> Ui.
+
+    The independent route beside derivations.expand_u_to_x; raises
     ResidualDenominatorError when a negative x0 power survives.
     """
-    loc = local_x_ring(n)
-    images = {0: embed(Polynomial.variable(x_ring(n), 0), loc)}
-    for slot in range(1, n):
-        images[slot] = u_variable_in_x(slot + 1, n)
-    result = substitute(f, images, loc)
-    if any(e[0] < 0 for e in result.terms):
-        raise ResidualDenominatorError("a negative x0 power survives")
-    return Polynomial(x_ring(n), result.terms)
+    if f.context != u_ring(n):
+        raise ContextMismatchError("expected a u-ring polynomial")
+    return divide_by_x0(*x0_cleared(f, n))
 
 
 def check_kernel_projection_closed_forms(n_max=8):
     """Projection images match the closed forms and die under the lowering map."""
     for n in range(2, n_max + 1):
         down = lowering_derivation(n)
+        x0 = Polynomial.variable(x_ring(n), 0)
         for i in range(2, n + 1):
-            ui = kernel_projection(Polynomial.variable(x_ring(n), i), n)
-            assert ui == u_variable_in_x(i, n)
-            assert apply_derivation(down, ui).is_zero()
+            P, m = kernel_projection(Polynomial.variable(x_ring(n), i), n)
+            assert m == i and P == x0 * u_variable_in_x(i, n)
+            assert apply_derivation(down, P).is_zero()
 
 
 def check_x_round_trip(n_max=8):
     """Substituting the u closed forms into x_variable_in_u recovers xi."""
     for n in range(2, n_max + 1):
-        loc = local_x_ring(n)
-        lam = _lambda_in_x(n)
-        images = {0: embed(Polynomial.variable(x_ring(n), 0), loc), 1: lam}
-        for j in range(2, n + 1):
-            images[j] = u_variable_in_x(j, n)
         for i in range(2, n + 1):
-            back = substitute(x_variable_in_u(i, n), images, loc)
-            assert back == embed(Polynomial.variable(x_ring(n), i), loc)
+            back = divide_by_x0(*x0_cleared(x_variable_in_u(i, n), n))
+            assert back == Polynomial.variable(x_ring(n), i)
 
 
 def check_raising_chain_rule(n_max=8):
-    """Raising derivation on the u closed forms equals the stated images."""
+    """Raising derivation on the u closed forms equals the stated images.
+
+    The closed forms are x0 times the images, hence the extra x0 on their
+    side of each comparison.
+    """
     for n in range(2, n_max + 1):
-        loc = local_x_ring(n)
-        up = raising_derivation(n)
-        lam = _lambda_in_x(n)
-        images = {0: embed(Polynomial.variable(x_ring(n), 0), loc), 1: lam}
-        for j in range(2, n + 1):
-            images[j] = u_variable_in_x(j, n)
-        assert apply_derivation(up, lam) == substitute(
-            raising_action_on_lambda(n), images, loc)
+        lam = (-Polynomial.variable(x_ring(n), 1), 1)
+        P, k = x0_cleared(raising_action_on_lambda(n), n)
+        assert same_x_form(raise_x_form(*lam, n), (P, k + 1))
         for i in range(2, n + 1):
-            lhs = apply_derivation(up, u_variable_in_x(i, n))
-            rhs = substitute(raising_action_on_u(i, n), images, loc)
-            assert lhs == rhs
+            lhs = raise_x_form(u_variable_in_x(i, n), i - 1, n)
+            P, k = x0_cleared(raising_action_on_u(i, n), n)
+            assert same_x_form(lhs, (P, k + 1))
 
 
 # -- collapsed binomial coefficient sums ------------------------------------
@@ -270,10 +407,23 @@ def check_full_operator_agreement(n_max=6, seed=3, cases=40):
         f = Polynomial(u_ring(n), terms)
         if f.is_zero():
             continue
-        mixed = lambda_u_ring(n)
-        lhs = apply_derivation(full_operator(n), embed(f, mixed))
-        rhs = embed(apply_derivation(reduced_operator(n), f), mixed)
+        lhs = apply_derivation(full_operator(n), u_in_mixed(f))
+        rhs = u_in_mixed(apply_derivation(reduced_operator(n), f))
         assert lhs == rhs
+
+
+def invariant_basis_direct(n: int, d: int) -> InvariantBasis:
+    """Oracle: solve both derivation equations over the x-ring directly."""
+    if (n * d) % 2:
+        return InvariantBasis(n, d, ())
+    ctx = x_ring(n)
+    candidates = _compositions(ctx, d, n * d // 2)
+    rows = []
+    for op in (lowering_derivation(n), raising_derivation(n)):
+        rows += monomial_rows(ctx, (apply_derivation(op, Polynomial.monomial(ctx, e))
+                                    for e in candidates))
+    return InvariantBasis(n, d, tuple(nullspace_polynomials(
+        ctx, candidates, nullspace_sparse(len(candidates), rows))))
 
 
 def span_equal(xs, ys, n):
@@ -416,15 +566,9 @@ def certified_rows_termwise(gens, d, candidates, point_range, idle_points):
 
 def apply_derivation_termwise(d, f):
     """Leibniz rule with one polynomial product and sum per (term, slot)."""
-    if _embeds(f.context, d.context):
-        ctx = d.context
-        f = embed(f, ctx)
-        images = d.images
-    elif _embeds(d.context, f.context):
-        ctx = f.context
-        images = tuple(embed(g, ctx) for g in d.images)
-    else:
+    if f.context != d.context:
         raise ContextMismatchError("derivation and argument contexts disagree")
+    ctx, images = d.context, d.images
     total = Polynomial.zero(ctx)
     for e, c in f.terms.items():
         for slot, k in enumerate(e):

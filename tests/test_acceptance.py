@@ -16,7 +16,6 @@ from invforge.derivations import expand_u_to_x
 from invforge.fixtures import fixture_generator_set, load_fixtures
 from invforge.invariants import (
     invariant_basis,
-    invariant_basis_direct,
     is_member,
     mingenset,
     verify_invariant_u,
@@ -27,7 +26,7 @@ from invforge.syzygies import check_syzygy, minimal_syzygies, syzygy_basis
 from invforge.textio import parse_poly
 
 import properties
-from properties import span_equal
+from properties import invariant_basis_direct, span_equal
 
 F2_QUARTIC = "x0*u4 + 3*u2^2"
 F3_QUARTIC = "u2^3 - x0*u2*u4 + x0*u3^2"

@@ -204,6 +204,19 @@ def test_verify_zero_polynomial_exits_2(tmp_path, capsys, coords, text):
     assert capsys.readouterr().err == "error: verify expects a nonzero polynomial\n"
 
 
+def test_oversized_member_request_exits_2_at_once(tmp_path, capsys):
+    target = tmp_path / "big.poly"
+    target.write_text("x0^30*u8^30\n")
+    start = time.perf_counter()
+    code, out = run_cli("member", "--n", "8", "--gens", str(fixture_root() / "n8"),
+                        "--target", str(target))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n=8" in err and "degree 60" in err and "5785827" in err
+
+
 def test_oversized_syzygies_request_exits_2_at_once(capsys):
     start = time.perf_counter()
     code, out = run_cli("syzygies", "--n", "8", "--gens", str(fixture_root() / "n8"),

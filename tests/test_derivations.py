@@ -5,35 +5,34 @@ from invforge.derivations import (
     Derivation,
     ResidualDenominatorError,
     apply_derivation,
-    embed,
     expand_u_to_x,
-    full_operator,
-    grading_derivation,
     lowering_derivation,
     project_x_to_u,
-    raising_action_on_u,
     raising_derivation,
     reduced_operator,
     u_lowering_derivation,
     u_raising_derivation,
-    x_variable_in_u,
 )
 from invforge.exponents import _compositions
 from invforge.fixtures import fixture_root, load_generator_dir
 from invforge.invariants import invariant_basis
-from invforge.rings import (
-    ContextMismatchError,
-    Polynomial,
-    RingKind,
-    lambda_u_ring,
-    local_x_ring,
-    u_ring,
-    x_ring,
-)
+from invforge.rings import ContextMismatchError, Polynomial, u_ring, x_ring
 from invforge.textio import parse_poly
 
 import properties
-from properties import expand_u_to_x_by_substitution, kernel_projection, u_variable_in_x
+from properties import (
+    expand_u_to_x_by_substitution,
+    full_operator,
+    grading_derivation,
+    kernel_projection,
+    mixed_ring,
+    raising_action_on_lambda,
+    raising_action_on_u,
+    u_in_mixed,
+    u_variable_in_x,
+    x0_cleared,
+    x_variable_in_u,
+)
 
 U3 = u_ring(3)
 
@@ -76,58 +75,55 @@ def test_u_derivation_images():
 
 def test_full_operator_on_x0():
     for n in (2, 3, 5):
-        mixed = lambda_u_ring(n)
-        x0 = Polynomial.variable(mixed, 0)
-        lam = Polynomial.variable(mixed, 1)
+        x0 = Polynomial.variable(mixed_ring(n), 0)
         img = apply_derivation(full_operator(n), x0)
-        assert img == (x0 * x0 * lam).scale(-n)
+        assert img == p(f"-{n}*x0^2*lam", mixed_ring(n))
 
 
 def test_full_operator_u3_coefficient_quintic():
-    # image of u3 at n=5: 2*x0*u4 + x0*u3*lam - 12*u2^2
-    mixed = lambda_u_ring(5)
     img = full_operator(5).images[3]
-    x0, lam = Polynomial.variable(mixed, 0), Polynomial.variable(mixed, 1)
-    u2, u3, u4 = (Polynomial.variable(mixed, k) for k in (2, 3, 4))
-    assert img == (x0 * u4).scale(2) + x0 * u3 * lam - (u2 * u2).scale(12)
+    assert img == p("2*x0*u4 + x0*u3*lam - 12*u2^2", mixed_ring(5))
 
 
 def test_full_operator_kills_balanced_invariant():
     f = p("4*x0*u2^3 + x0^2*u3^2", U3)
-    img = apply_derivation(full_operator(3), embed(f, lambda_u_ring(3)))
-    assert img.is_zero()
+    assert apply_derivation(full_operator(3), u_in_mixed(f)).is_zero()
 
 
 def test_kernel_projection_examples():
     X2 = x_ring(2)
-    assert kernel_projection(p("x0", X2), 2) == embed(p("x0", X2), local_x_ring(2))
-    assert kernel_projection(p("x1", X2), 2).is_zero()
-    loc = local_x_ring(2)
-    expected = embed(p("x2", X2), loc) + Polynomial.monomial(loc, (-1, 2, 0), -1)
-    assert kernel_projection(p("x2", X2), 2) == expected
+    assert kernel_projection(p("x0", X2), 2) == (p("x0", X2), 0)
+    P, m = kernel_projection(p("x1", X2), 2)
+    assert P.is_zero() and m == 1
+    # x2 - x1^2/x0 = u2, cleared by x0^2
+    assert kernel_projection(p("x2", X2), 2) == (p("x0^2*x2 - x0*x1^2", X2), 2)
 
 
 def test_u_variable_closed_form_examples():
-    loc = local_x_ring(2)
-    assert u_variable_in_x(2, 2) == (embed(p("x2", x_ring(2)), loc)
-                                     + Polynomial.monomial(loc, (-1, 2, 0), -1))
-    assert u_variable_in_x(2, 2) == kernel_projection(p("x2", x_ring(2)), 2)
-    loc4 = local_x_ring(4)
-    expected = (embed(p("x3", x_ring(4)), loc4)
-                + Polynomial.monomial(loc4, (-1, 1, 1, 0, 0), -3)
-                + Polynomial.monomial(loc4, (-2, 3, 0, 0, 0), 2))
-    assert u_variable_in_x(3, 4) == expected
+    X2 = x_ring(2)
+    assert u_variable_in_x(2, 2) == p("x0*x2 - x1^2", X2)
+    assert kernel_projection(p("x2", X2), 2) == (u_variable_in_x(2, 2) * p("x0", X2), 2)
+    # u3 = x3 - 3*x1*x2/x0 + 2*x1^3/x0^2 at n = 4
+    assert u_variable_in_x(3, 4) == p("x0^2*x3 - 3*x0*x1*x2 + 2*x1^3", x_ring(4))
     with pytest.raises(ValueError):
         u_variable_in_x(1, 4)
 
 
 def test_x_variable_in_u_examples():
-    mixed = lambda_u_ring(4)
-    lam = Polynomial.variable(mixed, 1)
-    x0 = Polynomial.variable(mixed, 0)
-    u2, u3 = Polynomial.variable(mixed, 2), Polynomial.variable(mixed, 3)
-    assert x_variable_in_u(2, 4) == u2 + x0 * lam * lam
-    assert x_variable_in_u(3, 4) == u3 - u2.scale(3) * lam - x0 * lam ** 3
+    M4 = mixed_ring(4)
+    assert x_variable_in_u(2, 4) == p("u2 + x0*lam^2", M4)
+    assert x_variable_in_u(3, 4) == p("u3 - 3*u2*lam - x0*lam^3", M4)
+
+
+def test_x0_cleared_substitution_examples():
+    X4 = x_ring(4)
+    # u2 has degree 1 and weight 2: its x-form is U2 / x0
+    assert x0_cleared(p("u2", u_ring(4)), 4) == (p("x0*x2 - x1^2", X4), 1)
+    # x0^3*u3 has degree 4 and weight 3: x0 * U3, nothing to clear
+    assert x0_cleared(p("x0^3*u3", u_ring(4)), 4) == (
+        p("x0^3*x3 - 3*x0^2*x1*x2 + 2*x0*x1^3", X4), 0)
+    # lam = -x1/x0
+    assert x0_cleared(p("lam", mixed_ring(4)), 4) == (p("-x1", X4), 1)
 
 
 def test_projection_to_u_examples():
@@ -225,21 +221,14 @@ def test_products_of_invariants_convert(n, data):
 
 
 def test_raising_action_closed_forms():
-    mixed = lambda_u_ring(5)
-    lam = Polynomial.variable(mixed, 1)
-    u2, u3 = Polynomial.variable(mixed, 2), Polynomial.variable(mixed, 3)
-    got = raising_action_on_u(2, 5)
-    assert got == u3.scale(3) - u2 * lam
-    # i = 3, n = 5: 2*u4 + u3*lam - 12*u2^2/x0
-    u4 = Polynomial.variable(mixed, 4)
-    corr5 = Polynomial.monomial(mixed, (-1, 0, 2, 0, 0, 0), -12)
-    assert raising_action_on_u(3, 5) == u4.scale(2) + u3 * lam + corr5
-    # i = 3, n = 3 keeps no u4 term and picks up the u2^2/x0 correction
-    mixed3 = lambda_u_ring(3)
-    lam3 = Polynomial.variable(mixed3, 1)
-    u3_3 = Polynomial.variable(mixed3, 3)
-    corr = Polynomial.monomial(mixed3, (-1, 0, 2, 0), -6)
-    assert raising_action_on_u(3, 3) == u3_3.scale(3) * lam3 + corr
+    # each closed form is x0 times the image under the raising derivation
+    M5 = mixed_ring(5)
+    assert raising_action_on_lambda(5) == p("x0*lam^2 - 4*u2", M5)
+    assert raising_action_on_u(2, 5) == p("3*x0*u3 - x0*u2*lam", M5)
+    # i = 3, n = 5: x0*(2*u4 + u3*lam) - 12*u2^2
+    assert raising_action_on_u(3, 5) == p("2*x0*u4 + x0*u3*lam - 12*u2^2", M5)
+    # i = 3, n = 3 keeps no u4 term and picks up the u2^2 correction
+    assert raising_action_on_u(3, 3) == p("3*x0*u3*lam - 6*u2^2", mixed_ring(3))
 
 
 def test_coefficient_sums_examples():
@@ -284,43 +273,34 @@ def test_full_operator_agrees_on_balanced():
     properties.check_full_operator_agreement()
 
 
-def _laurent_polys(ctx, max_exp=3):
-    """Polynomials over ctx, with negative x0 exponents where ctx allows them."""
-    low = -2 if ctx.allows_negative(0) else 0
-    expt = st.tuples(st.integers(low, max_exp),
-                     *[st.integers(0, max_exp)] * (ctx.slot_count - 1))
+def _polys(ctx, max_exp=3):
+    expt = st.tuples(*[st.integers(0, max_exp)] * ctx.slot_count)
     coeffs = st.one_of(st.integers(-6, 6),
                        st.fractions(min_value=-4, max_value=4, max_denominator=5))
     return st.dictionaries(expt, coeffs, max_size=4).map(lambda t: Polynomial(ctx, t))
 
 
-# (derivation ring, argument ring): same ring, the argument embedded into the
-# derivation's ring, and the images embedded into the argument's ring
-_RING_PAIRS = [(x_ring, x_ring), (u_ring, u_ring), (local_x_ring, local_x_ring),
-               (lambda_u_ring, lambda_u_ring), (local_x_ring, x_ring),
-               (x_ring, local_x_ring), (lambda_u_ring, u_ring),
-               (u_ring, lambda_u_ring)]
+# (derivation ring, argument ring): the same ring, or two rings that differ
+_RING_PAIRS = [(x_ring, x_ring), (u_ring, u_ring), (mixed_ring, mixed_ring),
+               (x_ring, u_ring), (u_ring, mixed_ring), (mixed_ring, u_ring)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(_RING_PAIRS), st.integers(2, 4), st.data())
 def test_apply_derivation_matches_termwise(rings, n, data):
     dctx, fctx = rings[0](n), rings[1](n)
-    images = [data.draw(_laurent_polys(dctx)) for _ in range(dctx.slot_count)]
+    images = [data.draw(_polys(dctx)) for _ in range(dctx.slot_count)]
     for slot in data.draw(st.sets(st.integers(0, dctx.slot_count - 1))):
         images[slot] = Polynomial.zero(dctx)
     d = Derivation(dctx, tuple(images))
-    f = data.draw(_laurent_polys(fctx))
-    if dctx.slot_count != fctx.slot_count and fctx.kind is RingKind.LAMBDA_U:
-        # u-slot images have no lam slot to act on; the termwise rule read
-        # them at the wrong slots
+    f = data.draw(_polys(fctx))
+    if dctx != fctx:
         with pytest.raises(ContextMismatchError):
             apply_derivation(d, f)
         return
     got = apply_derivation(d, f)
     assert got == properties.apply_derivation_termwise(d, f)
-    larger = dctx.kind in (RingKind.LOCAL_X, RingKind.LAMBDA_U)
-    assert got.context == (dctx if larger else fctx)
+    assert got.context == dctx
     assert all(got.terms.values())
 
 

@@ -6,7 +6,6 @@ from invforge import syzygies
 from invforge.fixtures import (
     SUSPECT,
     VALIDATED,
-    available_fixture_ns,
     fixture_generator_set,
     fixture_root,
     load_fixtures,
@@ -15,10 +14,6 @@ from invforge.fixtures import (
 )
 from invforge.invariants import mingenset, verify_invariant_u
 from invforge.rings import degree, weight_u
-
-
-def test_available_ns():
-    assert available_fixture_ns() == [2, 3, 4, 5, 6, 8]
 
 
 @pytest.mark.parametrize("n,names", [

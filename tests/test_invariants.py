@@ -17,7 +17,6 @@ from invforge.invariants import (
     UnsupportedFormDegreeError,
     expand_candidate,
     invariant_basis,
-    invariant_basis_direct,
     is_member,
     known_degree_table,
     mingenset,
@@ -30,7 +29,7 @@ from invforge.rings import Polynomial, monomial_key, normalize, u_ring, weight_u
 from invforge.syzygies import expand_in_generators
 from invforge.textio import parse_poly
 
-from properties import span_equal
+from properties import invariant_basis_direct, span_equal
 
 U3, U4, U5 = u_ring(3), u_ring(4), u_ring(5)
 
@@ -255,13 +254,16 @@ def test_row_order_does_not_change_solutions():
 
 
 def test_candidate_limit_covers_every_case_in_use():
-    # mingenset asks for every degree up to the largest table degree (the
-    # scripts and the generators benchmark); the oracle tests go up to
-    # d = 24 // n, the Hilbert test to (5, 12) and the query benchmark to
-    # (8, 6)
+    # mingenset asks for bases and membership at every degree up to the
+    # largest table degree (the scripts and the generators benchmark); the
+    # oracle tests go up to d = 24 // n, the Hilbert test to (5, 12) and the
+    # query benchmark to (8, 6)
     cases = {(n, d) for n, (_, degs) in _GENERATOR_TABLE.items()
              for d in range(1, max(degs) + 1)}
     cases |= {(n, d) for n in range(2, 9) for d in range(1, 24 // n + 1)}
+    # membership targets of the CLI tests and of the query benchmark
+    cases |= {(5, 8), (5, 18), (8, 8), (4, 6), (4, 12), (5, 12), (6, 6),
+              (6, 8), (8, 4), (8, 6)}
     largest = max(cases, key=lambda c: candidate_count(*c))
     assert largest == (8, 10) and candidate_count(8, 10) == 641
     assert candidate_count(8, 10) <= MAX_CANDIDATES < candidate_count(12, 40)
@@ -273,3 +275,12 @@ def test_oversized_request_is_refused_before_enumeration(monkeypatch):
     monkeypatch.setattr(invariants, "powers", enumerate_nothing)
     with pytest.raises(ValueError, match=r"degree 40 for n=12 need 384781134 "):
         invariant_basis(12, 40)
+
+
+def test_oversized_membership_is_refused_before_enumeration(monkeypatch):
+    def enumerate_nothing(profile, target):
+        raise AssertionError("enumerated an oversized request")
+    monkeypatch.setattr(invariants, "grad", enumerate_nothing)
+    gens = load_generator_dir(8, fixture_root() / "n8")
+    with pytest.raises(ValueError, match=r"degree 60 for n=8 need 5785827 "):
+        is_member(gens, p("x0^30*u8^30", u_ring(8)))
