@@ -11,6 +11,8 @@ reproducible column order.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .rings import VarContext, gen_ring, monomial_key, u_ring
 
 
@@ -53,13 +55,19 @@ def powers(n: int, d: int) -> list:
     """Exponents of u-ring monomials of degree d and weight n*d/2.
 
     Tuples are (a0, a2, ..., an) over the u-ring slots; empty whenever n*d
-    is odd.
+    is odd.  Every call returns a fresh list of the same tuple objects, so
+    the invariants built on them share their exponent keys.
     """
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
     if (n * d) % 2:
         return []
-    return _compositions(u_ring(n), d, n * d // 2)
+    return list(_u_powers(n, d))
+
+
+@lru_cache(maxsize=64)
+def _u_powers(n: int, d: int) -> tuple:
+    return tuple(_compositions(u_ring(n), d, n * d // 2))
 
 
 def powers2(gen_degrees, d: int) -> list:

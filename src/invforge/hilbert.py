@@ -36,6 +36,14 @@ def invariant_dimension(n: int, d: int) -> int:
     return c[w] - c[w - 1]
 
 
+def x_monomial_count(n: int, d: int) -> int:
+    """x-ring monomials of degree d and weight nd/2, 0 if none: p(d, n; nd/2)."""
+    if n < 2 or d < 1 or (n * d) % 2:
+        return 0
+    w = n * d // 2
+    return _box_partitions(d, n, w)[w]
+
+
 def candidate_count(n: int, d: int) -> int:
     """|powers(n, d)|: u-monomials of degree d and weight nd/2, 0 if none.
 

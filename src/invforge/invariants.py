@@ -3,9 +3,16 @@
 The per-degree solver turns the reduced operator's action on candidate
 monomials into a homogeneous linear system indexed directly by monomials
 (columns: degree-d weight-balanced candidates, rows: image monomials) and
-reads invariants off the canonical nullspace.  The brute-force solver over
-the original two-derivation system in x-coordinates, the independent
-oracle, lives with the test suite's property batteries.
+reads invariants off the canonical nullspace.  Membership solves the system
+whose columns are the expanded generator products and the target.  Both go
+through ``linalg``'s certified route: elimination modulo a prime, a
+nullspace recovered by rational reconstruction and checked exactly against
+every row, and exact elimination of the same rows whenever that check
+cannot be had.  Either way the answer is the exact canonical one, and the
+basis size is still checked against the Cayley-Sylvester count.  The
+brute-force solver over the original two-derivation system in
+x-coordinates, the independent oracle, lives with the test suite's
+property batteries.
 """
 
 from __future__ import annotations
@@ -39,9 +46,9 @@ from .rings import (
 
 
 # Largest candidate set invariant_basis and is_member take on.  The bundled
-# tables need at most 641 (n = 8, d = 10, about 2 s on a 2-vCPU Xeon host);
-# n = 8, d = 12 has 1430 and takes about 17 s, d = 14 has 2898 and ran past
-# five minutes.  Larger requests are refused before any work.
+# tables need at most 641 (n = 8, d = 10, about 0.4 s on a 2-vCPU Xeon host);
+# n = 8, d = 12 has 1430 and takes about 2.2 s, d = 14 has 2898 and takes
+# about 13 s.  Larger requests are refused before any work.
 MAX_CANDIDATES = 2000
 
 
@@ -149,10 +156,11 @@ def monomial_rows(ctx: VarContext, columns: Iterable[Polynomial]) -> list:
     One row per monomial occurring in some column, in descending canonical
     order of ctx.  The reduced echelon form of a row space is unique, so the
     order changes no nullspace and no solution; but fed leading monomial
-    first, the rows eliminate with far smaller intermediate entries
-    (invariant_basis(8, 10): pivot entries of 56 bits instead of 403, and
-    about a sixth of the time).  Columns are read one at a time: pass a
-    generator, and no list of column polynomials is ever held.
+    first, the rows eliminate far faster.  For invariant_basis(8, 10) the
+    modular nullspace takes 0.3 s instead of 6 s, and exact elimination
+    keeps pivot entries of 56 bits instead of 403.  Columns are read one at
+    a time: pass a generator, and no list of column polynomials is ever
+    held.
     """
     rows = {}
     for j, col in enumerate(columns):

@@ -1,24 +1,30 @@
 """Exact rational linear algebra: rank, canonical nullspace, affine solve.
 
-The work happens in a fraction-free incremental eliminator over sparse
-integer rows (cross-multiplied updates with content stripping, Bareiss
-style); the reduced echelon form is produced once at the end by exact
-back-substitution into rationals.  The RREF of a row space is unique, so
-every result here is deterministic no matter the insertion order of the
-rows.
+Two eliminators share one contract: the canonical (RREF) nullspace basis of
+the rows fed, exactly.  The RREF of a row space is unique, so every result
+here is deterministic no matter the insertion order of the rows.
 
 ``ModularEliminator`` keeps the RREF modulo the Mersenne prime
-``PRIME`` = 2^127 - 1 instead, which keeps every entry short.  Its rank is
-a lower bound for the rational rank of the rows it was fed.  Its nullspace
-is exact all the same: each vector read off the modular RREF is recovered
-by rational reconstruction and then checked with exact dot products against
+``PRIME`` = 2^127 - 1, which keeps every entry short.  Its rank is a lower
+bound for the rational rank of the rows it was fed.  Its nullspace is exact
+all the same: each vector read off the modular RREF is recovered by
+rational reconstruction and then checked with exact dot products against
 every row it keeps.  A checked vector for free column f has 1 on f, 0 on
 every other modular free column and nothing after f, so the
 ncols - rank_p checked vectors are independent; since rank_p <= rank_Q,
 they span the rational nullspace, their free columns are the rational
-RREF's, and they are its canonical basis.  Whenever reconstruction or a
-check fails the method returns None, and the caller eliminates the kept
-rows exactly.
+RREF's, and they are its canonical basis.  Whenever a row has no residue,
+or reconstruction or a check fails, the method returns None.
+
+``Eliminator`` is the exact route: a fraction-free incremental eliminator
+over sparse integer rows (cross-multiplied updates with content stripping,
+Bareiss style), whose reduced echelon form is produced once at the end by
+exact back-substitution into rationals.
+
+``nullspace_sparse`` and ``solve_affine_sparse`` take the certified route:
+the modular nullspace when it is checked, else the kept rows eliminated
+exactly (``certified_nullspace``).  An affine system [A | b] is answered
+from the canonical nullspace of [A | b] alone.
 """
 
 from __future__ import annotations
@@ -219,12 +225,31 @@ class ModularEliminator:
         """Rank modulo PRIME: at most the rational rank of the kept rows."""
         return len(self.pivots)
 
+    def add_rows(self, rows: Iterable[dict]) -> "ModularEliminator":
+        for row in rows:
+            if row:
+                self.add_row(row)
+        return self
+
     def kills(self, vec: dict) -> bool:
-        """True iff every kept row is exactly orthogonal to vec {col: value}."""
+        """True iff every kept row is exactly orthogonal to vec {col: value}.
+
+        Each dot product walks the shorter of the row and the vector and
+        looks its entries up in the other: invariant systems have sparse rows
+        and dense vectors, syzygy evaluation systems dense rows and sparse
+        vectors.
+        """
         den = math.lcm(*(v.denominator for v in vec.values()))
-        ints = [(j, int(v * den)) for j, v in vec.items() if v]
-        return not any(sum(row.get(j, 0) * v for j, v in ints)
-                       for row in self.rows)
+        ints = {j: int(v * den) for j, v in vec.items() if v}
+        size, get = len(ints), ints.get
+        for row in self.rows:
+            if len(row) < size:
+                dot = sum(c * x for j, c in row.items() if (x := get(j)))
+            else:
+                dot = sum(c * x for j, x in ints.items() if (c := row.get(j)))
+            if dot:
+                return False
+        return True
 
     def nullspace(self) -> Optional[list]:
         """The canonical nullspace basis of the kept rows, or None.
@@ -254,25 +279,39 @@ class ModularEliminator:
         return basis
 
 
+def certified_nullspace(elim: ModularEliminator) -> list:
+    """Canonical nullspace basis of elim's kept rows.
+
+    The checked modular basis when ``elim.nullspace()`` has one, else the
+    basis of the kept rows eliminated exactly.
+    """
+    basis = elim.nullspace()
+    if basis is None:
+        basis = Eliminator(elim.ncols).add_rows(elim.rows).nullspace()
+    return basis
+
+
 def nullspace_sparse(ncols: int, rows: Iterable[dict]) -> list:
     """Canonical nullspace basis of the matrix given by sparse rows."""
-    return Eliminator(ncols).add_rows(rows).nullspace()
+    return certified_nullspace(ModularEliminator(ncols).add_rows(rows))
 
 
 def solve_affine_sparse(ncols: int, rows: Iterable[dict]) -> Optional[list]:
     """Particular solution of an affine system, or None if inconsistent.
 
     Each row dict maps column -> coefficient with the right-hand side stored
-    under column index ``ncols``.  Free variables come back as 0.
+    under column index ``ncols``.  Free variables come back as 0: the
+    solution is the one the reduced echelon form of [A | b] gives.
+
+    The canonical nullspace of [A | b] decides it.  b is the last column, so
+    it is free exactly when the last basis vector is nonzero on it; that
+    vector is then (-x, 1) with A x = b and x zero on every other free
+    column.  Otherwise b is a pivot column and the system is inconsistent.
     """
-    rhs = ncols
-    elim = Eliminator(ncols + 1).add_rows(rows)
-    if rhs in elim.pivots:
+    basis = certified_nullspace(ModularEliminator(ncols + 1).add_rows(rows))
+    if not basis or not basis[-1][ncols]:
         return None
-    sol = [Fraction(0)] * ncols
-    for c, r in elim.rref():
-        sol[c] = r.get(rhs, Fraction(0))
-    return sol
+    return [-v for v in basis[-1][:ncols]]
 
 
 def rank_sparse(ncols: int, rows: Iterable[dict]) -> int:

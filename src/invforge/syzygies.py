@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from .exponents import powers2
 from .hilbert import generator_monomial_count, invariant_dimension
 from .invariants import GeneratorSet, expand_candidate, monomial_rows, nullspace_polynomials
-from .linalg import Eliminator, ModularEliminator
+from .linalg import Eliminator, ModularEliminator, certified_nullspace
 from .rings import ContextMismatchError, Polynomial, u_ring
 
 # The certificate gives up after this many consecutive points that do not
@@ -222,10 +222,7 @@ def _basis(gens: GeneratorSet, d: int, points: _Points) -> list:
     if system is None:
         nullspace = _expansion_system(gens, candidates).nullspace()
     else:
-        nullspace = system.nullspace()
-        if nullspace is None:
-            nullspace = Eliminator(len(candidates)).add_rows(
-                system.rows).nullspace()
+        nullspace = certified_nullspace(system)
     return _relations(gens, d, candidates, nullspace)
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invforge.derivations import (
+    SHARED_KEY_LIMIT,
     Derivation,
     ResidualDenominatorError,
     apply_derivation,
@@ -12,9 +13,11 @@ from invforge.derivations import (
     reduced_operator,
     u_lowering_derivation,
     u_raising_derivation,
+    _x_keys,
 )
 from invforge.exponents import _compositions
 from invforge.fixtures import fixture_root, load_generator_dir
+from invforge.hilbert import x_monomial_count
 from invforge.invariants import invariant_basis
 from invforge.rings import ContextMismatchError, Polynomial, u_ring, x_ring
 from invforge.textio import parse_poly
@@ -147,6 +150,24 @@ def test_expand_u_to_x_examples():
     assert got == want
     assert expand_u_to_x(Polynomial.zero(U3), 3).is_zero()
     assert expand_u_to_x(p("3/2*x0^2", U3), 3) == p("3/2*x0^2", x_ring(3))
+
+
+def test_expand_u_to_x_shares_keys():
+    f = invariant_basis(8, 6)[0]
+    first, again = expand_u_to_x(f, 8), expand_u_to_x(f, 8)
+    keys = {e: e for e in first.terms}
+    assert all(keys[e] is e for e in again.terms)
+    assert _x_keys.cache_info().maxsize is not None
+
+
+def test_large_classes_are_not_tabulated():
+    # n = 8, d = 60 has 55 million balanced x-monomials
+    assert x_monomial_count(8, 12) <= SHARED_KEY_LIMIT < x_monomial_count(8, 60)
+    assert len(_x_keys(8, 12)) == x_monomial_count(8, 12)
+    assert _x_keys(8, 60) == {}
+    f = p("x0^30*u2^30", u_ring(8))
+    g = expand_u_to_x(f, 8)
+    assert len(g.terms) == 31 and project_x_to_u(g) == f
 
 
 @pytest.mark.parametrize("text,n", [("u2", 2), ("x0*u3", 3), ("x0*u2 + u3", 4),

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invforge.exponents import _compositions, grad, powers, powers2
+from invforge.exponents import _compositions, _u_powers, grad, powers, powers2
 from invforge.rings import gen_ring, monomial_key, u_ring, x_ring
 
 
@@ -37,6 +37,15 @@ def test_powers_examples():
     assert powers(3, 4) == [(1, 3, 0), (2, 0, 2)]
     assert powers(5, 3) == []
     assert powers(2, 2) == [(1, 1)]
+
+
+def test_powers_share_their_tuples():
+    first, again = powers(8, 6), powers(8, 6)
+    assert first is not again
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    first.reverse()
+    assert powers(8, 6) == again
+    assert _u_powers.cache_info().maxsize is not None
 
 
 def test_powers2_examples():

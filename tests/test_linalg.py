@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invforge.linalg import (
+    _BOUND,
     PRIME,
     Eliminator,
     ModularEliminator,
@@ -138,3 +140,105 @@ def test_modular_kills_is_exact():
 def test_modular_nullspace_refuses(rows):
     assert modular(rows).nullspace() is None
     assert modular(rows).rank <= rank(rows)
+
+
+def exact_solve(ncols, rows):
+    """solve_affine_sparse's answer from the exact reduced echelon form."""
+    elim = Eliminator(ncols + 1).add_rows(rows)
+    if ncols in elim.pivots:
+        return None
+    sol = [Fraction(0)] * ncols
+    for c, r in elim.rref():
+        sol[c] = r.get(ncols, Fraction(0))
+    return sol
+
+
+entries = st.one_of(st.just(0), st.fractions(-6, 6, max_denominator=4),
+                    st.integers(-2**70, 2**70))
+
+
+@st.composite
+def sparse_systems(draw):
+    """Rows mixed from a few base rows (so often rank-deficient), plus b.
+
+    b is A x for a drawn x (consistent) or drawn freely (often not).
+    """
+    cols = draw(st.integers(1, 6))
+    base = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=1, max_size=3))
+    mixes = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base),
+                                   max_size=len(base)), min_size=1, max_size=6))
+    data = [[sum(m * r[j] for m, r in zip(mix, base)) for j in range(cols)]
+            for mix in mixes]
+    if draw(st.booleans()):
+        x = draw(st.lists(entries, min_size=cols, max_size=cols))
+        b = [sum(a * v for a, v in zip(row, x)) for row in data]
+    else:
+        b = draw(st.lists(entries, min_size=len(data), max_size=len(data)))
+    return data, cols, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_modular_route_matches_exact_route(system):
+    data, cols, b = system
+    rows, aug = sparse_rows(data), sparse_rows(data, b)
+    assert nullspace_sparse(cols, rows) == Eliminator(cols).add_rows(rows).nullspace()
+    assert solve_affine_sparse(cols, aug) == exact_solve(cols, aug)
+
+
+@pytest.mark.parametrize("data,b,null,sol", [
+    # modulo PRIME the pivot moves to column 1, so kills rejects (1, 0)
+    ([[PRIME, 1]], [1],
+     [[Fraction(-1, PRIME), Fraction(1)]], [Fraction(1, PRIME), Fraction(0)]),
+    # 2^200 lies past the reconstruction bound
+    ([[2**200, -1]], [1],
+     [[Fraction(1, 2**200), Fraction(1)]], [Fraction(1, 2**200), Fraction(0)]),
+    # no residue exists for a denominator divisible by PRIME
+    ([[Fraction(1, PRIME), 1]], [1],
+     [[Fraction(-PRIME), Fraction(1)]], [Fraction(PRIME), Fraction(0)]),
+    # consistent modulo PRIME only: kills refuses (-1, 0, 1), and the
+    # exact route finds b a pivot
+    ([[1, 0], [1, 0]], [1, 1 + PRIME], [[Fraction(0), Fraction(1)]], None),
+], ids=["pivot-moves", "past-bound", "denominator-p", "consistent-mod-p"])
+def test_fallback_returns_the_exact_answer(data, b, null, sol):
+    cols = len(data[0])
+    rows, aug = sparse_rows(data), sparse_rows(data, b)
+    assert ModularEliminator(cols + 1).add_rows(aug).nullspace() is None
+    assert nullspace_sparse(cols, rows) == null
+    assert solve_affine_sparse(cols, aug) == sol
+
+
+def test_fallback_on_unreduced_rows():
+    elim = ModularEliminator(2).add_rows(sparse_rows([[Fraction(3, PRIME), 1]]))
+    assert not elim.reduced
+    assert nullspace_sparse(2, elim.rows) == [[Fraction(-PRIME, 3), Fraction(1)]]
+
+
+def test_kills_walks_sparse_rows_against_a_dense_vector():
+    # rows x_j - x_(j+1): each is shorter than the vector
+    elim = ModularEliminator(6).add_rows({j: 1, j + 1: -1} for j in range(5))
+    assert elim.kills({j: 1 for j in range(6)})
+    assert elim.kills({j: Fraction(1, 3) for j in range(6)})
+    # only the last row, x4 - x5, sees the change
+    assert not elim.kills({**{j: 1 for j in range(5)}, 5: 2})
+    # only the first row sees x0; the others miss it in the vector
+    assert not elim.kills({j: 1 for j in range(1, 6)})
+
+
+def test_kills_walks_a_sparse_vector_against_tall_dense_rows():
+    rng = random.Random(3)
+    rows = []
+    for _ in range(40):
+        a = rng.randrange(1, 50)
+        rows.append({0: a, 1: a, **{j: rng.randrange(1, 50) for j in range(2, 8)}})
+    elim = ModularEliminator(8).add_rows(rows)
+    vec = {0: 1, 1: -1}
+    assert all(len(row) > len(vec) for row in elim.rows)
+    assert elim.kills(vec)
+    assert elim.kills({0: Fraction(-2, 7), 1: Fraction(2, 7)})
+    # one row in the middle breaks the balance of columns 0 and 1
+    elim.rows[17] = {**elim.rows[17], 1: elim.rows[17][1] + 1}
+    assert not elim.kills(vec)
+    # a column in no row is read as 0
+    assert ModularEliminator(9).add_rows(rows).kills({8: 1, 0: 1, 1: -1})
