@@ -21,8 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .exponents import _compositions
-from .hilbert import x_monomial_count
+from .hilbert import MAX_CANDIDATES, candidate_count
 from .rings import (
     ContextMismatchError,
     Polynomial,
@@ -157,23 +156,16 @@ def project_x_to_u(f: Polynomial) -> Polynomial:
     return Polynomial(ctx, out)
 
 
-# Largest x-ring class _x_keys tabulates: n = 8, d = 12, the largest octavic
-# degree invariant_basis accepts, has 3788 monomials.  A conversion in a
-# larger class keeps its own keys instead of enumerating the class.
-SHARED_KEY_LIMIT = 4000
-
-
 @lru_cache(maxsize=64)
-def _x_keys(n: int, d: int) -> dict:
-    """Each x-ring monomial of degree d and weight n*d/2, keyed to itself.
+def _x_keys(n: int, d: int) -> dict | None:
+    """Interning table for the x-ring keys expand_u_to_x hands out in degree d.
 
-    expand_u_to_x takes its output keys from here, so the x-forms of
-    invariants share their exponent tuples.  Empty when the class is empty
-    or has more than SHARED_KEY_LIMIT monomials.
+    Each key goes in the first time it is produced, so x-forms of the same
+    (n, d) held at once share their exponent tuples.  None, and nothing is
+    kept, for a degree whose candidate count is above MAX_CANDIDATES: those
+    are the requests invariant_basis refuses.
     """
-    if not 0 < x_monomial_count(n, d) <= SHARED_KEY_LIMIT:
-        return {}
-    return {e: e for e in _compositions(x_ring(n), d, n * d // 2)}
+    return {} if candidate_count(n, d) <= MAX_CANDIDATES else None
 
 
 def expand_u_to_x(f: Polynomial, n: int) -> Polynomial:
@@ -193,14 +185,16 @@ def expand_u_to_x(f: Polynomial, n: int) -> Polynomial:
     """
     if f.context != u_ring(n):
         raise ContextMismatchError("expected a u-ring polynomial")
-    keys = _x_keys(n, sum(next(iter(f.terms)))) if f.terms else {}
+    keys = _x_keys(n, sum(next(iter(f.terms)))) if f.terms else None
     out = {}
     prev, cur = {}, {(e[0], 0) + e[1:]: c for e, c in f.terms.items()}
     m = 0
     while prev or cur:
         for e, c in cur.items():
             key = (e[0], m) + e[2:]
-            out[keys.get(key, key)] = c
+            if keys is not None:
+                key = keys.setdefault(key, key)
+            out[key] = c
         rhs = {}
         for e, c in prev.items():
             if e[2]:

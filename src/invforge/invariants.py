@@ -30,7 +30,7 @@ from .derivations import (
     reduced_operator,
 )
 from .exponents import grad, powers
-from .hilbert import candidate_count, invariant_dimension
+from .hilbert import MAX_CANDIDATES, candidate_count, invariant_dimension
 from .linalg import nullspace_sparse, solve_affine_sparse
 from .rings import (
     Polynomial,
@@ -43,13 +43,6 @@ from .rings import (
     u_ring,
     weight_u,
 )
-
-
-# Largest candidate set invariant_basis and is_member take on.  The bundled
-# tables need at most 641 (n = 8, d = 10, about 0.4 s on a 2-vCPU Xeon host);
-# n = 8, d = 12 has 1430 and takes about 2.2 s, d = 14 has 2898 and takes
-# about 13 s.  Larger requests are refused before any work.
-MAX_CANDIDATES = 2000
 
 
 def _refuse_oversized(n: int, d: int, what: str) -> None:

@@ -19,7 +19,13 @@ from invforge.derivations import (
 from invforge.exponents import _compositions
 from invforge.hilbert import invariant_dimension
 from invforge.invariants import InvariantBasis, monomial_rows, nullspace_polynomials
-from invforge.linalg import ModularEliminator, nullspace_sparse, rank_sparse, solve_affine_sparse
+from invforge.linalg import (
+    Eliminator,
+    ModularEliminator,
+    nullspace_sparse,
+    rank_sparse,
+    solve_affine_sparse,
+)
 from invforge.rings import (
     ContextMismatchError,
     Polynomial,
@@ -423,7 +429,7 @@ def invariant_basis_direct(n: int, d: int) -> InvariantBasis:
         rows += monomial_rows(ctx, (apply_derivation(op, Polynomial.monomial(ctx, e))
                                     for e in candidates))
     return InvariantBasis(n, d, tuple(nullspace_polynomials(
-        ctx, candidates, nullspace_sparse(len(candidates), rows))))
+        ctx, candidates, exact_nullspace(len(candidates), rows))))
 
 
 def span_equal(xs, ys, n):
@@ -444,9 +450,25 @@ def span_equal(xs, ys, n):
                     rows.setdefault(idx[e], {})[j] = c
             for e, c in t.terms.items():
                 rows.setdefault(idx[e], {})[len(basis)] = c
-            if solve_affine_sparse(len(basis), rows.values()) is None:
+            if exact_solve_affine(len(basis), rows.values()) is None:
                 return False
     return True
+
+
+def exact_nullspace(ncols, rows):
+    """nullspace_sparse's answer by exact elimination alone, no modular step."""
+    return Eliminator(ncols).add_rows(rows).nullspace()
+
+
+def exact_solve_affine(ncols, rows):
+    """solve_affine_sparse's answer from the exact reduced echelon form."""
+    elim = Eliminator(ncols + 1).add_rows(rows)
+    if ncols in elim.pivots:
+        return None
+    sol = [Fraction(0)] * ncols
+    for c, r in elim.rref():
+        sol[c] = r.get(ncols, Fraction(0))
+    return sol
 
 
 def naive_rref(rows, cols):

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invforge.derivations import (
-    SHARED_KEY_LIMIT,
     Derivation,
     ResidualDenominatorError,
     apply_derivation,
@@ -17,7 +16,7 @@ from invforge.derivations import (
 )
 from invforge.exponents import _compositions
 from invforge.fixtures import fixture_root, load_generator_dir
-from invforge.hilbert import x_monomial_count
+from invforge.hilbert import MAX_CANDIDATES, candidate_count
 from invforge.invariants import invariant_basis
 from invforge.rings import ContextMismatchError, Polynomial, u_ring, x_ring
 from invforge.textio import parse_poly
@@ -160,14 +159,13 @@ def test_expand_u_to_x_shares_keys():
     assert _x_keys.cache_info().maxsize is not None
 
 
-def test_large_classes_are_not_tabulated():
-    # n = 8, d = 60 has 55 million balanced x-monomials
-    assert x_monomial_count(8, 12) <= SHARED_KEY_LIMIT < x_monomial_count(8, 60)
-    assert len(_x_keys(8, 12)) == x_monomial_count(8, 12)
-    assert _x_keys(8, 60) == {}
+def test_oversized_classes_are_not_interned():
+    # n = 8, d = 60 is far past what invariant_basis accepts
+    assert candidate_count(8, 60) > MAX_CANDIDATES
     f = p("x0^30*u2^30", u_ring(8))
     g = expand_u_to_x(f, 8)
     assert len(g.terms) == 31 and project_x_to_u(g) == f
+    assert _x_keys(8, 60) is None
 
 
 @pytest.mark.parametrize("text,n", [("u2", 2), ("x0*u3", 3), ("x0*u2 + u3", 4),

@@ -14,7 +14,13 @@ from invforge.linalg import (
     solve_affine_sparse,
 )
 
-from properties import check_linalg_against_naive, linalg_naive_cases, sparse_rows
+from properties import (
+    check_linalg_against_naive,
+    exact_nullspace,
+    exact_solve_affine,
+    linalg_naive_cases,
+    sparse_rows,
+)
 
 
 def nullspace(rows):
@@ -75,6 +81,7 @@ def test_deterministic_bits():
     data = [[3, -1, 2], [6, -2, 4], [0, 5, 5]]
     # the RREF is unique, so the row order does not matter
     assert nullspace(data) == nullspace(data[::-1])
+    assert nullspace(data) == exact_nullspace(3, sparse_rows(data[::-1]))
     assert rank(data) == rank(data[::-1])
 
 
@@ -117,7 +124,7 @@ def test_modular_nullspace_near_the_bound():
             got = modular(data).nullspace()
             outcomes.add(got is None)
             if got is not None:
-                assert got == nullspace(data)
+                assert got == exact_nullspace(6, sparse_rows(data))
     assert outcomes == {True, False}
 
 
@@ -140,17 +147,6 @@ def test_modular_kills_is_exact():
 def test_modular_nullspace_refuses(rows):
     assert modular(rows).nullspace() is None
     assert modular(rows).rank <= rank(rows)
-
-
-def exact_solve(ncols, rows):
-    """solve_affine_sparse's answer from the exact reduced echelon form."""
-    elim = Eliminator(ncols + 1).add_rows(rows)
-    if ncols in elim.pivots:
-        return None
-    sol = [Fraction(0)] * ncols
-    for c, r in elim.rref():
-        sol[c] = r.get(ncols, Fraction(0))
-    return sol
 
 
 entries = st.one_of(st.just(0), st.fractions(-6, 6, max_denominator=4),
@@ -183,8 +179,8 @@ def sparse_systems(draw):
 def test_modular_route_matches_exact_route(system):
     data, cols, b = system
     rows, aug = sparse_rows(data), sparse_rows(data, b)
-    assert nullspace_sparse(cols, rows) == Eliminator(cols).add_rows(rows).nullspace()
-    assert solve_affine_sparse(cols, aug) == exact_solve(cols, aug)
+    assert nullspace_sparse(cols, rows) == exact_nullspace(cols, rows)
+    assert solve_affine_sparse(cols, aug) == exact_solve_affine(cols, aug)
 
 
 @pytest.mark.parametrize("data,b,null,sol", [
