@@ -47,6 +47,7 @@ from .rings import (
 
 def _refuse_oversized(n: int, d: int, what: str) -> None:
     """ValueError when degree d for n has more than MAX_CANDIDATES candidates."""
+    u_ring(n)  # refuses n above MAX_FORM_DEGREE before the O(n^2 d) count
     count = candidate_count(n, d)
     if count > MAX_CANDIDATES:
         raise ValueError(
@@ -287,14 +288,15 @@ def known_degree_table(n: int):
             f"no generator table for form degree {n}") from None
 
 
-def _next_name(d: int, taken) -> str:
-    name = f"f{d}"
-    suffix = "bcdefgh"
-    k = 0
-    while name in taken:
-        name = f"f{d}{suffix[k]}"
-        k += 1
-    return name
+_SUFFIXES = "bcdefghijklmnopqrstuvwxyz"
+
+
+def _generator_name(d: int, k: int) -> str:
+    """f{d}, f{d}b .. f{d}z, f{d}zb ..: distinct identifiers, sorting by k."""
+    if not k:
+        return f"f{d}"
+    z, r = divmod(k - 1, len(_SUFFIXES))
+    return f"f{d}{'z' * z}{_SUFFIXES[r]}"
 
 
 def mingenset(n: int, r: int, degrees) -> GeneratorSet:
@@ -309,7 +311,6 @@ def mingenset(n: int, r: int, degrees) -> GeneratorSet:
         raise DegreeMismatchError(
             f"expected {r} generator degrees, got {len(degrees)}")
     gens = GeneratorSet(n, ())
-    taken = set()
     for d in sorted(set(degrees)):
         expected = degrees.count(d)
         found = 0
@@ -320,10 +321,8 @@ def mingenset(n: int, r: int, degrees) -> GeneratorSet:
             if not (verify_invariant_u(n, el) and verify_invariant_x(n, x_form)):
                 raise NonInvariantError(
                     f"degree-{d} basis element fails the invariance verifiers")
-            name = _next_name(d, taken)
-            taken.add(name)
             gens = gens.with_generator(
-                Generator(name, d, n * d // 2, el, x_form))
+                Generator(_generator_name(d, found), d, n * d // 2, el, x_form))
             found += 1
             if found > expected:
                 raise DegreeMismatchError(

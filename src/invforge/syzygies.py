@@ -33,15 +33,14 @@ The candidate row at a point comes from a second plan of the same kind, one
 per degree, over the generator slots with the generator values as
 coordinates.
 
-Two fallbacks keep every answer exact.  When the certificate cannot be had
-(a set that does not span I_d, a rank that stalls, or, in a set built by
-hand, a generator that is not an invariant of its declared degree; loaded
-and computed sets arrive verified, see ``GeneratorSet.verified``) the
-engine expands A.  When the
-modular nullspace cannot be read back (a reconstruction or a check fails)
-the kept rows of E are eliminated exactly instead.  The minimality filter
-quotients out products of lower-degree syzygies with generator monomials,
-which the per-degree solver alone would keep reporting.
+Every system takes the certified route of invariant bases and membership:
+a ``ModularEliminator`` read back by ``linalg.certified_nullspace``, with
+exact elimination of the same rows as its only fallback.  Without the
+certificate (a set that does not span I_d, a stalled rank, or a hand-built
+generator that is no invariant of its degree; loaded and computed sets
+arrive verified, see ``GeneratorSet.verified``) the rows are those of the
+expanded A instead.  The minimality filter is one more such system, and
+exact elimination of A alone is the test suite's reference route.
 
 A degree with more than MAX_CANDIDATES generator monomials is refused
 with ValueError, counted by ``hilbert.generator_monomial_count`` before
@@ -57,7 +56,7 @@ from dataclasses import dataclass
 from .exponents import powers2
 from .hilbert import generator_monomial_count, invariant_dimension
 from .invariants import GeneratorSet, expand_candidate, monomial_rows, nullspace_polynomials
-from .linalg import Eliminator, ModularEliminator, certified_nullspace
+from .linalg import ModularEliminator, certified_nullspace, nullspace_sparse
 from .rings import ContextMismatchError, Polynomial, u_ring
 
 # The certificate gives up after this many consecutive points that do not
@@ -200,18 +199,11 @@ def _certified_system(gens: GeneratorSet, d: int, candidates: list,
     return elim if elim.rank == target else None
 
 
-def _expansion_system(gens: GeneratorSet, candidates: list) -> Eliminator:
-    """Eliminator over the rows of the expanded candidate matrix A."""
+def _expansion_rows(gens: GeneratorSet, candidates: list) -> list:
+    """Sparse rows of the expanded candidate matrix A."""
     powers = {}
     columns = (expand_candidate(gens, e, powers) for e in candidates)
-    return Eliminator(len(candidates)).add_rows(
-        monomial_rows(u_ring(gens.n), columns))
-
-
-def _relations(gens: GeneratorSet, d: int, candidates: list,
-               nullspace: list) -> list:
-    return [Syzygy(rel, d) for rel in nullspace_polynomials(
-        gens.gen_context(), candidates, nullspace)]
+    return monomial_rows(u_ring(gens.n), columns)
 
 
 def _basis(gens: GeneratorSet, d: int, points: _Points) -> list:
@@ -220,24 +212,16 @@ def _basis(gens: GeneratorSet, d: int, points: _Points) -> list:
         return []
     system = _certified_system(gens, d, candidates, points)
     if system is None:
-        nullspace = _expansion_system(gens, candidates).nullspace()
+        nullspace = nullspace_sparse(len(candidates), _expansion_rows(gens, candidates))
     else:
         nullspace = certified_nullspace(system)
-    return _relations(gens, d, candidates, nullspace)
+    return [Syzygy(rel, d) for rel in nullspace_polynomials(
+        gens.gen_context(), candidates, nullspace)]
 
 
 def syzygy_basis(gens: GeneratorSet, d: int) -> list:
     """Canonical basis of all relations of weighted degree d."""
     return _basis(gens, d, _Points(gens))
-
-
-def syzygy_basis_by_expansion(gens: GeneratorSet, d: int) -> list:
-    """The same basis from the expanded matrix alone: the reference route."""
-    candidates = _candidates(gens, d)
-    if not candidates:
-        return []
-    elim = _expansion_system(gens, candidates)
-    return _relations(gens, d, candidates, elim.nullspace())
 
 
 def _check(gens: GeneratorSet, relation: Polynomial, points: _Points) -> bool:
@@ -276,35 +260,27 @@ def check_syzygy(gens: GeneratorSet, relation: Polynomial) -> bool:
 def minimal_syzygies(gens: GeneratorSet, degrees) -> list:
     """New relations per degree, modulo consequences of earlier ones.
 
-    For each degree d in ascending order, the span of m * s over earlier
+    For each degree d in ascending order, the columns are m * s over earlier
     minimal syzygies s and generator monomials m of complementary weighted
-    degree is removed from the degree-d basis; whatever extends that span
-    is reported, in the basis order.
+    degree, then the degree-d basis.  A basis relation is minimal iff its
+    column is a pivot column: each free column is the last nonzero entry of
+    its canonical nullspace vector.  Minimal relations keep the basis order.
     """
     degrees = sorted(set(degrees))
     for d in degrees:
         _count(gens, d)
-    gen_degs = gens.degrees()
+    ctx, gen_degs = gens.gen_context(), gens.degrees()
     points = _Points(gens)
     minimal = []
     for d in degrees:
         basis = _basis(gens, d, points)
         if not basis:
             continue
-        candidates = powers2(gen_degs, d)
-        index = {e: j for j, e in enumerate(candidates)}
-        span = Eliminator(len(candidates))
-        for earlier in minimal:
-            rest = d - earlier.degree
-            if rest < 0:
-                continue
-            for m in powers2(gen_degs, rest):
-                shifted = Polynomial.monomial(
-                    earlier.relation.context, m) * earlier.relation
-                span.add_row({index[e]: c for e, c in shifted.terms.items()})
-        for syz in basis:
-            before = span.rank
-            span.add_row({index[e]: c for e, c in syz.relation.terms.items()})
-            if span.rank > before:
-                minimal.append(syz)
+        columns = [Polynomial.monomial(ctx, m) * s.relation
+                   for s in minimal for m in powers2(gen_degs, d - s.degree)]
+        first = len(columns)
+        columns += [s.relation for s in basis]
+        free = {max(j for j, v in enumerate(vec) if v) for vec in
+                nullspace_sparse(len(columns), monomial_rows(ctx, columns))}
+        minimal += [s for j, s in enumerate(basis, first) if j not in free]
     return minimal

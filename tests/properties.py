@@ -16,9 +16,14 @@ from invforge.derivations import (
     u_lowering_derivation,
     u_raising_derivation,
 )
-from invforge.exponents import _compositions
+from invforge.exponents import _compositions, powers2
 from invforge.hilbert import invariant_dimension
-from invforge.invariants import InvariantBasis, monomial_rows, nullspace_polynomials
+from invforge.invariants import (
+    InvariantBasis,
+    expand_candidate,
+    monomial_rows,
+    nullspace_polynomials,
+)
 from invforge.linalg import (
     Eliminator,
     ModularEliminator,
@@ -36,6 +41,7 @@ from invforge.rings import (
     weight_u,
     x_ring,
 )
+from invforge.syzygies import Syzygy
 from invforge.textio import PolyParseError, _slot_table
 
 
@@ -469,6 +475,20 @@ def exact_solve_affine(ncols, rows):
     for c, r in elim.rref():
         sol[c] = r.get(ncols, Fraction(0))
     return sol
+
+
+def syzygy_basis_by_expansion(gens, d):
+    """syzygy_basis's answer from the expanded candidate matrix A alone.
+
+    The reference route: every candidate product is expanded and the rows
+    of A are eliminated exactly, with no evaluation and no modular step.
+    """
+    candidates = powers2(gens.degrees(), d)
+    powers = {}
+    columns = [expand_candidate(gens, e, powers) for e in candidates]
+    rows = monomial_rows(u_ring(gens.n), columns)
+    return [Syzygy(rel, d) for rel in nullspace_polynomials(
+        gens.gen_context(), candidates, exact_nullspace(len(candidates), rows))]
 
 
 def naive_rref(rows, cols):

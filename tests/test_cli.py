@@ -11,7 +11,8 @@ import pytest
 
 from invforge import cli
 from invforge.cli import main
-from invforge.fixtures import fixture_root
+from invforge.fixtures import fixture_root, load_generator_dir
+from invforge.invariants import mingenset
 
 
 def run_cli(*argv):
@@ -226,6 +227,47 @@ def test_oversized_syzygies_request_exits_2_at_once(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "degree 40" in err and "2265" in err and "limit of 500" in err
+
+
+OVERSIZED_FORM_REQUESTS = {
+    "invariants": ["--degree", "2"],
+    "mingenset": ["--degrees", "2"],
+    "verify": ["{poly}"],
+    "convert": ["--direction", "u2x", "{poly}"],
+    "member": ["--gens", str(fixture_root() / "n5"), "--target", "{poly}"],
+    "syzygies": ["--gens", str(fixture_root() / "n5"), "--degrees", "36"],
+}
+
+
+@pytest.mark.parametrize("n", [65, 990])
+@pytest.mark.parametrize("command", sorted(OVERSIZED_FORM_REQUESTS))
+def test_oversized_form_degree_exits_2_at_once(tmp_path, capsys, command, n):
+    poly = tmp_path / "square.poly"
+    poly.write_text("x0^2\n")
+    rest = [a.format(poly=poly) for a in OVERSIZED_FORM_REQUESTS[command]]
+    start = time.perf_counter()
+    code, out = run_cli(command, "--n", str(n), *rest)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: form degree {n} is above the limit of 64\n"
+
+
+def test_largest_form_degree_is_answered():
+    code, out = run_cli("invariants", "--n", "64", "--degree", "2")
+    assert code == 0 and out.count("\n") == 1
+
+
+def test_mingenset_names_many_generators_of_one_degree(tmp_path):
+    # the sextic's ten degree-14 invariants are all new without lower degrees
+    out_dir = tmp_path / "gens"
+    code, out = run_cli("mingenset", "--n", "6", "--degrees", ",".join(["14"] * 10),
+                        "--out", str(out_dir))
+    assert code == 0
+    names = ["f14"] + [f"f14{c}" for c in "bcdefghij"]
+    assert [line.split()[0] for line in out.splitlines() if "degree=" in line] == names
+    gens = mingenset(6, 10, [14] * 10)
+    assert [(g.name, g.u_poly) for g in load_generator_dir(6, out_dir)] == [
+        (g.name, g.u_poly) for g in gens]
 
 
 def run_cli_subprocess(*argv):

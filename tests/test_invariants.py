@@ -285,3 +285,19 @@ def test_oversized_membership_is_refused_before_enumeration(monkeypatch):
     gens = load_generator_dir(8, fixture_root() / "n8")
     with pytest.raises(ValueError, match=r"degree 60 for n=8 need 5785827 "):
         is_member(gens, p("x0^30*u8^30", u_ring(8)))
+
+
+def test_oversized_form_degree_is_refused_before_counting(monkeypatch):
+    def count_nothing(n, d):
+        raise AssertionError("counted candidates of an oversized form degree")
+    monkeypatch.setattr(invariants, "candidate_count", count_nothing)
+    with pytest.raises(ValueError, match="form degree 990 is above the limit of 64"):
+        invariant_basis(990, 2)
+
+
+def test_generator_names_are_distinct_identifiers_in_order():
+    names = [invariants._generator_name(14, k) for k in range(80)]
+    assert names[:10] == ["f14"] + [f"f14{c}" for c in "bcdefghij"]
+    assert names[25:27] == ["f14z", "f14zb"]
+    assert names == sorted(set(names))
+    assert all(name.isidentifier() and not name.endswith("_x") for name in names)

@@ -14,11 +14,10 @@ from invforge.syzygies import (
     expand_in_generators,
     minimal_syzygies,
     syzygy_basis,
-    syzygy_basis_by_expansion,
 )
 from invforge.textio import parse_poly
 
-from properties import certified_rows_termwise, evaluate_termwise
+from properties import certified_rows_termwise, evaluate_termwise, syzygy_basis_by_expansion
 
 REFERENCE_RELATION_5 = (
     "1296*f18^2 + 48*f12^3 - f4^5*f8^2 + 6*f4^3*f8^3 - 9*f4*f8^4"
@@ -36,13 +35,13 @@ def ref5():
 def expansions(monkeypatch):
     """Count the calls that take the expansion route."""
     calls = []
-    expand = syzygies._expansion_system
+    expand = syzygies._expansion_rows
 
     def spy(gens, candidates):
         calls.append(len(candidates))
         return expand(gens, candidates)
 
-    monkeypatch.setattr(syzygies, "_expansion_system", spy)
+    monkeypatch.setattr(syzygies, "_expansion_rows", spy)
     return calls
 
 
@@ -115,13 +114,32 @@ def test_perturbed_bundled_relation_fails(n, expansions):
     assert not expansions
 
 
-@pytest.mark.parametrize("n,d", [(6, 30), (8, 16)])
+# degrees whose minimality filter has products of lower relations to drop
+FILTER_DEGREES = {5: [36, 40], 6: [30, 32, 34], 8: [16]}
+
+
+@pytest.mark.parametrize("n,d", [(6, 30), (8, 16), (5, 36)])
 def test_exact_rows_fallback(n, d, expansions, monkeypatch):
+    # the evaluation bases and the minimality filter answer the same from
+    # the kept rows eliminated exactly
     gens, _ = bundled(n)
-    want = syzygy_basis(gens, d)
+    want = syzygy_basis(gens, d), minimal_syzygies(gens, FILTER_DEGREES[n])
     monkeypatch.setattr(linalg.ModularEliminator, "nullspace", lambda self: None)
-    assert syzygy_basis(gens, d) == want
+    assert (syzygy_basis(gens, d), minimal_syzygies(gens, FILTER_DEGREES[n])) == want
     assert not expansions
+
+
+def test_certified_filter_builds_no_exact_eliminator(ref5, monkeypatch):
+    built = []
+    init = linalg.Eliminator.__init__
+
+    def spy(self, ncols):
+        built.append(ncols)
+        init(self, ncols)
+
+    monkeypatch.setattr(linalg.Eliminator, "__init__", spy)
+    assert [s.degree for s in minimal_syzygies(ref5, [36, 40])] == [36]
+    assert built == []
 
 
 def test_minimal_syzygies_quintic(ref5):
