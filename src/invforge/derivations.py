@@ -23,6 +23,7 @@ from operator import add
 
 from .hilbert import MAX_CANDIDATES, candidate_count
 from .rings import (
+    MAX_FORM_DEGREE,
     ContextMismatchError,
     Polynomial,
     VarContext,
@@ -117,12 +118,14 @@ def u_raising_derivation(n: int) -> Derivation:
     return Derivation(ctx, tuple(images))
 
 
+@lru_cache(maxsize=MAX_FORM_DEGREE)
 def reduced_operator(n: int) -> Derivation:
     """The single operator x0*raise_u - (n-1)*u2*lower_u on the u-ring.
 
     Its kernel, intersected with the balanced isobaric polynomials, is the
     invariant ring; on an isobaric (degree d, weight w) polynomial the image
-    is isobaric of (degree d+1, weight w+1) or zero.
+    is isobaric of (degree d+1, weight w+1) or zero.  Built once per n: a
+    Derivation is frozen, and every verifier still runs on every call.
     """
     ctx = u_ring(n)
     x0 = Polynomial.variable(ctx, 0)

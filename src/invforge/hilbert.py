@@ -20,6 +20,14 @@ import math
 # about 13 s.  Larger requests are refused before any work.
 MAX_CANDIDATES = 2000
 
+# Largest degree any request may have; sizing a degree builds tables of
+# n*d/2 + 1 entries, so a larger one is refused before any table is built.
+# For n >= 3 that refuses only degrees with more than MAX_CANDIDATES
+# candidates (see candidate_count).  The quadratic has one candidate in each
+# even degree, but the x-form of its degree-d invariant has d/2 + 1 terms;
+# it is refused from the same degree on.
+MAX_DEGREE = 4 * MAX_CANDIDATES - 1
+
 
 def _box_partitions(d: int, n: int, top: int) -> list:
     """p(d, n; w) for w = 0..top."""
@@ -50,9 +58,21 @@ def candidate_count(n: int, d: int) -> int:
     d parts (a_i parts equal to i, the a0 zeros padding) with no part 1.
     Those with a part 1 are, less that part, the partitions of w - 1 into
     at most d - 1 parts, so the count is p(d, n; w) - p(d - 1, n; w - 1).
+
+    Above MAX_DEGREE the result is d // 4 + 1, a lower bound above
+    MAX_CANDIDATES, and no table is built.  For n >= 3 and nd even the count
+    is at least d // 4 + 1: P = x0^2*un^2 and Q = x0*u2*u(n-2)*un (x0*u2^3
+    for n = 3) are distinct candidates of degree 4, and each r < 4 with nr
+    even has a candidate v of degree r (1, u(n/2), x0*un, x0*u(n/2)*un), so
+    for d = 4k + r the v * P^i * Q^(k-i), i = 0..k, are k + 1 distinct
+    candidates.  The quadratic has one, (x0*u2)^(d/2), in each even degree.
     """
     if n < 2 or d < 1 or (n * d) % 2:
         return 0
+    if n == 2:
+        return 1 - d % 2
+    if d > MAX_DEGREE:
+        return d // 4 + 1
     w = n * d // 2
     return _box_partitions(d, n, w)[w] - _box_partitions(d - 1, n, w - 1)[w - 1]
 

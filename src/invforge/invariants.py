@@ -30,7 +30,7 @@ from .derivations import (
     reduced_operator,
 )
 from .exponents import grad, powers
-from .hilbert import MAX_CANDIDATES, candidate_count, invariant_dimension
+from .hilbert import MAX_CANDIDATES, MAX_DEGREE, candidate_count, invariant_dimension
 from .linalg import nullspace_sparse, solve_affine_sparse
 from .rings import (
     Polynomial,
@@ -46,8 +46,12 @@ from .rings import (
 
 
 def _refuse_oversized(n: int, d: int, what: str) -> None:
-    """ValueError when degree d for n has more than MAX_CANDIDATES candidates."""
+    """ValueError when degree d for n is above MAX_DEGREE or has more than
+    MAX_CANDIDATES candidates."""
     u_ring(n)  # refuses n above MAX_FORM_DEGREE before the O(n^2 d) count
+    if d > MAX_DEGREE:
+        raise ValueError(f"{what} of degree {d} for n={n}: the degree is above"
+                         f" the limit of {MAX_DEGREE}")
     count = candidate_count(n, d)
     if count > MAX_CANDIDATES:
         raise ValueError(
@@ -310,6 +314,8 @@ def mingenset(n: int, r: int, degrees) -> GeneratorSet:
     if len(degrees) != r:
         raise DegreeMismatchError(
             f"expected {r} generator degrees, got {len(degrees)}")
+    for d in set(degrees):
+        _refuse_oversized(n, d, "invariants")
     gens = GeneratorSet(n, ())
     for d in sorted(set(degrees)):
         expected = degrees.count(d)

@@ -4,14 +4,16 @@ Two eliminators share one contract: the canonical (RREF) nullspace basis of
 the rows fed, exactly.  The RREF of a row space is unique, so every result
 here is deterministic no matter the insertion order of the rows.
 
-``ModularEliminator`` keeps the RREF modulo the Mersenne prime
-``PRIME`` = 2^127 - 1, which keeps every entry short.  Its rank is a lower
-bound for the rational rank of the rows it was fed.  Its nullspace is exact
-all the same: each vector read off the modular RREF is recovered by
-rational reconstruction and then checked with exact dot products against
-every row it keeps.  A checked vector for free column f has 1 on f, 0 on
-every other modular free column and nothing after f, so the
-ncols - rank_p checked vectors are independent; since rank_p <= rank_Q,
+``ModularEliminator`` keeps the RREF modulo a prime, which keeps every
+entry short: by default the Mersenne prime ``PRIME`` = 2^127 - 1, or the
+word-size ``WORD_PRIME`` for a system read only through its rank and
+``kills``.  Its rank is a lower bound for the rational rank of the rows it
+was fed, whatever the prime.  Its nullspace is exact all the same: each
+vector read off the modular RREF is recovered by rational reconstruction,
+with a bound that follows the modulus, and then checked with exact dot
+products against every row it keeps.  A checked vector for free column f
+has 1 on f, 0 on every other modular free column and nothing after f, so
+the ncols - rank_p checked vectors are independent; since rank_p <= rank_Q,
 they span the rational nullspace, their free columns are the rational
 RREF's, and they are its canonical basis.  Whenever a row has no residue,
 or reconstruction or a check fails, the method returns None.
@@ -146,50 +148,62 @@ class Eliminator:
 
 
 PRIME = 2**127 - 1
-_BOUND = math.isqrt(PRIME // 2)  # numerator and denominator of a recovered entry
+WORD_PRIME = 2**30 - 35  # the largest prime below 2^30: one-digit CPython ints
 
 
-def _residue(c) -> Optional[int]:
-    """c modulo PRIME, or None when its denominator is divisible by PRIME."""
+def _residue(c, p: int) -> Optional[int]:
+    """c modulo p, or None when its denominator is divisible by p."""
     if isinstance(c, Fraction):
-        den = c.denominator % PRIME
+        den = c.denominator % p
         if not den:
             return None
-        return c.numerator * pow(den, -1, PRIME) % PRIME
-    return c % PRIME
+        return c.numerator * pow(den, -1, p) % p
+    return c % p
 
 
-def _rational(a: int) -> Optional[Fraction]:
-    """The r/s with |r|, |s| <= _BOUND congruent to a modulo PRIME, or None.
+def _rational(a: int, p: int) -> Optional[Fraction]:
+    """The r/s with |r|, |s| <= sqrt(p/2) congruent to a modulo p, or None.
 
     Wang, Guy & Davenport, "P-adic reconstruction of rational numbers",
     SIGSAM Bull. 1982: stop the extended Euclidean remainder sequence of
-    (PRIME, a) at the first remainder within the bound.
+    (p, a) at the first remainder within the bound.  The bound follows the
+    modulus, so a short modulus recovers only short entries and refuses
+    (None) the rest.
     """
-    r0, r1, s0, s1 = PRIME, a, 0, 1
-    while r1 > _BOUND:
+    bound = math.isqrt(p // 2)
+    r0, r1, s0, s1 = p, a, 0, 1
+    while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if abs(s1) > _BOUND or math.gcd(r1, s1) != 1:
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
         return None
     return Fraction(r1, s1)
 
 
 class ModularEliminator:
-    """Incremental RREF modulo PRIME that keeps every exact row it is fed."""
+    """Incremental RREF modulo a prime that keeps every exact row it is fed.
 
-    def __init__(self, ncols: int):
+    The modulus defaults to PRIME, whose 127 bits let ``nullspace``
+    reconstruct the entries the engine's systems have.  A system read only
+    through ``rank`` and ``kills`` may take WORD_PRIME instead: its residues
+    are one-digit CPython ints, so every update is cheaper, and the rank
+    modulo any prime is still a lower bound for the rational rank.
+    """
+
+    def __init__(self, ncols: int, modulus: int = PRIME):
         self.ncols = ncols
+        self.modulus = modulus
         self.rows = []       # the exact rows, as fed
         self.pivots = {}     # pivot column -> {later non-pivot column: residue}
-        self.reduced = True  # every kept row was reduced modulo PRIME
+        self.reduced = True  # every kept row was reduced modulo the prime
 
     def add_row(self, row: dict) -> None:
         self.rows.append(row)
+        p = self.modulus
         res = {}
         for j, c in row.items():
-            v = _residue(c)
+            v = _residue(c, p)
             if v is None:
                 self.reduced = False
                 return
@@ -203,17 +217,17 @@ class ModularEliminator:
             if tail is not None:
                 for j, v in tail.items():
                     acc[j] = acc.get(j, 0) - f * v
-        acc = {j: r for j, v in acc.items() if (r := v % PRIME)}
+        acc = {j: r for j, v in acc.items() if (r := v % p)}
         if not acc:
             return
         c = min(acc)
-        inv = pow(acc.pop(c), -1, PRIME)
-        new = {j: v * inv % PRIME for j, v in acc.items()}
+        inv = pow(acc.pop(c), -1, p)
+        new = {j: v * inv % p for j, v in acc.items()}
         for tail in pivots.values():
             f = tail.pop(c, 0)
             if f:
                 for j, v in new.items():
-                    r = (tail.get(j, 0) - f * v) % PRIME
+                    r = (tail.get(j, 0) - f * v) % p
                     if r:
                         tail[j] = r
                     else:
@@ -222,7 +236,7 @@ class ModularEliminator:
 
     @property
     def rank(self) -> int:
-        """Rank modulo PRIME: at most the rational rank of the kept rows."""
+        """Rank modulo the prime: at most the rational rank of the kept rows."""
         return len(self.pivots)
 
     def add_rows(self, rows: Iterable[dict]) -> "ModularEliminator":
@@ -255,7 +269,7 @@ class ModularEliminator:
         """The canonical nullspace basis of the kept rows, or None.
 
         Same form as ``Eliminator.nullspace``; None when a row could not be
-        reduced modulo PRIME, an entry cannot be reconstructed or a
+        reduced modulo the prime, an entry cannot be reconstructed or a
         reconstructed vector fails ``kills``.
         """
         if not self.reduced:
@@ -269,7 +283,7 @@ class ModularEliminator:
             for c, tail in self.pivots.items():
                 v = tail.get(f)
                 if v:
-                    q = _rational(PRIME - v)
+                    q = _rational(self.modulus - v, self.modulus)
                     if q is None:
                         return None
                     vec[c] = q

@@ -9,29 +9,39 @@ of E = V*A, so null(A) is contained in null(E), and rank E <= rank A <=
 dim I_d because every column of A is a degree-d invariant.  The rows go to
 a ``linalg.ModularEliminator``, and points are added until the rank of E
 modulo a prime reaches the Cayley-Sylvester count dim I_d.  Since
-rank_p E <= rank_Q E, that certifies rank E = rank A = dim I_d over Q, so
-null(E) = null(A) exactly and E answers both questions:
+rank_p E <= rank_Q E for every prime p, that certifies rank E = rank A =
+dim I_d over Q, so null(E) = null(A) exactly and E answers both questions:
 
 * the basis is the modular eliminator's checked nullspace.  Every vector is
   in null(E) by exact dot products, there are ncols - rank_p =
   ncols - rank_Q of them, and each one's last nonzero entry is its own
   free column, so they are the canonical (RREF) basis of null(A), the same
-  one the expansion route gives;
+  one the expansion route gives.  Its entries are rebuilt by rational
+  reconstruction, so these systems run modulo the 127-bit ``PRIME``;
 * a relation checks iff each weighted-degree component v has E*v = 0 on the
-  kept rows, by exact dot products alone.
+  kept rows, by exact dot products alone.  Only the rank is read modulo p,
+  so these systems run modulo the word-size ``WORD_PRIME``, whose residues
+  are one-digit CPython ints.
 
-Each public call evaluates its generating set through one plan (``_Plan``):
-the u-poly terms of all generators, concatenated, with every exponent tuple
-split into a head (the first half of the slots) and a tail (the rest).  The
-bundled octavic set has 1512 terms but 295 distinct heads and 166 distinct
-tails.  At a point, one power table per coordinate gives every distinct
-head and tail value, each term is then ``c * head * tail`` and each
-generator the sum of its terms, in their stored order.  All of it is exact
-integer (or rational) arithmetic, so every value is the one the term-by-term
-sum gives, and the rows, the certificate and every answer are unchanged.
-The candidate row at a point comes from a second plan of the same kind, one
-per degree, over the generator slots with the generator values as
-coordinates.
+The points lie on lines (``_Points``).  Line k draws a base point from
+``random.Random(k)`` and sets one slot, the one with the largest exponent
+among the generator terms, to t = 0, 1, -1, 2, -2, ... (``LINE_STEPS``); a
+line ends at its first point that does not raise the rank, or after its
+last step.  Restricted to a line each generator is a polynomial in t, so
+one plan evaluation per line gives all its coefficients and a point costs
+one Horner step per coefficient.  Every row is still the exact value of E
+at a point, so the certificate and every answer are unchanged.
+
+The plan (``_Plan``) evaluates many term dicts at one point: every exponent
+tuple is split into a head (the first half of the slots) and a tail (the
+rest).  The bundled octavic set has 1512 terms but 295 distinct heads and
+166 distinct tails.  At a point, one power table per coordinate gives every
+distinct head and tail value, each term is then ``c * head * tail`` and
+each polynomial the sum of its terms, in their stored order.  All of it is
+exact integer (or rational) arithmetic, so every value is the one the
+term-by-term sum gives.  The candidate row at a point comes from a second
+plan of the same kind, one per degree, over the generator slots with the
+generator values as coordinates.
 
 Every system takes the certified route of invariant bases and membership:
 a ``ModularEliminator`` read back by ``linalg.certified_nullspace``, with
@@ -42,10 +52,11 @@ arrive verified, see ``GeneratorSet.verified``) the rows are those of the
 expanded A instead.  The minimality filter is one more such system, and
 exact elimination of A alone is the test suite's reference route.
 
-A degree with more than MAX_CANDIDATES generator monomials is refused
-with ValueError, counted by ``hilbert.generator_monomial_count`` before
-anything is enumerated or evaluated; ``minimal_syzygies`` sizes every
-requested degree before it works on the first.
+A degree above ``hilbert.MAX_DEGREE`` or with more than MAX_CANDIDATES
+generator monomials is refused with ValueError, counted by
+``hilbert.generator_monomial_count`` before anything is enumerated or
+evaluated; ``minimal_syzygies`` sizes every requested degree before it works
+on the first.
 """
 
 from __future__ import annotations
@@ -54,22 +65,25 @@ import random
 from dataclasses import dataclass
 
 from .exponents import powers2
-from .hilbert import generator_monomial_count, invariant_dimension
+from .hilbert import MAX_DEGREE, generator_monomial_count, invariant_dimension
 from .invariants import GeneratorSet, expand_candidate, monomial_rows, nullspace_polynomials
-from .linalg import ModularEliminator, certified_nullspace, nullspace_sparse
+from .linalg import PRIME, WORD_PRIME, ModularEliminator, certified_nullspace, nullspace_sparse
 from .rings import ContextMismatchError, Polynomial, u_ring
 
 # The certificate gives up after this many consecutive points that do not
-# raise the rank; point coordinates are drawn from [-POINT_RANGE, POINT_RANGE]
+# raise the rank.  Base point coordinates are drawn from [-POINT_RANGE,
+# POINT_RANGE], and a line visits t in that range too, nearest 0 first
 # (small values keep the integers in the elimination short).
 IDLE_POINTS = 8
 POINT_RANGE = 3
+LINE_STEPS = (0,) + tuple(s * t for t in range(1, POINT_RANGE + 1) for s in (1, -1))
 
 # Largest number of generator monomials a syzygy degree may have.  The
 # bundled octavic set needs at most 107 (d = 20, 0.3 s on a 2-vCPU Xeon
-# host); d = 24 has 220 and takes 2 s, d = 28 has 422 and takes 16 s, and
-# the time grows about 2.8-fold per two degrees.  Larger requests are
-# refused before any point is evaluated.
+# host); d = 24 has 220 and takes 1.8-2.4 s, d = 28 has 422 and takes 17 s,
+# nearly all of it the 127-bit elimination, and the time grows about
+# 2.8-fold per two degrees.  Larger requests are refused before any point
+# is evaluated.
 MAX_CANDIDATES = 500
 
 
@@ -94,7 +108,8 @@ def expand_in_generators(gens: GeneratorSet, g: Polynomial) -> Polynomial:
 
 
 def _count(gens: GeneratorSet, d: int) -> int:
-    """Number of degree-d generator monomials; ValueError above MAX_CANDIDATES."""
+    """Number of degree-d generator monomials; ValueError above MAX_CANDIDATES
+    or a degree above MAX_DEGREE."""
     if not len(gens):
         raise ValueError("need a nonempty generator set")
     count = generator_monomial_count(gens.degrees(), d, MAX_CANDIDATES)
@@ -102,6 +117,9 @@ def _count(gens: GeneratorSet, d: int) -> int:
         raise ValueError(
             f"relations of degree {d} for n={gens.n} need at least {count}"
             f" generator monomials, above the limit of {MAX_CANDIDATES}")
+    if d > MAX_DEGREE:
+        raise ValueError(f"relations of degree {d} for n={gens.n}: the degree"
+                         f" is above the limit of {MAX_DEGREE}")
     return count
 
 
@@ -158,44 +176,97 @@ def _products(tables, columns, count: int) -> list:
     return vals
 
 
-class _Points:
-    """Generator values at a fixed point sequence, kept for one public call.
+class _LinePlan:
+    """Coefficients in t of term dicts on a line that varies one slot.
 
-    The k-th point draws its coordinates from ``random.Random(k)``; the
-    evaluation plan is built on first use.
+    Each term dict is split by the exponent a of ``slot`` into parts P_a, so
+    that on the line its value is the sum of P_a(base) * t^a; one evaluation
+    of a ``_Plan`` over all parts, with the slot set to 1, gives every
+    coefficient P_a(base).
+    """
+
+    def __init__(self, polys, slots: int, slot: int):
+        parts, self.ends = [], []
+        for terms in polys:
+            split = {}
+            for e, c in terms.items():
+                split.setdefault(e[slot], {})[e] = c
+            parts += [split.get(a, {}) for a in range(max(split) + 1)]
+            self.ends.append(len(parts))
+        self.starts = [0] + self.ends[:-1]
+        self.slot, self.plan = slot, _Plan(parts, slots)
+
+    def coefficients(self, base) -> list:
+        """Per term dict, its coefficients in t, lowest first."""
+        point = list(base)
+        point[self.slot] = 1
+        flat = self.plan.values(point)
+        return [flat[s:e] for s, e in zip(self.starts, self.ends)]
+
+
+def _horner(coeffs, t):
+    v = 0
+    for c in reversed(coeffs):
+        v = v * t + c
+    return v
+
+
+class _Points:
+    """Generator values on a fixed sequence of lines, kept for one public call.
+
+    Line k draws a base point from ``random.Random(k)`` and varies one slot:
+    the one with the largest exponent among the generator terms (the first
+    such).  A ``_LinePlan``, built on first use, gives each generator's
+    coefficients in t once per line; each point of the line then costs one
+    Horner step per coefficient.
     """
 
     def __init__(self, gens: GeneratorSet):
         self.gens = gens
         self.plan = None
-        self.values = []
+        self.lines = []
 
-    def __getitem__(self, k: int) -> list:
+    def values(self, k: int, t: int) -> list:
+        """The generator values at the point t of line k."""
         if self.plan is None:
-            self.plan = _Plan([g.u_poly.terms for g in self.gens],
-                              u_ring(self.gens.n).slot_count)
-        while len(self.values) <= k:
-            rng = random.Random(len(self.values))
-            point = [rng.randint(-POINT_RANGE, POINT_RANGE)
-                     for _ in range(self.gens.n)]
-            self.values.append(self.plan.values(point))
-        return self.values[k]
+            polys = [g.u_poly.terms for g in self.gens]
+            slots = u_ring(self.gens.n).slot_count
+            slot = max(range(slots), key=lambda s: max(
+                e[s] for terms in polys for e in terms))
+            self.plan = _LinePlan(polys, slots, slot)
+        while len(self.lines) <= k:
+            rng = random.Random(len(self.lines))
+            self.lines.append(self.plan.coefficients(
+                [rng.randint(-POINT_RANGE, POINT_RANGE) for _ in range(self.gens.n)]))
+        return [_horner(coeffs, t) for coeffs in self.lines[k]]
 
 
 def _certified_system(gens: GeneratorSet, d: int, candidates: list,
-                      points: _Points):
-    """ModularEliminator over evaluation rows with rank dim I_d, or None."""
+                      points: _Points, modulus: int):
+    """ModularEliminator over evaluation rows with rank dim I_d, or None.
+
+    The rows come from the points t in LINE_STEPS of lines 0, 1, ...; a
+    line ends at its first point that does not raise the rank.  The modulus
+    is PRIME for a system whose nullspace is read, else WORD_PRIME.
+    """
     target = invariant_dimension(gens.n, d)
     if len(candidates) < target or not gens.verified:
         return None
     monomials = _Plan([{e: 1} for e in candidates], len(gens))
-    elim = ModularEliminator(len(candidates))
+    elim = ModularEliminator(len(candidates), modulus)
     k = idle = 0
     while elim.rank < target and idle < IDLE_POINTS:
-        before = elim.rank
-        elim.add_row({j: v for j, v in enumerate(monomials.values(points[k])) if v})
+        for t in LINE_STEPS:
+            before = elim.rank
+            row = monomials.values(points.values(k, t))
+            elim.add_row({j: v for j, v in enumerate(row) if v})
+            if elim.rank == before:
+                idle += 1
+                break
+            idle = 0
+            if elim.rank == target:
+                break
         k += 1
-        idle = 0 if elim.rank > before else idle + 1
     return elim if elim.rank == target else None
 
 
@@ -210,7 +281,7 @@ def _basis(gens: GeneratorSet, d: int, points: _Points) -> list:
     candidates = _candidates(gens, d)
     if not candidates:
         return []
-    system = _certified_system(gens, d, candidates, points)
+    system = _certified_system(gens, d, candidates, points, PRIME)
     if system is None:
         nullspace = nullspace_sparse(len(candidates), _expansion_rows(gens, candidates))
     else:
@@ -235,7 +306,7 @@ def _check(gens: GeneratorSet, relation: Polynomial, points: _Points) -> bool:
         parts.setdefault(sum(a * k for a, k in zip(e, degs)), {})[e] = c
     for d, terms in parts.items():
         candidates = _candidates(gens, d)
-        system = _certified_system(gens, d, candidates, points)
+        system = _certified_system(gens, d, candidates, points, WORD_PRIME)
         if system is None:
             part = Polynomial(relation.context, terms)
             if not expand_in_generators(gens, part).is_zero():

@@ -582,25 +582,41 @@ def evaluate_termwise(terms, point):
     return sum(c * monomial_value_termwise(e, point) for e, c in terms.items())
 
 
-def certified_rows_termwise(gens, d, candidates, point_range, idle_points):
+def certified_rows_termwise(gens, d, candidates, point_range, idle_points,
+                            modulus):
     """Rows of the certified evaluation system, evaluated term by term.
 
-    The same point sequence as ``syzygies._certified_system`` (the k-th point
-    drawn from random.Random(k)), the same stopping rule, and the exact rows
-    the modular eliminator keeps.
+    The same lines as ``syzygies._certified_system``: line k has its base
+    point drawn from random.Random(k) and sets the slot of largest generator
+    exponent (the first such) to t = 0, 1, -1, ..., point_range,
+    -point_range, ending at its first point that does not raise the rank.
+    The same stopping rule and modulus give the exact rows the modular
+    eliminator keeps.
     """
+    slots = range(len(next(iter(gens[0].u_poly.terms))))
+    slot = max(slots, key=lambda s: max(e[s] for g in gens for e in g.u_poly.terms))
+    steps = [0]
+    for t in range(1, point_range + 1):
+        steps += [t, -t]
     target = invariant_dimension(gens.n, d)
-    elim = ModularEliminator(len(candidates))
+    elim = ModularEliminator(len(candidates), modulus)
     k = idle = 0
     while elim.rank < target and idle < idle_points:
         rng = random.Random(k)
-        point = [rng.randint(-point_range, point_range) for _ in range(gens.n)]
-        values = [evaluate_termwise(g.u_poly.terms, point) for g in gens]
-        before = elim.rank
-        elim.add_row({j: v for j, e in enumerate(candidates)
-                      if (v := monomial_value_termwise(e, values))})
+        base = [rng.randint(-point_range, point_range) for _ in range(gens.n)]
+        for t in steps:
+            point = base[:slot] + [t] + base[slot + 1:]
+            values = [evaluate_termwise(g.u_poly.terms, point) for g in gens]
+            before = elim.rank
+            elim.add_row({j: v for j, e in enumerate(candidates)
+                          if (v := monomial_value_termwise(e, values))})
+            if elim.rank == before:
+                idle += 1
+                break
+            idle = 0
+            if elim.rank == target:
+                break
         k += 1
-        idle = 0 if elim.rank > before else idle + 1
     return elim.rows
 
 

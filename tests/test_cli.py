@@ -252,6 +252,39 @@ def test_oversized_form_degree_exits_2_at_once(tmp_path, capsys, command, n):
     assert capsys.readouterr().err == f"error: form degree {n} is above the limit of 64\n"
 
 
+HUGE_DEGREE_REQUESTS = [
+    ["invariants", "--n", "4", "--degree", "99999999999999999999"],
+    ["invariants", "--n", "2", "--degree", "99999999999999999998"],
+    ["invariants", "--n", "3", "--degree", "12000"],
+    ["mingenset", "--n", "4", "--degrees", "2,99999999999999999999"],
+    ["member", "--n", "4", "--gens", "@n4", "--target", "{poly}"],
+    ["syzygies", "--n", "2", "--gens", "@n2", "--degrees", "99999999999999999998"],
+    ["syzygies", "--n", "3", "--gens", "@n3", "--degrees", "400000"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_DEGREE_REQUESTS, ids=" ".join)
+def test_huge_degree_exits_2_at_once(tmp_path, capsys, argv):
+    # the degree is refused before any table of n*d/2 entries is built
+    poly = tmp_path / "huge.poly"
+    poly.write_text("x0^99999999999999999999*u4^99999999999999999999\n")
+    argv = [str(fixture_root() / a[1:]) if a.startswith("@") else a.format(poly=poly)
+            for a in argv]
+    start = time.perf_counter()
+    code, out = run_cli(*argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    # mingenset notes the table degrees that --degrees omits first
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and "the degree is above the limit of 7999" in last
+
+
+def test_largest_degree_is_answered():
+    # the quadratic answers every even degree up to the limit
+    code, out = run_cli("invariants", "--n", "2", "--degree", "7998")
+    assert code == 0 and out == "x0^3999*u2^3999\n"
+
+
 def test_largest_form_degree_is_answered():
     code, out = run_cli("invariants", "--n", "64", "--degree", "2")
     assert code == 0 and out.count("\n") == 1

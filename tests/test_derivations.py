@@ -18,7 +18,7 @@ from invforge.exponents import _compositions
 from invforge.fixtures import fixture_root, load_generator_dir
 from invforge.hilbert import MAX_CANDIDATES, candidate_count
 from invforge.invariants import invariant_basis
-from invforge.rings import ContextMismatchError, Polynomial, u_ring, x_ring
+from invforge.rings import MAX_FORM_DEGREE, ContextMismatchError, Polynomial, u_ring, x_ring
 from invforge.textio import parse_poly
 
 import properties
@@ -48,6 +48,12 @@ def test_reduced_operator_images_cubic():
     assert apply_derivation(op, p("x0*u2^3", U3)) == p("3*x0^2*u2^2*u3", U3)
     assert apply_derivation(op, p("x0^2*u3^2", U3)) == p("-12*x0^2*u2^2*u3", U3)
     assert apply_derivation(op, Polynomial.one(U3)).is_zero()
+
+
+def test_reduced_operator_is_built_once_per_form_degree():
+    assert reduced_operator(7) is reduced_operator(7)
+    assert reduced_operator(7) is not reduced_operator(6)
+    assert reduced_operator.cache_info().maxsize == MAX_FORM_DEGREE
 
 
 def test_reduced_operator_kills_known_invariants():

@@ -107,21 +107,26 @@ def test_load_generator_dir_rejects_bad_names(tmp_path, stem):
 
 def test_load_fixtures_builds_one_generator_plan(monkeypatch):
     # every relation check of one load shares the generator values, so the
-    # generators' evaluation plan is built once; the other plans are the
+    # generators' line plan is built once; the other plans are the
     # per-degree candidate plans, over the generator slots
     gens = fixture_generator_set(8)
     generator_terms = [g.u_poly.terms for g in gens]
-    built = []
-    plan = syzygies._Plan
+    lines, plans = [], []
+    line_plan, plan = syzygies._LinePlan, syzygies._Plan
+
+    def line_spy(polys, slots, slot):
+        lines.append(polys == generator_terms)
+        return line_plan(polys, slots, slot)
 
     def spy(polys, slots):
-        built.append(polys == generator_terms)
+        plans.append(slots)
         return plan(polys, slots)
 
+    monkeypatch.setattr(syzygies, "_LinePlan", line_spy)
     monkeypatch.setattr(syzygies, "_Plan", spy)
     records = load_fixtures(8)
     relations = [r for r in records if r.coordinates == "gen"]
     assert len(relations) == 5
     assert all(r.status == VALIDATED for r in relations)
-    assert built.count(True) == 1
-    assert len(built) > 1
+    assert lines == [True]
+    assert len(plans) > 1 and plans.count(len(gens)) == len(plans) - 1

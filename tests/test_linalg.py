@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invforge.linalg import (
-    _BOUND,
     PRIME,
+    WORD_PRIME,
     Eliminator,
     ModularEliminator,
+    certified_nullspace,
     nullspace_sparse,
     rank_sparse,
     solve_affine_sparse,
@@ -134,6 +136,23 @@ def test_modular_kills_is_exact():
     assert elim.kills({0: Fraction(1, 3), 1: Fraction(-2, 3), 2: Fraction(1, 3)})
     assert not elim.kills({0: 1, 1: -2, 2: 1 + PRIME})
     assert elim.kills({})
+
+
+def test_word_prime_is_the_largest_prime_below_2_30():
+    def prime(m):
+        return all(m % q for q in range(2, math.isqrt(m) + 1))
+    assert prime(WORD_PRIME)
+    assert not any(prime(m) for m in range(WORD_PRIME + 1, 2**30))
+
+
+def test_reconstruction_bound_follows_the_modulus():
+    # 10^5 lies past sqrt(WORD_PRIME / 2), far within sqrt(PRIME / 2)
+    rows = [{0: 1, 1: -10**5}]
+    want = [[Fraction(10**5), Fraction(1)]]
+    assert ModularEliminator(2).add_rows(rows).nullspace() == want
+    word = ModularEliminator(2, WORD_PRIME).add_rows(rows)
+    assert word.rank == 1 and word.nullspace() is None
+    assert certified_nullspace(word) == want
 
 
 @pytest.mark.parametrize("rows", [

@@ -306,15 +306,55 @@ def test_plan_on_single_slot_and_zero_point():
     assert plan.values([0]) == [0, Fraction(1, 2)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(u_polynomial_sets(), st.integers(0, 7), st.integers(-4, 4))
+# a Fraction coefficient at t = 0, on a slot that no term uses
+@example((3, [{(0, 2, 1): Fraction(1, 2), (0, 0, 3): -4}], [2, -1, 3]), 0, 0)
+@example((2, [{(0, 0): 3}, {(2, 1): Fraction(-2, 3), (1, 0): 2}], [1, -3]), 1, -2)
+def test_line_values_match_termwise_evaluation(case, slot, t):
+    slots, polys, base = case
+    slot %= slots
+    coeffs = syzygies._LinePlan(polys, slots, slot).coefficients(base)
+    point = base[:slot] + [t] + base[slot + 1:]
+    assert [syzygies._horner(c, t) for c in coeffs] == [
+        evaluate_termwise(terms, point) for terms in polys]
+
+
 @pytest.mark.parametrize("n,d", [(5, 36), (6, 30), (8, 16)])
 def test_certified_rows_match_termwise_reference(n, d):
     gens, _ = bundled(n)
     candidates = powers2(gens.degrees(), d)
-    system = syzygies._certified_system(
-        gens, d, candidates, syzygies._Points(gens))
-    assert system is not None
-    assert system.rows == certified_rows_termwise(
-        gens, d, candidates, syzygies.POINT_RANGE, syzygies.IDLE_POINTS)
+    for modulus in (linalg.PRIME, linalg.WORD_PRIME):
+        points = syzygies._Points(gens)
+        system = syzygies._certified_system(gens, d, candidates, points, modulus)
+        assert system is not None
+        assert system.rows == certified_rows_termwise(
+            gens, d, candidates, syzygies.POINT_RANGE, syzygies.IDLE_POINTS, modulus)
+        # each line gives several rows from one plan evaluation
+        assert 2 * len(points.lines) <= len(system.rows)
+
+
+def test_check_systems_run_on_the_word_prime(expansions, monkeypatch):
+    # check_syzygy reads only ranks and exact dot products; the bases
+    # reconstruct rationals and keep the 127-bit prime
+    moduli = []
+    init = linalg.ModularEliminator.__init__
+
+    def spy(self, ncols, modulus=linalg.PRIME):
+        moduli.append(modulus)
+        init(self, ncols, modulus)
+
+    monkeypatch.setattr(linalg.ModularEliminator, "__init__", spy)
+    gens, rel = bundled(8)
+    e, c = next(iter(rel.terms.items()))
+    bad = Polynomial(rel.context, {**rel.terms, e: c + 1})
+    assert check_syzygy(gens, rel)
+    assert not check_syzygy(gens, bad)
+    assert moduli == [linalg.WORD_PRIME] * 2
+    moduli.clear()
+    assert len(syzygy_basis(gens, 16)) == 1
+    assert moduli == [linalg.PRIME]
+    assert not expansions
 
 
 def test_expansion_sums_in_one_dict(ref5, polynomial_arithmetic):
