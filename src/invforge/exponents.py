@@ -71,9 +71,18 @@ def _u_powers(n: int, d: int) -> tuple:
 
 
 def powers2(gen_degrees, d: int) -> list:
-    """Exponents with sum(a_j * deg_j) = d, for syzygy candidates."""
-    return _compositions(
-        gen_ring((f"g{j}", k, 1) for j, k in enumerate(gen_degrees)), d)
+    """Exponents with sum(a_j * deg_j) = d, for syzygy candidates.
+
+    Like ``powers``, every call returns a fresh list of the same tuple
+    objects, so the relations built on them share their exponent keys.
+    """
+    return list(_gen_powers(tuple(gen_degrees), d))
+
+
+@lru_cache(maxsize=64)
+def _gen_powers(gen_degrees: tuple, d: int) -> tuple:
+    return tuple(_compositions(
+        gen_ring((f"g{j}", k, 1) for j, k in enumerate(gen_degrees)), d))
 
 
 def grad(gen_profile, target) -> list:

@@ -1,22 +1,40 @@
 """Exact rational linear algebra: rank, canonical nullspace, affine solve.
 
-Two eliminators share one contract: the canonical (RREF) nullspace basis of
-the rows fed, exactly.  The RREF of a row space is unique, so every result
-here is deterministic no matter the insertion order of the rows.
+Every eliminator here shares one contract: the canonical (RREF) nullspace
+basis of the rows fed, exactly.  The RREF of a row space is unique, so
+every result here is deterministic no matter the insertion order of the
+rows.
 
-``ModularEliminator`` keeps the RREF modulo a prime, which keeps every
-entry short: by default the Mersenne prime ``PRIME`` = 2^127 - 1, or the
+``ModularEliminator`` eliminates modulo a prime, which keeps every entry
+short: by default the Mersenne prime ``PRIME`` = 2^127 - 1, or the
 word-size ``WORD_PRIME`` for a system read only through its rank and
 ``kills``.  Its rank is a lower bound for the rational rank of the rows it
 was fed, whatever the prime.  Its nullspace is exact all the same: each
-vector read off the modular RREF is recovered by rational reconstruction,
-with a bound that follows the modulus, and then checked with exact dot
-products against every row it keeps.  A checked vector for free column f
-has 1 on f, 0 on every other modular free column and nothing after f, so
-the ncols - rank_p checked vectors are independent; since rank_p <= rank_Q,
+modular null vector is recovered by rational reconstruction, with a bound
+that follows the modulus, and then checked with exact dot products against
+every row it keeps.  A checked vector for free column f has 1 on f, 0 on
+every other modular free column and nothing after f, so the
+ncols - rank_p checked vectors are independent; since rank_p <= rank_Q,
 they span the rational nullspace, their free columns are the rational
 RREF's, and they are its canonical basis.  Whenever a row has no residue,
 or reconstruction or a check fails, the method returns None.
+
+It has two row stores, which share the kept rows, the rank, ``kills`` and
+that certificate, and differ only in how rows are reduced and how the
+modular null vectors are read:
+
+* ``ModularEliminator`` itself keeps the RREF as sparse dicts, so an update
+  touches only the entries present: the store for the expanded, sparse
+  monomial systems of invariant bases, membership and the syzygy
+  minimality filter (``nullspace_sparse``, ``solve_affine_sparse``);
+* ``PackedEliminator`` keeps a row echelon form with each row modulo p
+  packed into one Python int, one byte slot per column of
+  ceil((2 bits(p) + bits(ncols + 1)) / 8) bytes, wide enough for
+  (ncols + 1) * p^2, the most a slot reaches between reductions.  A row
+  update is then one big-integer multiply-add, so it is the store for the
+  dense syzygy evaluation systems, whose rows fill nearly every column.
+
+The store follows from how a system is built, never from an option.
 
 ``Eliminator`` is the exact route: a fraction-free incremental eliminator
 over sparse integer rows (cross-multiplied updates with content stripping,
@@ -32,6 +50,7 @@ from the canonical nullspace of [A | b] alone.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -184,6 +203,10 @@ def _rational(a: int, p: int) -> Optional[Fraction]:
 class ModularEliminator:
     """Incremental RREF modulo a prime that keeps every exact row it is fed.
 
+    The sparse row store: each pivot row is a dict of its nonzero residues.
+    ``PackedEliminator`` is the dense one; a store supplies ``add_row`` and
+    ``_null_residues``, and ``nullspace`` certifies the result of either.
+
     The modulus defaults to PRIME, whose 127 bits let ``nullspace``
     reconstruct the entries the engine's systems have.  A system read only
     through ``rank`` and ``kills`` may take WORD_PRIME instead: its residues
@@ -270,27 +293,144 @@ class ModularEliminator:
 
         Same form as ``Eliminator.nullspace``; None when a row could not be
         reduced modulo the prime, an entry cannot be reconstructed or a
-        reconstructed vector fails ``kills``.
+        reconstructed vector fails ``kills``.  Every row store shares this
+        certificate and differs only in ``_null_residues``.
         """
         if not self.reduced:
             return None
+        p = self.modulus
         basis = []
-        for f in range(self.ncols):
-            if f in self.pivots:
-                continue
+        for f, residues in self._null_residues():
             vec = [Fraction(0)] * self.ncols
             vec[f] = Fraction(1)
-            for c, tail in self.pivots.items():
-                v = tail.get(f)
-                if v:
-                    q = _rational(self.modulus - v, self.modulus)
-                    if q is None:
-                        return None
-                    vec[c] = q
+            for c, v in residues.items():
+                q = _rational(v, p)
+                if q is None:
+                    return None
+                vec[c] = q
             if not self.kills({j: v for j, v in enumerate(vec) if v}):
                 return None
             basis.append(vec)
         return basis
+
+    def _null_residues(self):
+        """Per free column f, ascending: (f, {pivot column: nonzero residue})
+        of the modular null vector that is 1 on f and 0 on every other free
+        column.  The RREF tails give it directly: its entry on pivot column
+        c is minus c's tail entry on f."""
+        p = self.modulus
+        for f in range(self.ncols):
+            if f not in self.pivots:
+                yield f, {c: p - v for c, tail in self.pivots.items()
+                          if (v := tail.get(f))}
+
+
+class PackedEliminator(ModularEliminator):
+    """Row echelon form modulo a prime, one packed integer per pivot row.
+
+    The dense row store of ``ModularEliminator``: same ``rows``,
+    ``reduced``, ``rank``, ``kills`` and ``nullspace``, but a row modulo p
+    is one Python int made of fixed-width little-endian byte slots, one per
+    column, so a row update is one multiply-add on big integers (Dumas,
+    Fousse & Salvy, "Simultaneous modular reduction and Kronecker
+    substitution for small finite fields", J. Symb. Comput. 46, 2011).
+
+    The pivot row of column c is stored shifted: slot 0 is column c and
+    holds 1, slot k column c + k, every slot a residue below p.  A new row
+    is reduced by walking the pivots in ascending column order: the
+    accumulator is shifted down to the pivot's column, f = (acc & mask) mod
+    p is read off slot 0, and (p - f) * pivot is added.  Every term is
+    nonnegative, so no borrow crosses a slot, and a slot starts below p and
+    takes at most ncols additions of less than p^2: it stays below
+    (ncols + 1) * p^2 < 2^(2 bits(p) + bits(ncols + 1)), which is the slot
+    width, rounded up to whole bytes.  The walk stops early at a non-pivot
+    column that is nonzero modulo p; that column, or else the first such
+    one after the last pivot, becomes the new pivot, found and normalized
+    by one unpack of the row.  Pivot rows stay in echelon form, not
+    reduced; ``_null_residues`` back-substitutes once at the end.
+
+    Dense rows are what it is for: the syzygy evaluation systems, whose
+    every row has an entry in nearly every column.  Sparse systems keep
+    ``ModularEliminator``, whose updates touch only the entries present.
+    """
+
+    def __init__(self, ncols: int, modulus: int = PRIME):
+        super().__init__(ncols, modulus)
+        self.slot = (2 * modulus.bit_length() + (ncols + 1).bit_length() + 7) // 8
+        self.order = []  # the pivot columns, ascending; pivots maps each to its packed row
+
+    def _pack(self, residues) -> int:
+        s = self.slot
+        return int.from_bytes(b"".join([v.to_bytes(s, "little") for v in residues]),
+                              "little")
+
+    def _unpack(self, packed: int, count: int) -> list:
+        """The first count slots of packed, each reduced modulo the prime."""
+        s, p = self.slot, self.modulus
+        data = packed.to_bytes(s * count, "little")
+        return [int.from_bytes(data[i:i + s], "little") % p
+                for i in range(0, s * count, s)]
+
+    def add_row(self, row: dict) -> None:
+        self.rows.append(row)
+        p, ncols = self.modulus, self.ncols
+        vals = [0] * ncols
+        for j, c in row.items():
+            v = c % p if type(c) is int else _residue(c, p)
+            if v is None:
+                self.reduced = False
+                return
+            vals[j] = v
+        acc = self._pack(vals)
+        w = 8 * self.slot
+        mask = (1 << w) - 1
+        pivots = self.pivots
+        pos = start = 0  # acc's slot 0 is column pos; columns from start on are unread
+        for c in self.order:
+            if c > start:  # columns start..c-1 are free and final: the lead may be there
+                gap = self._unpack((acc & ((1 << w * (c - pos)) - 1)) >> w * (start - pos),
+                                   c - start)
+                lead = next((start + i for i, v in enumerate(gap) if v), None)
+                if lead is not None:
+                    vals = self._unpack(acc >> w * (lead - pos), ncols - lead)
+                    break
+            acc >>= w * (c - pos)
+            pos, start = c, c + 1
+            f = (acc & mask) % p
+            if f:
+                acc += (p - f) * pivots[c]
+        else:
+            vals = self._unpack(acc >> w * (start - pos), ncols - start)
+            lead = next((start + i for i, v in enumerate(vals) if v), None)
+            if lead is None:
+                return
+            vals = vals[lead - start:]
+        inv = pow(vals[0], -1, p)
+        pivots[lead] = self._pack([v * inv % p for v in vals])
+        insort(self.order, lead)
+
+    def _null_residues(self):
+        """As ``ModularEliminator._null_residues``, by back-substitution.
+
+        For the free columns F, each pivot c, descending, gets its entries
+        in all the null vectors at once, packed one slot per free column:
+        x_c = -(row c on F + sum over pivots j > c of row_c[j] * x_j).  A
+        slot sums fewer than ncols products below p^2 and one residue, so
+        the slot bound of ``add_row`` holds here too.
+        """
+        p, ncols = self.modulus, self.ncols
+        free = [f for f in range(ncols) if f not in self.pivots]
+        x, packed = {}, {}  # pivot column -> its entries in the null vectors
+        for c in reversed(self.order):
+            row = self._unpack(self.pivots[c], ncols - c)
+            acc = self._pack([row[f - c] if f > c else 0 for f in free])
+            for j, xj in packed.items():
+                if v := row[j - c]:
+                    acc += v * xj
+            x[c] = [-v % p for v in self._unpack(acc, len(free))]
+            packed[c] = self._pack(x[c])
+        for i, f in enumerate(free):
+            yield f, {c: v for c in self.order if (v := x[c][i])}
 
 
 def certified_nullspace(elim: ModularEliminator) -> list:

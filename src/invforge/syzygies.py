@@ -7,12 +7,15 @@ of weighted degree d, rows: u-monomials).  Rather than expanding A, the
 engine evaluates the generators at integer points: one point gives one row
 of E = V*A, so null(A) is contained in null(E), and rank E <= rank A <=
 dim I_d because every column of A is a degree-d invariant.  The rows go to
-a ``linalg.ModularEliminator``, and points are added until the rank of E
-modulo a prime reaches the Cayley-Sylvester count dim I_d.  Since
-rank_p E <= rank_Q E for every prime p, that certifies rank E = rank A =
-dim I_d over Q, so null(E) = null(A) exactly and E answers both questions:
+a ``linalg.PackedEliminator``, the modular eliminator's dense row store
+(each row modulo p is one packed integer, so a row update is one big-integer
+multiply-add; evaluation rows fill nearly every column), and points are
+added until the rank of E modulo a prime reaches the Cayley-Sylvester count
+dim I_d.  Since rank_p E <= rank_Q E for every prime p, that certifies
+rank E = rank A = dim I_d over Q, so null(E) = null(A) exactly and E
+answers both questions:
 
-* the basis is the modular eliminator's checked nullspace.  Every vector is
+* the basis is the eliminator's checked nullspace.  Every vector is
   in null(E) by exact dot products, there are ncols - rank_p =
   ncols - rank_Q of them, and each one's last nonzero entry is its own
   free column, so they are the canonical (RREF) basis of null(A), the same
@@ -44,13 +47,15 @@ plan of the same kind, one per degree, over the generator slots with the
 generator values as coordinates.
 
 Every system takes the certified route of invariant bases and membership:
-a ``ModularEliminator`` read back by ``linalg.certified_nullspace``, with
+a modular eliminator read back by ``linalg.certified_nullspace``, with
 exact elimination of the same rows as its only fallback.  Without the
 certificate (a set that does not span I_d, a stalled rank, or a hand-built
 generator that is no invariant of its degree; loaded and computed sets
 arrive verified, see ``GeneratorSet.verified``) the rows are those of the
-expanded A instead.  The minimality filter is one more such system, and
-exact elimination of A alone is the test suite's reference route.
+expanded A instead, and the minimality filter is one more system of
+expanded rows; both are sparse and go to ``linalg.nullspace_sparse``, which
+keeps the sparse row store.  Exact elimination of A alone is the test
+suite's reference route.
 
 A degree above ``hilbert.MAX_DEGREE`` or with more than MAX_CANDIDATES
 generator monomials is refused with ValueError, counted by
@@ -67,7 +72,7 @@ from dataclasses import dataclass
 from .exponents import powers2
 from .hilbert import MAX_DEGREE, generator_monomial_count, invariant_dimension
 from .invariants import GeneratorSet, expand_candidate, monomial_rows, nullspace_polynomials
-from .linalg import PRIME, WORD_PRIME, ModularEliminator, certified_nullspace, nullspace_sparse
+from .linalg import PRIME, WORD_PRIME, PackedEliminator, certified_nullspace, nullspace_sparse
 from .rings import ContextMismatchError, Polynomial, u_ring
 
 # The certificate gives up after this many consecutive points that do not
@@ -79,11 +84,11 @@ POINT_RANGE = 3
 LINE_STEPS = (0,) + tuple(s * t for t in range(1, POINT_RANGE + 1) for s in (1, -1))
 
 # Largest number of generator monomials a syzygy degree may have.  The
-# bundled octavic set needs at most 107 (d = 20, 0.3 s on a 2-vCPU Xeon
-# host); d = 24 has 220 and takes 1.8-2.4 s, d = 28 has 422 and takes 17 s,
-# nearly all of it the 127-bit elimination, and the time grows about
-# 2.8-fold per two degrees.  Larger requests are refused before any point
-# is evaluated.
+# bundled octavic set needs at most 107 (d = 20, 0.12 s on a 2-vCPU Xeon
+# host); d = 24 has 220 and takes 0.6 s, d = 28 has 422 and takes 3.1 s,
+# about half of it the packed 127-bit elimination and a third the exact
+# check of the nullspace, and the time grows about 2.3-fold per two
+# degrees.  Larger requests are refused before any point is evaluated.
 MAX_CANDIDATES = 500
 
 
@@ -243,7 +248,7 @@ class _Points:
 
 def _certified_system(gens: GeneratorSet, d: int, candidates: list,
                       points: _Points, modulus: int):
-    """ModularEliminator over evaluation rows with rank dim I_d, or None.
+    """PackedEliminator over evaluation rows with rank dim I_d, or None.
 
     The rows come from the points t in LINE_STEPS of lines 0, 1, ...; a
     line ends at its first point that does not raise the rank.  The modulus
@@ -253,7 +258,7 @@ def _certified_system(gens: GeneratorSet, d: int, candidates: list,
     if len(candidates) < target or not gens.verified:
         return None
     monomials = _Plan([{e: 1} for e in candidates], len(gens))
-    elim = ModularEliminator(len(candidates), modulus)
+    elim = PackedEliminator(len(candidates), modulus)
     k = idle = 0
     while elim.rank < target and idle < IDLE_POINTS:
         for t in LINE_STEPS:

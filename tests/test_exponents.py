@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invforge.exponents import _compositions, _u_powers, grad, powers, powers2
+from invforge.exponents import _compositions, _gen_powers, _u_powers, grad, powers, powers2
 from invforge.rings import gen_ring, monomial_key, u_ring, x_ring
 
 
@@ -52,6 +52,16 @@ def test_powers2_examples():
     assert set(powers2([4, 8, 12, 18], 8)) == {(2, 0, 0, 0), (0, 1, 0, 0)}
     assert powers2([4, 8, 12, 18], 5) == []
     assert set(powers2([2, 3], 6)) == {(3, 0), (0, 2)}
+
+
+def test_powers2_share_their_tuples():
+    # relations of one generator set and degree share their exponent keys
+    first, again = powers2([2, 3, 4, 5, 6, 7, 8, 9, 10], 16), powers2(range(2, 11), 16)
+    assert first is not again and len(first) == 48
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    first.reverse()
+    assert powers2((2, 3, 4, 5, 6, 7, 8, 9, 10), 16) == again
+    assert _gen_powers.cache_info().maxsize is not None
 
 
 def test_grad_examples():

@@ -3,18 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invforge.linalg import (
     PRIME,
     WORD_PRIME,
     Eliminator,
     ModularEliminator,
+    PackedEliminator,
     certified_nullspace,
     nullspace_sparse,
     rank_sparse,
     solve_affine_sparse,
 )
+from invforge.syzygies import MAX_CANDIDATES
 
 from properties import (
     check_linalg_against_naive,
@@ -257,3 +259,69 @@ def test_kills_walks_a_sparse_vector_against_tall_dense_rows():
     assert not elim.kills(vec)
     # a column in no row is read as 0
     assert ModularEliminator(9).add_rows(rows).kills({8: 1, 0: 1, 1: -1})
+
+
+# -- the packed (dense) row store against the sparse one ----------------------
+
+dense_entries = st.one_of(st.integers(-3, 3), st.integers(-2**120, 2**120))
+
+
+@st.composite
+def dense_systems(draw):
+    """Dense rows mixed from a few base rows (so often rank-deficient), and
+    a modulus."""
+    cols = draw(st.integers(1, 8))
+    base = draw(st.lists(st.lists(dense_entries, min_size=cols, max_size=cols),
+                         min_size=1, max_size=4))
+    mixes = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base),
+                                   max_size=len(base)), min_size=1, max_size=8))
+    data = [[sum(m * r[j] for m, r in zip(mix, base)) for j in range(cols)]
+            for mix in mixes]
+    return cols, data, draw(st.sampled_from([PRIME, WORD_PRIME]))
+
+
+def both_stores(cols, rows, modulus):
+    """The sparse and the packed store fed the same rows; the ranks agree
+    after every row."""
+    sparse, packed = ModularEliminator(cols, modulus), PackedEliminator(cols, modulus)
+    for row in rows:
+        sparse.add_row(row)
+        packed.add_row(row)
+        assert packed.rank == sparse.rank
+    return sparse, packed
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_systems())
+# a checked basis, and a refusal: -2^120 lies past WORD_PRIME's bound
+@example((4, [[1, 2, -3, 4], [2, 4, -6, 8], [0, 1, 1, 0]], PRIME))
+@example((2, [[1, -2**120], [-3, 3 * 2**120]], WORD_PRIME))
+def test_packed_store_matches_sparse_store(system):
+    cols, data, modulus = system
+    sparse, packed = both_stores(cols, sparse_rows(data), modulus)
+    assert packed.nullspace() == sparse.nullspace()
+
+
+@pytest.mark.parametrize("modulus", [PRIME, WORD_PRIME], ids=["PRIME", "WORD_PRIME"])
+@pytest.mark.parametrize("last,rank", [(-498, MAX_CANDIDATES), (-499, MAX_CANDIDATES - 1)])
+def test_packed_store_worst_carry(modulus, last, rank):
+    # rows e_k - (e_(k+1) + ... + e_(n-1)), fed last first, are the packed
+    # pivot rows 1, p-1, ..., p-1; the final row reads f = 1 at every
+    # pivot, so each of its n - 1 reductions adds (p-1)^2 to every later
+    # slot, and its last slot ends at last + 499 modulo p
+    n = MAX_CANDIDATES
+    rows = [{k: 1, **{j: -1 for j in range(k + 1, n)}} for k in reversed(range(n - 1))]
+    rows.append({**{c: 1 - c for c in range(n - 1) if c != 1}, n - 1: last})
+    sparse, packed = both_stores(n, rows, modulus)
+    assert packed.rank == rank
+    assert all(packed._unpack(packed.pivots[c], n - c) == [1] + [modulus - 1] * (n - 1 - c)
+               for c in packed.order)
+    assert list(packed._null_residues()) == list(sparse._null_residues())
+    assert packed.nullspace() == sparse.nullspace()
+
+
+def test_packed_store_falls_back_on_unreduced_rows():
+    elim = PackedEliminator(2).add_rows(sparse_rows([[Fraction(3, PRIME), 1]]))
+    assert not elim.reduced
+    assert elim.nullspace() is None
+    assert certified_nullspace(elim) == [[Fraction(-PRIME, 3), Fraction(1)]]

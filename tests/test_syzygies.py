@@ -124,9 +124,19 @@ def test_exact_rows_fallback(n, d, expansions, monkeypatch):
     # the kept rows eliminated exactly
     gens, _ = bundled(n)
     want = syzygy_basis(gens, d), minimal_syzygies(gens, FILTER_DEGREES[n])
-    monkeypatch.setattr(linalg.ModularEliminator, "nullspace", lambda self: None)
+    refused = []
+
+    def refuse(self):
+        refused.append(type(self))
+
+    monkeypatch.setattr(linalg.ModularEliminator, "nullspace", refuse)
     assert (syzygy_basis(gens, d), minimal_syzygies(gens, FILTER_DEGREES[n])) == want
     assert not expansions
+    # every certified basis, one per degree, went through the patched
+    # certificate, and so did each degree's minimality filter
+    degrees = 1 + len(FILTER_DEGREES[n])
+    assert refused.count(linalg.PackedEliminator) == degrees
+    assert refused.count(linalg.ModularEliminator) == degrees - 1
 
 
 def test_certified_filter_builds_no_exact_eliminator(ref5, monkeypatch):
@@ -336,12 +346,14 @@ def test_certified_rows_match_termwise_reference(n, d):
 
 def test_check_systems_run_on_the_word_prime(expansions, monkeypatch):
     # check_syzygy reads only ranks and exact dot products; the bases
-    # reconstruct rationals and keep the 127-bit prime
-    moduli = []
+    # reconstruct rationals and keep the 127-bit prime.  The dense
+    # evaluation systems take the packed store, the sparse systems the
+    # dict one, and both go through ModularEliminator's constructor.
+    built = []
     init = linalg.ModularEliminator.__init__
 
     def spy(self, ncols, modulus=linalg.PRIME):
-        moduli.append(modulus)
+        built.append((type(self), modulus))
         init(self, ncols, modulus)
 
     monkeypatch.setattr(linalg.ModularEliminator, "__init__", spy)
@@ -350,11 +362,15 @@ def test_check_systems_run_on_the_word_prime(expansions, monkeypatch):
     bad = Polynomial(rel.context, {**rel.terms, e: c + 1})
     assert check_syzygy(gens, rel)
     assert not check_syzygy(gens, bad)
-    assert moduli == [linalg.WORD_PRIME] * 2
-    moduli.clear()
+    assert built == [(linalg.PackedEliminator, linalg.WORD_PRIME)] * 2
+    built.clear()
     assert len(syzygy_basis(gens, 16)) == 1
-    assert moduli == [linalg.PRIME]
+    assert built == [(linalg.PackedEliminator, linalg.PRIME)]
     assert not expansions
+    built.clear()
+    assert linalg.nullspace_sparse(2, [{0: 1, 1: -1}]) == [[Fraction(1), Fraction(1)]]
+    assert linalg.solve_affine_sparse(1, [{0: 2, 1: 6}]) == [Fraction(3)]
+    assert built == [(linalg.ModularEliminator, linalg.PRIME)] * 2
 
 
 def test_expansion_sums_in_one_dict(ref5, polynomial_arithmetic):
