@@ -19,9 +19,9 @@ they span the rational nullspace, their free columns are the rational
 RREF's, and they are its canonical basis.  Whenever a row has no residue,
 or reconstruction or a check fails, the method returns None.
 
-It has two row stores, which share the kept rows, the rank, ``kills`` and
-that certificate, and differ only in how rows are reduced and how the
-modular null vectors are read:
+It has two row stores, which share the kept rows, ``kills`` and that
+certificate, and differ only in where the pivot rows live, how rows are
+reduced and how the modular null vectors are read:
 
 * ``ModularEliminator`` itself keeps the RREF as sparse dicts, so an update
   touches only the entries present: the store for the expanded, sparse
@@ -34,7 +34,12 @@ modular null vectors are read:
   update is then one big-integer multiply-add, so it is the store for the
   dense syzygy evaluation systems, whose rows fill nearly every column.
 
-The store follows from how a system is built, never from an option.
+The store follows from how a system is built, never from an option.  Each
+is the faster one on its own systems: with the packed store behind
+``nullspace_sparse`` and ``solve_affine_sparse`` as well, the perfbench
+``generators`` workload read 2.3 times slower and ``queries`` 1.2 times
+(``BENCH_packed_kernel.json``, ``store_choice``), since a sparse row then
+costs as much as a dense one.
 
 ``Eliminator`` is the exact route: a fraction-free incremental eliminator
 over sparse integer rows (cross-multiplied updates with content stripping,
@@ -172,6 +177,8 @@ WORD_PRIME = 2**30 - 35  # the largest prime below 2^30: one-digit CPython ints
 
 def _residue(c, p: int) -> Optional[int]:
     """c modulo p, or None when its denominator is divisible by p."""
+    if type(c) is int:  # the common case, without isinstance's ABC lookup
+        return c % p
     if isinstance(c, Fraction):
         den = c.denominator % p
         if not den:
@@ -204,8 +211,9 @@ class ModularEliminator:
     """Incremental RREF modulo a prime that keeps every exact row it is fed.
 
     The sparse row store: each pivot row is a dict of its nonzero residues.
-    ``PackedEliminator`` is the dense one; a store supplies ``add_row`` and
-    ``_null_residues``, and ``nullspace`` certifies the result of either.
+    ``PackedEliminator`` is the dense one; a store supplies ``_new_store``,
+    ``add_row``, ``rank`` and ``_null_residues``, and ``nullspace``
+    certifies the result of either.
 
     The modulus defaults to PRIME, whose 127 bits let ``nullspace``
     reconstruct the entries the engine's systems have.  A system read only
@@ -218,8 +226,11 @@ class ModularEliminator:
         self.ncols = ncols
         self.modulus = modulus
         self.rows = []       # the exact rows, as fed
-        self.pivots = {}     # pivot column -> {later non-pivot column: residue}
         self.reduced = True  # every kept row was reduced modulo the prime
+        self._new_store()
+
+    def _new_store(self) -> None:
+        self.pivots = {}  # pivot column -> {later non-pivot column: residue}
 
     def add_row(self, row: dict) -> None:
         self.rows.append(row)
@@ -329,11 +340,12 @@ class PackedEliminator(ModularEliminator):
     """Row echelon form modulo a prime, one packed integer per pivot row.
 
     The dense row store of ``ModularEliminator``: same ``rows``,
-    ``reduced``, ``rank``, ``kills`` and ``nullspace``, but a row modulo p
-    is one Python int made of fixed-width little-endian byte slots, one per
-    column, so a row update is one multiply-add on big integers (Dumas,
-    Fousse & Salvy, "Simultaneous modular reduction and Kronecker
-    substitution for small finite fields", J. Symb. Comput. 46, 2011).
+    ``reduced``, ``kills`` and ``nullspace``, but its pivot rows live in
+    ``echelon``, not ``pivots``, and a row modulo p is one Python int made
+    of fixed-width little-endian byte slots, one per column, so a row
+    update is one multiply-add on big integers (Dumas, Fousse & Salvy,
+    "Simultaneous modular reduction and Kronecker substitution for small
+    finite fields", J. Symb. Comput. 46, 2011).
 
     The pivot row of column c is stored shifted: slot 0 is column c and
     holds 1, slot k column c + k, every slot a residue below p.  A new row
@@ -351,13 +363,18 @@ class PackedEliminator(ModularEliminator):
 
     Dense rows are what it is for: the syzygy evaluation systems, whose
     every row has an entry in nearly every column.  Sparse systems keep
-    ``ModularEliminator``, whose updates touch only the entries present.
+    ``ModularEliminator``, whose updates touch only the entries present;
+    on them this store does a full-width shift per pivot and a full-width
+    multiply-add per update, and measured slower (module docstring).
     """
 
-    def __init__(self, ncols: int, modulus: int = PRIME):
-        super().__init__(ncols, modulus)
-        self.slot = (2 * modulus.bit_length() + (ncols + 1).bit_length() + 7) // 8
-        self.order = []  # the pivot columns, ascending; pivots maps each to its packed row
+    def _new_store(self) -> None:
+        self.slot = (2 * self.modulus.bit_length() + (self.ncols + 1).bit_length() + 7) // 8
+        self.echelon = []  # (pivot column, packed shifted row), ascending column
+
+    @property
+    def rank(self) -> int:
+        return len(self.echelon)
 
     def _pack(self, residues) -> int:
         s = self.slot
@@ -376,7 +393,7 @@ class PackedEliminator(ModularEliminator):
         p, ncols = self.modulus, self.ncols
         vals = [0] * ncols
         for j, c in row.items():
-            v = c % p if type(c) is int else _residue(c, p)
+            v = _residue(c, p)
             if v is None:
                 self.reduced = False
                 return
@@ -384,9 +401,8 @@ class PackedEliminator(ModularEliminator):
         acc = self._pack(vals)
         w = 8 * self.slot
         mask = (1 << w) - 1
-        pivots = self.pivots
         pos = start = 0  # acc's slot 0 is column pos; columns from start on are unread
-        for c in self.order:
+        for c, pivot in self.echelon:
             if c > start:  # columns start..c-1 are free and final: the lead may be there
                 gap = self._unpack((acc & ((1 << w * (c - pos)) - 1)) >> w * (start - pos),
                                    c - start)
@@ -398,7 +414,7 @@ class PackedEliminator(ModularEliminator):
             pos, start = c, c + 1
             f = (acc & mask) % p
             if f:
-                acc += (p - f) * pivots[c]
+                acc += (p - f) * pivot
         else:
             vals = self._unpack(acc >> w * (start - pos), ncols - start)
             lead = next((start + i for i, v in enumerate(vals) if v), None)
@@ -406,8 +422,7 @@ class PackedEliminator(ModularEliminator):
                 return
             vals = vals[lead - start:]
         inv = pow(vals[0], -1, p)
-        pivots[lead] = self._pack([v * inv % p for v in vals])
-        insort(self.order, lead)
+        insort(self.echelon, (lead, self._pack([v * inv % p for v in vals])))
 
     def _null_residues(self):
         """As ``ModularEliminator._null_residues``, by back-substitution.
@@ -419,10 +434,11 @@ class PackedEliminator(ModularEliminator):
         the slot bound of ``add_row`` holds here too.
         """
         p, ncols = self.modulus, self.ncols
-        free = [f for f in range(ncols) if f not in self.pivots]
+        pivot_cols = {c for c, _ in self.echelon}
+        free = [f for f in range(ncols) if f not in pivot_cols]
         x, packed = {}, {}  # pivot column -> its entries in the null vectors
-        for c in reversed(self.order):
-            row = self._unpack(self.pivots[c], ncols - c)
+        for c, pivot in reversed(self.echelon):
+            row = self._unpack(pivot, ncols - c)
             acc = self._pack([row[f - c] if f > c else 0 for f in free])
             for j, xj in packed.items():
                 if v := row[j - c]:
@@ -430,7 +446,7 @@ class PackedEliminator(ModularEliminator):
             x[c] = [-v % p for v in self._unpack(acc, len(free))]
             packed[c] = self._pack(x[c])
         for i, f in enumerate(free):
-            yield f, {c: v for c in self.order if (v := x[c][i])}
+            yield f, {c: v for c, _ in self.echelon if (v := x[c][i])}
 
 
 def certified_nullspace(elim: ModularEliminator) -> list:

@@ -314,8 +314,8 @@ def test_packed_store_worst_carry(modulus, last, rank):
     rows.append({**{c: 1 - c for c in range(n - 1) if c != 1}, n - 1: last})
     sparse, packed = both_stores(n, rows, modulus)
     assert packed.rank == rank
-    assert all(packed._unpack(packed.pivots[c], n - c) == [1] + [modulus - 1] * (n - 1 - c)
-               for c in packed.order)
+    assert all(packed._unpack(row, n - c) == [1] + [modulus - 1] * (n - 1 - c)
+               for c, row in packed.echelon)
     assert list(packed._null_residues()) == list(sparse._null_residues())
     assert packed.nullspace() == sparse.nullspace()
 
