@@ -15,9 +15,9 @@ import math
 
 
 # Largest candidate set invariant_basis and is_member take on.  The bundled
-# tables need at most 641 (n = 8, d = 10, about 0.4 s on a 2-vCPU Xeon host);
-# n = 8, d = 12 has 1430 and takes about 2.2 s, d = 14 has 2898 and takes
-# about 13 s.  Larger requests are refused before any work.
+# tables need at most 641 (n = 8, d = 10, about 0.3 s on a 2-vCPU Xeon host);
+# n = 8, d = 12 has 1430 and takes about 1.5-2.2 s, and d = 14 has 2898.
+# Larger requests are refused before any work.
 MAX_CANDIDATES = 2000
 
 # Largest degree any request may have; sizing a degree builds tables of

@@ -4,15 +4,13 @@ The per-degree solver turns the reduced operator's action on candidate
 monomials into a homogeneous linear system indexed directly by monomials
 (columns: degree-d weight-balanced candidates, rows: image monomials) and
 reads invariants off the canonical nullspace.  Membership solves the system
-whose columns are the expanded generator products and the target.  Both go
-through ``linalg``'s certified route: elimination modulo a prime, a
-nullspace recovered by rational reconstruction and checked exactly against
-every row, and exact elimination of the same rows whenever that check
-cannot be had.  Either way the answer is the exact canonical one, and the
-basis size is still checked against the Cayley-Sylvester count.  The
-brute-force solver over the original two-derivation system in
-x-coordinates, the independent oracle, lives with the test suite's
-property batteries.
+whose columns are the expanded generator products and the target.  Both
+systems are sparse and go to ``linalg``'s exact kernel, an incremental
+reduced echelon form over integer rows, so the answer is the exact
+canonical one by construction; the basis size is still checked against the
+Cayley-Sylvester count.  The brute-force solver over the original
+two-derivation system in x-coordinates, the independent oracle, lives with
+the test suite's property batteries.
 """
 
 from __future__ import annotations
@@ -154,9 +152,8 @@ def monomial_rows(ctx: VarContext, columns: Iterable[Polynomial]) -> list:
     One row per monomial occurring in some column, in descending canonical
     order of ctx.  The reduced echelon form of a row space is unique, so the
     order changes no nullspace and no solution; but fed leading monomial
-    first, the rows eliminate far faster.  For invariant_basis(8, 10) the
-    modular nullspace takes 0.3 s instead of 6 s, and exact elimination
-    keeps pivot entries of 56 bits instead of 403.  Columns are read one at
+    first, the rows eliminate far faster: for invariant_basis(8, 10) the
+    exact nullspace takes 0.23 s instead of 15 s.  Columns are read one at
     a time: pass a generator, and no list of column polynomials is ever
     held.
     """

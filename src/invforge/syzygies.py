@@ -7,13 +7,12 @@ of weighted degree d, rows: u-monomials).  Rather than expanding A, the
 engine evaluates the generators at integer points: one point gives one row
 of E = V*A, so null(A) is contained in null(E), and rank E <= rank A <=
 dim I_d because every column of A is a degree-d invariant.  The rows go to
-a ``linalg.PackedEliminator``, the modular eliminator's dense row store
-(each row modulo p is one packed integer, so a row update is one big-integer
-multiply-add; evaluation rows fill nearly every column), and points are
-added until the rank of E modulo a prime reaches the Cayley-Sylvester count
-dim I_d.  Since rank_p E <= rank_Q E for every prime p, that certifies
-rank E = rank A = dim I_d over Q, so null(E) = null(A) exactly and E
-answers both questions:
+a ``linalg.PackedEliminator``, the modular kernel (each row modulo p is one
+packed integer, so a row update is one big-integer multiply-add; evaluation
+rows fill nearly every column), and points are added until the rank of E
+modulo a prime reaches the Cayley-Sylvester count dim I_d.  Since
+rank_p E <= rank_Q E for every prime p, that certifies rank E = rank A =
+dim I_d over Q, so null(E) = null(A) exactly and E answers both questions:
 
 * the basis is the eliminator's checked nullspace.  Every vector is
   in null(E) by exact dot products, there are ncols - rank_p =
@@ -46,16 +45,15 @@ term-by-term sum gives.  The candidate row at a point comes from a second
 plan of the same kind, one per degree, over the generator slots with the
 generator values as coordinates.
 
-Every system takes the certified route of invariant bases and membership:
-a modular eliminator read back by ``linalg.certified_nullspace``, with
-exact elimination of the same rows as its only fallback.  Without the
+A certified system's basis is read back by ``linalg.certified_nullspace``,
+whose only fallback is the exact kernel on the same rows.  Without the
 certificate (a set that does not span I_d, a stalled rank, or a hand-built
 generator that is no invariant of its degree; loaded and computed sets
 arrive verified, see ``GeneratorSet.verified``) the rows are those of the
 expanded A instead, and the minimality filter is one more system of
-expanded rows; both are sparse and go to ``linalg.nullspace_sparse``, which
-keeps the sparse row store.  Exact elimination of A alone is the test
-suite's reference route.
+expanded rows; both are sparse and go to ``linalg.nullspace_sparse``, the
+exact kernel of invariant bases and membership.  The expanded A alone is
+the test suite's reference route.
 
 A degree above ``hilbert.MAX_DEGREE`` or with more than MAX_CANDIDATES
 generator monomials is refused with ValueError, counted by

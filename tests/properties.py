@@ -25,8 +25,7 @@ from invforge.invariants import (
     nullspace_polynomials,
 )
 from invforge.linalg import (
-    Eliminator,
-    ModularEliminator,
+    PackedEliminator,
     nullspace_sparse,
     rank_sparse,
     solve_affine_sparse,
@@ -435,7 +434,7 @@ def invariant_basis_direct(n: int, d: int) -> InvariantBasis:
         rows += monomial_rows(ctx, (apply_derivation(op, Polynomial.monomial(ctx, e))
                                     for e in candidates))
     return InvariantBasis(n, d, tuple(nullspace_polynomials(
-        ctx, candidates, exact_nullspace(len(candidates), rows))))
+        ctx, candidates, nullspace_sparse(len(candidates), rows))))
 
 
 def span_equal(xs, ys, n):
@@ -456,25 +455,9 @@ def span_equal(xs, ys, n):
                     rows.setdefault(idx[e], {})[j] = c
             for e, c in t.terms.items():
                 rows.setdefault(idx[e], {})[len(basis)] = c
-            if exact_solve_affine(len(basis), rows.values()) is None:
+            if solve_affine_sparse(len(basis), rows.values()) is None:
                 return False
     return True
-
-
-def exact_nullspace(ncols, rows):
-    """nullspace_sparse's answer by exact elimination alone, no modular step."""
-    return Eliminator(ncols).add_rows(rows).nullspace()
-
-
-def exact_solve_affine(ncols, rows):
-    """solve_affine_sparse's answer from the exact reduced echelon form."""
-    elim = Eliminator(ncols + 1).add_rows(rows)
-    if ncols in elim.pivots:
-        return None
-    sol = [Fraction(0)] * ncols
-    for c, r in elim.rref():
-        sol[c] = r.get(ncols, Fraction(0))
-    return sol
 
 
 def syzygy_basis_by_expansion(gens, d):
@@ -488,7 +471,7 @@ def syzygy_basis_by_expansion(gens, d):
     columns = [expand_candidate(gens, e, powers) for e in candidates]
     rows = monomial_rows(u_ring(gens.n), columns)
     return [Syzygy(rel, d) for rel in nullspace_polynomials(
-        gens.gen_context(), candidates, exact_nullspace(len(candidates), rows))]
+        gens.gen_context(), candidates, nullspace_sparse(len(candidates), rows))]
 
 
 def naive_rref(rows, cols):
@@ -523,6 +506,27 @@ def naive_nullspace(rows, cols):
             v[c] = -m[r][f]
         basis.append(v)
     return basis
+
+
+def naive_solve_affine(rows, b, cols):
+    """The solution of A x = b that the naive RREF of [A | b] gives, free
+    variables 0, or None when b's column is a pivot column."""
+    m, pivots = naive_rref([list(r) + [v] for r, v in zip(rows, b)], cols + 1)
+    if cols in pivots:
+        return None
+    sol = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        sol[c] = m[r][cols]
+    return sol
+
+
+def check_pivot_layout(elim):
+    """Each pivot row of an Eliminator is an integer row with content 1, a
+    positive entry on its pivot column and none on any other pivot column."""
+    for c, row in elim.pivots.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert row[c] > 0 and math.gcd(*row.values()) == 1
+        assert not (row.keys() - {c}) & elim.pivots.keys()
 
 
 def sparse_rows(data, rhs=None):
@@ -599,7 +603,7 @@ def certified_rows_termwise(gens, d, candidates, point_range, idle_points,
     for t in range(1, point_range + 1):
         steps += [t, -t]
     target = invariant_dimension(gens.n, d)
-    elim = ModularEliminator(len(candidates), modulus)
+    elim = PackedEliminator(len(candidates), modulus)
     k = idle = 0
     while elim.rank < target and idle < idle_points:
         rng = random.Random(k)

@@ -9,7 +9,6 @@ from invforge.linalg import (
     PRIME,
     WORD_PRIME,
     Eliminator,
-    ModularEliminator,
     PackedEliminator,
     certified_nullspace,
     nullspace_sparse,
@@ -20,9 +19,11 @@ from invforge.syzygies import MAX_CANDIDATES
 
 from properties import (
     check_linalg_against_naive,
-    exact_nullspace,
-    exact_solve_affine,
+    check_pivot_layout,
     linalg_naive_cases,
+    naive_nullspace,
+    naive_rref,
+    naive_solve_affine,
     sparse_rows,
 )
 
@@ -85,7 +86,7 @@ def test_deterministic_bits():
     data = [[3, -1, 2], [6, -2, 4], [0, 5, 5]]
     # the RREF is unique, so the row order does not matter
     assert nullspace(data) == nullspace(data[::-1])
-    assert nullspace(data) == exact_nullspace(3, sparse_rows(data[::-1]))
+    assert nullspace(data) == naive_nullspace(data[::-1], 3)
     assert rank(data) == rank(data[::-1])
 
 
@@ -93,23 +94,19 @@ def test_against_naive_oracle():
     check_linalg_against_naive()
 
 
-def modular(rows):
-    elim = ModularEliminator(len(rows[0]))
-    for row in sparse_rows(rows):
-        elim.add_row(row)
-    return elim
+def modular(rows, modulus=PRIME):
+    return PackedEliminator(len(rows[0]), modulus).add_rows(sparse_rows(rows))
 
 
 def test_modular_nullspace_matches_exact():
     read = 0
     for data, cols, _ in linalg_naive_cases():
         got = modular(data)
-        exact = Eliminator(cols).add_rows(sparse_rows(data))
-        assert got.rank == exact.rank
+        assert got.rank == len(naive_rref(data, cols)[1])
         basis = got.nullspace()
         if basis is not None:
             read += 1
-            assert basis == exact.nullspace()
+            assert basis == naive_nullspace(data, cols)
     assert read == 120
 
 
@@ -128,7 +125,7 @@ def test_modular_nullspace_near_the_bound():
             got = modular(data).nullspace()
             outcomes.add(got is None)
             if got is not None:
-                assert got == exact_nullspace(6, sparse_rows(data))
+                assert got == naive_nullspace(data, 6)
     assert outcomes == {True, False}
 
 
@@ -151,8 +148,8 @@ def test_reconstruction_bound_follows_the_modulus():
     # 10^5 lies past sqrt(WORD_PRIME / 2), far within sqrt(PRIME / 2)
     rows = [{0: 1, 1: -10**5}]
     want = [[Fraction(10**5), Fraction(1)]]
-    assert ModularEliminator(2).add_rows(rows).nullspace() == want
-    word = ModularEliminator(2, WORD_PRIME).add_rows(rows)
+    assert PackedEliminator(2).add_rows(rows).nullspace() == want
+    word = PackedEliminator(2, WORD_PRIME).add_rows(rows)
     assert word.rank == 1 and word.nullspace() is None
     assert certified_nullspace(word) == want
 
@@ -171,12 +168,15 @@ def test_modular_nullspace_refuses(rows):
 
 
 entries = st.one_of(st.just(0), st.fractions(-6, 6, max_denominator=4),
-                    st.integers(-2**70, 2**70))
+                    st.integers(-2**70, 2**70),
+                    st.builds(lambda v, sign: sign * v, st.integers(2**70, 2**90),
+                              st.sampled_from([1, -1])))
 
 
 @st.composite
 def sparse_systems(draw):
-    """Rows mixed from a few base rows (so often rank-deficient), plus b.
+    """Rows mixed from a few base rows (so often rank-deficient), some of
+    them repeated, plus b.
 
     b is A x for a drawn x (consistent) or drawn freely (often not).
     """
@@ -187,6 +187,7 @@ def sparse_systems(draw):
                                    max_size=len(base)), min_size=1, max_size=6))
     data = [[sum(m * r[j] for m, r in zip(mix, base)) for j in range(cols)]
             for mix in mixes]
+    data += [data[i] for i in draw(st.lists(st.integers(0, len(data) - 1), max_size=2))]
     if draw(st.booleans()):
         x = draw(st.lists(entries, min_size=cols, max_size=cols))
         b = [sum(a * v for a, v in zip(row, x)) for row in data]
@@ -197,11 +198,36 @@ def sparse_systems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_systems())
-def test_modular_route_matches_exact_route(system):
+@example(([[2, -4, 6], [2, -4, 6], [-1, 2, -3]], 3, [2, 2, -1]))
+@example(([[Fraction(1, 3), 2**80], [1, 3 * 2**80]], 2, [1, 0]))
+def test_exact_kernel_matches_naive_oracle(system):
     data, cols, b = system
-    rows, aug = sparse_rows(data), sparse_rows(data, b)
-    assert nullspace_sparse(cols, rows) == exact_nullspace(cols, rows)
-    assert solve_affine_sparse(cols, aug) == exact_solve_affine(cols, aug)
+    elim = Eliminator(cols)
+    for i, row in enumerate(sparse_rows(data)):
+        elim.add_row(row)
+        check_pivot_layout(elim)
+        assert elim.rank == len(naive_rref(data[:i + 1], cols)[1])
+    m, pivots = naive_rref(data, cols)
+    assert sorted(elim.pivots) == pivots
+    for r, c in enumerate(pivots):
+        row = elim.pivots[c]
+        assert [Fraction(row.get(j, 0), row[c]) for j in range(cols)] == m[r]
+    assert elim.nullspace() == naive_nullspace(data, cols)
+    assert nullspace_sparse(cols, sparse_rows(data)) == naive_nullspace(data, cols)
+    assert solve_affine_sparse(cols, sparse_rows(data, b)) == naive_solve_affine(data, b, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_modular_route_matches_exact_route(system):
+    # Fraction and long entries: the checked modular basis, where there is
+    # one, and the certified route always give the exact kernel's answer
+    data, cols, b = system
+    for ncols, rows in ((cols, sparse_rows(data)), (cols + 1, sparse_rows(data, b))):
+        elim = PackedEliminator(ncols).add_rows(rows)
+        exact = nullspace_sparse(ncols, rows)
+        assert elim.nullspace() in (None, exact)
+        assert certified_nullspace(elim) == exact
 
 
 @pytest.mark.parametrize("data,b,null,sol", [
@@ -215,26 +241,23 @@ def test_modular_route_matches_exact_route(system):
     ([[Fraction(1, PRIME), 1]], [1],
      [[Fraction(-PRIME), Fraction(1)]], [Fraction(PRIME), Fraction(0)]),
     # consistent modulo PRIME only: kills refuses (-1, 0, 1), and the
-    # exact route finds b a pivot
+    # exact kernel finds b a pivot
     ([[1, 0], [1, 0]], [1, 1 + PRIME], [[Fraction(0), Fraction(1)]], None),
 ], ids=["pivot-moves", "past-bound", "denominator-p", "consistent-mod-p"])
 def test_fallback_returns_the_exact_answer(data, b, null, sol):
     cols = len(data[0])
     rows, aug = sparse_rows(data), sparse_rows(data, b)
-    assert ModularEliminator(cols + 1).add_rows(aug).nullspace() is None
+    elim = PackedEliminator(cols + 1).add_rows(aug)
+    assert elim.nullspace() is None
+    assert certified_nullspace(elim) == nullspace_sparse(cols + 1, aug)
+    assert certified_nullspace(PackedEliminator(cols).add_rows(rows)) == null
     assert nullspace_sparse(cols, rows) == null
     assert solve_affine_sparse(cols, aug) == sol
 
 
-def test_fallback_on_unreduced_rows():
-    elim = ModularEliminator(2).add_rows(sparse_rows([[Fraction(3, PRIME), 1]]))
-    assert not elim.reduced
-    assert nullspace_sparse(2, elim.rows) == [[Fraction(-PRIME, 3), Fraction(1)]]
-
-
 def test_kills_walks_sparse_rows_against_a_dense_vector():
     # rows x_j - x_(j+1): each is shorter than the vector
-    elim = ModularEliminator(6).add_rows({j: 1, j + 1: -1} for j in range(5))
+    elim = PackedEliminator(6).add_rows({j: 1, j + 1: -1} for j in range(5))
     assert elim.kills({j: 1 for j in range(6)})
     assert elim.kills({j: Fraction(1, 3) for j in range(6)})
     # only the last row, x4 - x5, sees the change
@@ -249,7 +272,7 @@ def test_kills_walks_a_sparse_vector_against_tall_dense_rows():
     for _ in range(40):
         a = rng.randrange(1, 50)
         rows.append({0: a, 1: a, **{j: rng.randrange(1, 50) for j in range(2, 8)}})
-    elim = ModularEliminator(8).add_rows(rows)
+    elim = PackedEliminator(8).add_rows(rows)
     vec = {0: 1, 1: -1}
     assert all(len(row) > len(vec) for row in elim.rows)
     assert elim.kills(vec)
@@ -258,10 +281,10 @@ def test_kills_walks_a_sparse_vector_against_tall_dense_rows():
     elim.rows[17] = {**elim.rows[17], 1: elim.rows[17][1] + 1}
     assert not elim.kills(vec)
     # a column in no row is read as 0
-    assert ModularEliminator(9).add_rows(rows).kills({8: 1, 0: 1, 1: -1})
+    assert PackedEliminator(9).add_rows(rows).kills({8: 1, 0: 1, 1: -1})
 
 
-# -- the packed (dense) row store against the sparse one ----------------------
+# -- the packed modular store against the exact kernel ------------------------
 
 dense_entries = st.one_of(st.integers(-3, 3), st.integers(-2**120, 2**120))
 
@@ -280,15 +303,15 @@ def dense_systems(draw):
     return cols, data, draw(st.sampled_from([PRIME, WORD_PRIME]))
 
 
-def both_stores(cols, rows, modulus):
-    """The sparse and the packed store fed the same rows; the ranks agree
-    after every row."""
-    sparse, packed = ModularEliminator(cols, modulus), PackedEliminator(cols, modulus)
+def both_kernels(cols, rows, modulus):
+    """The packed store and the exact kernel fed the same rows; the modular
+    rank never exceeds the rational one."""
+    exact, packed = Eliminator(cols), PackedEliminator(cols, modulus)
     for row in rows:
-        sparse.add_row(row)
+        exact.add_row(row)
         packed.add_row(row)
-        assert packed.rank == sparse.rank
-    return sparse, packed
+        assert packed.rank <= exact.rank
+    return exact, packed
 
 
 @settings(max_examples=300, deadline=None)
@@ -296,10 +319,11 @@ def both_stores(cols, rows, modulus):
 # a checked basis, and a refusal: -2^120 lies past WORD_PRIME's bound
 @example((4, [[1, 2, -3, 4], [2, 4, -6, 8], [0, 1, 1, 0]], PRIME))
 @example((2, [[1, -2**120], [-3, 3 * 2**120]], WORD_PRIME))
-def test_packed_store_matches_sparse_store(system):
+def test_packed_store_matches_exact_kernel(system):
     cols, data, modulus = system
-    sparse, packed = both_stores(cols, sparse_rows(data), modulus)
-    assert packed.nullspace() == sparse.nullspace()
+    exact, packed = both_kernels(cols, sparse_rows(data), modulus)
+    assert packed.nullspace() in (None, exact.nullspace())
+    assert certified_nullspace(packed) == exact.nullspace()
 
 
 @pytest.mark.parametrize("modulus", [PRIME, WORD_PRIME], ids=["PRIME", "WORD_PRIME"])
@@ -312,12 +336,13 @@ def test_packed_store_worst_carry(modulus, last, rank):
     n = MAX_CANDIDATES
     rows = [{k: 1, **{j: -1 for j in range(k + 1, n)}} for k in reversed(range(n - 1))]
     rows.append({**{c: 1 - c for c in range(n - 1) if c != 1}, n - 1: last})
-    sparse, packed = both_stores(n, rows, modulus)
-    assert packed.rank == rank
+    exact, packed = both_kernels(n, rows, modulus)
+    assert packed.rank == exact.rank == rank
     assert all(packed._unpack(row, n - c) == [1] + [modulus - 1] * (n - 1 - c)
                for c, row in packed.echelon)
-    assert list(packed._null_residues()) == list(sparse._null_residues())
-    assert packed.nullspace() == sparse.nullspace()
+    # at rank n - 1 the null vector has entries of 499 bits, past either bound
+    assert packed.nullspace() == ([] if rank == n else None)
+    assert certified_nullspace(packed) == exact.nullspace()
 
 
 def test_packed_store_falls_back_on_unreduced_rows():

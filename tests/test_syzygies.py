@@ -120,26 +120,27 @@ FILTER_DEGREES = {5: [36, 40], 6: [30, 32, 34], 8: [16]}
 
 @pytest.mark.parametrize("n,d", [(6, 30), (8, 16), (5, 36)])
 def test_exact_rows_fallback(n, d, expansions, monkeypatch):
-    # the evaluation bases and the minimality filter answer the same from
-    # the kept rows eliminated exactly
+    # the evaluation bases answer the same from the kept rows eliminated
+    # exactly
     gens, _ = bundled(n)
     want = syzygy_basis(gens, d), minimal_syzygies(gens, FILTER_DEGREES[n])
     refused = []
 
     def refuse(self):
-        refused.append(type(self))
+        refused.append(self.ncols)
 
-    monkeypatch.setattr(linalg.ModularEliminator, "nullspace", refuse)
+    monkeypatch.setattr(linalg.PackedEliminator, "nullspace", refuse)
     assert (syzygy_basis(gens, d), minimal_syzygies(gens, FILTER_DEGREES[n])) == want
     assert not expansions
     # every certified basis, one per degree, went through the patched
-    # certificate, and so did each degree's minimality filter
-    degrees = 1 + len(FILTER_DEGREES[n])
-    assert refused.count(linalg.PackedEliminator) == degrees
-    assert refused.count(linalg.ModularEliminator) == degrees - 1
+    # certificate; the minimality filter has none
+    assert len(refused) == 1 + len(FILTER_DEGREES[n])
 
 
-def test_certified_filter_builds_no_exact_eliminator(ref5, monkeypatch):
+def test_certified_bases_build_no_exact_eliminator(ref5, monkeypatch):
+    # an evaluation system builds an exact Eliminator only when its
+    # certificate fails; the minimality filter is one exact system per
+    # degree with a basis
     built = []
     init = linalg.Eliminator.__init__
 
@@ -149,7 +150,16 @@ def test_certified_filter_builds_no_exact_eliminator(ref5, monkeypatch):
 
     monkeypatch.setattr(linalg.Eliminator, "__init__", spy)
     assert [s.degree for s in minimal_syzygies(ref5, [36, 40])] == [36]
-    assert built == []
+    # d = 36: the one basis relation; d = 40: its product with the quartic
+    # generator, then the one basis relation
+    assert built == [1, 2]
+    # with the certificate refused, each basis is one more exact system
+    # over its candidates, built before its filter
+    built.clear()
+    monkeypatch.setattr(linalg.PackedEliminator, "nullspace", lambda self: None)
+    assert [s.degree for s in minimal_syzygies(ref5, [36, 40])] == [36]
+    count = [len(powers2(ref5.degrees(), d)) for d in (36, 40)]
+    assert built == [count[0], 1, count[1], 2]
 
 
 def test_minimal_syzygies_quintic(ref5):
@@ -347,30 +357,36 @@ def test_certified_rows_match_termwise_reference(n, d):
 def test_check_systems_run_on_the_word_prime(expansions, monkeypatch):
     # check_syzygy reads only ranks and exact dot products; the bases
     # reconstruct rationals and keep the 127-bit prime.  The dense
-    # evaluation systems take the packed store, the sparse systems the
-    # dict one, and both go through ModularEliminator's constructor.
+    # evaluation systems take the packed modular store, the sparse systems
+    # the exact kernel, with no modular step.
     built = []
-    init = linalg.ModularEliminator.__init__
+    init = linalg.PackedEliminator.__init__
+    exact_init = linalg.Eliminator.__init__
 
     def spy(self, ncols, modulus=linalg.PRIME):
-        built.append((type(self), modulus))
+        built.append(modulus)
         init(self, ncols, modulus)
 
-    monkeypatch.setattr(linalg.ModularEliminator, "__init__", spy)
+    def exact_spy(self, ncols):
+        built.append(None)
+        exact_init(self, ncols)
+
+    monkeypatch.setattr(linalg.PackedEliminator, "__init__", spy)
+    monkeypatch.setattr(linalg.Eliminator, "__init__", exact_spy)
     gens, rel = bundled(8)
     e, c = next(iter(rel.terms.items()))
     bad = Polynomial(rel.context, {**rel.terms, e: c + 1})
     assert check_syzygy(gens, rel)
     assert not check_syzygy(gens, bad)
-    assert built == [(linalg.PackedEliminator, linalg.WORD_PRIME)] * 2
+    assert built == [linalg.WORD_PRIME] * 2
     built.clear()
     assert len(syzygy_basis(gens, 16)) == 1
-    assert built == [(linalg.PackedEliminator, linalg.PRIME)]
+    assert built == [linalg.PRIME]
     assert not expansions
     built.clear()
     assert linalg.nullspace_sparse(2, [{0: 1, 1: -1}]) == [[Fraction(1), Fraction(1)]]
     assert linalg.solve_affine_sparse(1, [{0: 2, 1: 6}]) == [Fraction(3)]
-    assert built == [(linalg.ModularEliminator, linalg.PRIME)] * 2
+    assert built == [None] * 2
 
 
 def test_expansion_sums_in_one_dict(ref5, polynomial_arithmetic):

@@ -5,15 +5,22 @@ import importlib.util
 from pathlib import Path
 
 import invforge
+from invforge.exponents import powers
+from invforge.invariants import invariant_basis
 from invforge.rings import Polynomial
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_tracer_installs_and_uninstalls():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_installs_and_uninstalls():
+    tracer = load_tracer()
     mods = [importlib.import_module(f"invforge.{m}") for m in tracer.MODULES] + [invforge]
     mul = Polynomial.__dict__["__mul__"]
     t = tracer.Tracer()
@@ -24,3 +31,21 @@ def test_tracer_installs_and_uninstalls():
     finally:
         t.uninstall()
     assert Polynomial.__dict__["__mul__"] is mul
+
+
+def test_tracer_counts_the_sparse_systems():
+    # invariant bases run on the exact Eliminator, the class the tracer
+    # wraps: its one system is counted with every row and its full rank
+    t = load_tracer().Tracer()
+    try:
+        t.install()
+        basis = invariant_basis(4, 6)
+    finally:
+        t.uninstall()
+    got = t.metrics()
+    ncols = len(powers(4, 6))
+    assert got["linalg.systems"] == 1
+    assert got["linalg.cols"] == ncols
+    assert got["linalg.rows"] > 0
+    assert got["linalg.rank"] == ncols - len(basis)
+    assert got["linalg.max_pivot_bits"] > 0
