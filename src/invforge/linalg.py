@@ -62,21 +62,18 @@ class Eliminator:
 
     def add_row(self, row: dict) -> None:
         pivots = self.pivots
-        leads = [pivots[c][c] for c in row if c in pivots]
-        if leads:
-            # pivot rows vanish on every other pivot column, so one pass
-            # clears them all: L * row - sum of (row[c] * L / lead_c) * P_c
-            m = math.lcm(*leads)
-            acc = {j: v * m for j, v in row.items()} if m != 1 else dict(row)
-            for c, v in row.items():
-                p = pivots.get(c)
-                if p is not None:
-                    f = v * (m // p[c])
-                    for j, w in p.items():
-                        acc[j] = acc.get(j, 0) - f * w
-            acc = {j: v for j, v in acc.items() if v}
-        else:
-            acc = {j: v for j, v in row.items() if v}
+        # pivot rows vanish on every other pivot column, so one pass clears
+        # them all: L * row - sum of (row[c] * L / lead_c) * P_c, with L the
+        # lcm of the leads met (1 when there are none)
+        m = math.lcm(*(pivots[c][c] for c in row if c in pivots))
+        acc = {j: v * m for j, v in row.items()} if m != 1 else dict(row)
+        for c, v in row.items():
+            p = pivots.get(c)
+            if p is not None:
+                f = v * (m // p[c])
+                for j, w in p.items():
+                    acc[j] = acc.get(j, 0) - f * w
+        acc = {j: v for j, v in acc.items() if v}
         if not acc:
             return
         # integers with content 1 and a positive lead
@@ -278,19 +275,14 @@ class PackedEliminator:
     def kills(self, vec: dict) -> bool:
         """True iff every kept row is exactly orthogonal to vec {col: value}.
 
-        Each dot product walks the shorter of the row and the vector and
-        looks its entries up in the other: a relation checked against the
-        dense evaluation rows is sparse, a rebuilt null vector may not be.
+        Each dot product walks the vector's entries and looks them up in the
+        row: the kept rows are evaluation rows, which fill nearly every
+        column.
         """
         den = math.lcm(*(v.denominator for v in vec.values()))
-        ints = {j: int(v * den) for j, v in vec.items() if v}
-        size, get = len(ints), ints.get
+        ints = [(j, int(v * den)) for j, v in vec.items() if v]
         for row in self.rows:
-            if len(row) < size:
-                dot = sum(c * x for j, c in row.items() if (x := get(j)))
-            else:
-                dot = sum(c * x for j, x in ints.items() if (c := row.get(j)))
-            if dot:
+            if sum(c * x for j, x in ints if (c := row.get(j))):
                 return False
         return True
 

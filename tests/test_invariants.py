@@ -24,7 +24,7 @@ from invforge.invariants import (
     verify_invariant_u,
     verify_invariant_x,
 )
-from invforge.linalg import nullspace_sparse, solve_affine_sparse
+from invforge.linalg import PackedEliminator, nullspace_sparse, solve_affine_sparse
 from invforge.rings import Polynomial, monomial_key, normalize, u_ring, weight_u, x_ring
 from invforge.syzygies import expand_in_generators
 from invforge.textio import parse_poly
@@ -238,18 +238,17 @@ def _member_system(gens, f):
 
 def test_row_order_does_not_change_solutions():
     # descending rows are the fast order; the reduced echelon form is unique,
-    # so the ascending rows give the same nullspaces and particular
-    # solutions.  Up to NAIVE_DEGREE the textbook oracle solves the ascending
-    # rows, and above it the exact kernel does.  Ascending basis rows are
-    # the kernel's worst order (4.5 s at d = 24), so they stop at d = 20
+    # so the exact kernel on them agrees with a route on the ascending rows
+    # that shares none of its code: the textbook oracle up to NAIVE_DEGREE,
+    # and the packed modular store, whose certificate must hold, above it
     gens = load_generator_dir(5, fixture_root() / "n5")
     for d in range(2, 25, 2):
         ncols, rows = _basis_system(5, d)
         if d <= NAIVE_DEGREE:
-            assert nullspace_sparse(ncols, rows) == naive_nullspace(
-                _dense(ncols, rows[::-1]), ncols)
-        elif d <= 20:
-            assert nullspace_sparse(ncols, rows) == nullspace_sparse(ncols, rows[::-1])
+            want = naive_nullspace(_dense(ncols, rows[::-1]), ncols)
+        else:
+            want = _packed_nullspace(ncols, rows[::-1])
+        assert nullspace_sparse(ncols, rows) == want
         if d < 4:
             continue
         # basis elements are members; a lone candidate monomial is not
@@ -261,12 +260,28 @@ def test_row_order_does_not_change_solutions():
                 want = naive_solve_affine([r[:-1] for r in dense], [r[-1] for r in dense],
                                           ncols)
             else:
-                want = solve_affine_sparse(ncols, rows[::-1])
+                want = _packed_solve_affine(ncols, rows[::-1])
             assert solve_affine_sparse(ncols, rows) == want
         assert solve_affine_sparse(ncols, rows) is None
 
 
 NAIVE_DEGREE = 10
+
+
+def _packed_nullspace(ncols, rows):
+    basis = PackedEliminator(ncols).add_rows(rows).nullspace()
+    assert basis is not None
+    return basis
+
+
+def _packed_solve_affine(ncols, rows):
+    """The solution of A x = b with free variables 0, read off the canonical
+    null vector of [A | b] for b's column when that column is free: the
+    vector is 1 there, 0 on every other free column and -x on the pivots."""
+    basis = _packed_nullspace(ncols + 1, rows)
+    if not basis or not basis[-1][ncols]:
+        return None
+    return [-v for v in basis[-1][:ncols]]
 
 
 def _dense(ncols, rows):

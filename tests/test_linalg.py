@@ -226,6 +226,7 @@ def test_modular_route_matches_exact_route(system):
     for ncols, rows in ((cols, sparse_rows(data)), (cols + 1, sparse_rows(data, b))):
         elim = PackedEliminator(ncols).add_rows(rows)
         exact = nullspace_sparse(ncols, rows)
+        assert elim.rank == ncols - len(exact)
         assert elim.nullspace() in (None, exact)
         assert certified_nullspace(elim) == exact
 
@@ -256,7 +257,7 @@ def test_fallback_returns_the_exact_answer(data, b, null, sol):
 
 
 def test_kills_walks_sparse_rows_against_a_dense_vector():
-    # rows x_j - x_(j+1): each is shorter than the vector
+    # rows x_j - x_(j+1): a vector entry on a column the row lacks reads 0
     elim = PackedEliminator(6).add_rows({j: 1, j + 1: -1} for j in range(5))
     assert elim.kills({j: 1 for j in range(6)})
     assert elim.kills({j: Fraction(1, 3) for j in range(6)})
@@ -305,12 +306,15 @@ def dense_systems(draw):
 
 def both_kernels(cols, rows, modulus):
     """The packed store and the exact kernel fed the same rows; the modular
-    rank never exceeds the rational one."""
+    rank never exceeds the rational one, and modulo PRIME it equals it: no
+    minor of these entries is a multiple of a 127-bit prime."""
     exact, packed = Eliminator(cols), PackedEliminator(cols, modulus)
     for row in rows:
         exact.add_row(row)
         packed.add_row(row)
         assert packed.rank <= exact.rank
+        if modulus == PRIME:
+            assert packed.rank == exact.rank
     return exact, packed
 
 
@@ -322,7 +326,12 @@ def both_kernels(cols, rows, modulus):
 def test_packed_store_matches_exact_kernel(system):
     cols, data, modulus = system
     exact, packed = both_kernels(cols, sparse_rows(data), modulus)
-    assert packed.nullspace() in (None, exact.nullspace())
+    # entries of at most 2^8 over rank <= 4 give minors, hence null vector
+    # entries, far within PRIME's reconstruction bound of 63 bits
+    if modulus == PRIME and all(abs(v) <= 2**8 for row in data for v in row):
+        assert packed.nullspace() == exact.nullspace()
+    else:
+        assert packed.nullspace() in (None, exact.nullspace())
     assert certified_nullspace(packed) == exact.nullspace()
 
 
