@@ -15,8 +15,8 @@ import math
 
 
 # Largest candidate set invariant_basis and is_member take on.  The bundled
-# tables need at most 641 (n = 8, d = 10, about 0.3 s on a 2-vCPU Xeon host);
-# n = 8, d = 12 has 1430 and takes about 1.5-2.2 s, and d = 14 has 2898.
+# tables need at most 641 (n = 8, d = 10, about 0.2 s on a 2-vCPU Xeon host);
+# n = 8, d = 12 has 1430 and takes about 0.6-1.0 s, and d = 14 has 2898.
 # Larger requests are refused before any work.
 MAX_CANDIDATES = 2000
 

@@ -291,8 +291,11 @@ class PackedEliminator:
 
         Same form as ``Eliminator.nullspace``; None when a row could not be
         reduced modulo the prime, an entry cannot be reconstructed or a
-        reconstructed vector fails ``kills``.
+        reconstructed vector fails ``kills``.  A full-rank store answers []
+        at once: rank_p <= rank_Q <= ncols, so there is no null vector.
         """
+        if self.rank == self.ncols:
+            return []
         if not self.reduced:
             return None
         p = self.modulus

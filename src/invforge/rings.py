@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Iterable, Mapping
@@ -342,23 +341,25 @@ def normalize(f: Polynomial) -> Polynomial:
 
     Scales to integer coefficients of content 1 with a positive coefficient
     on the greatest monomial; idempotent, and invariant under nonzero
-    rational rescaling of the input.
+    rational rescaling of the input.  Ints and Fractions take one path, in
+    integer arithmetic only: each coefficient n/q becomes n * (L // q), L
+    the lcm of the denominators, and the result is divided by the gcd,
+    negated when the greatest monomial's coefficient is negative.
     """
     if f.is_zero():
         raise ZeroPolynomialError("cannot normalize the zero polynomial")
-    den_lcm = 1
-    for c in f.terms.values():
-        d = c.denominator if isinstance(c, Fraction) else 1
-        den_lcm = den_lcm * d // math.gcd(den_lcm, d)
-    num_gcd = 0
-    for c in f.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(int(c * den_lcm)))
-    scale = Fraction(den_lcm, num_gcd)
-    out = {e: int(c * scale) for e, c in f.terms.items()}
-    lead = max(out, key=lambda e: monomial_key(f.context, e))
-    if out[lead] < 0:
-        out = {e: -c for e, c in out.items()}
-    return Polynomial(f.context, out)
+    terms = f.terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    out = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    g = math.gcd(*out.values())
+    ctx = f.context
+    if out[max(out, key=lambda e: monomial_key(ctx, e))] < 0:
+        g = -g
+    if g != 1:
+        out = {e: v // g for e, v in out.items()}
+    p = Polynomial.__new__(Polynomial)
+    p.context, p.terms = ctx, out
+    return p
 
 
 def substitute(f: Polynomial, images: Mapping[int, Polynomial],

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .exponents import powers2
 from .hilbert import MAX_DEGREE, generator_monomial_count, invariant_dimension
@@ -233,10 +234,8 @@ class _Points:
         """The generator values at the point t of line k."""
         if self.plan is None:
             polys = [g.u_poly.terms for g in self.gens]
-            slots = u_ring(self.gens.n).slot_count
-            slot = max(range(slots), key=lambda s: max(
-                e[s] for terms in polys for e in terms))
-            self.plan = _LinePlan(polys, slots, slot)
+            tops = [max(col) for col in zip(*chain.from_iterable(polys))]
+            self.plan = _LinePlan(polys, len(tops), tops.index(max(tops)))
         while len(self.lines) <= k:
             rng = random.Random(len(self.lines))
             self.lines.append(self.plan.coefficients(

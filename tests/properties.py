@@ -55,6 +55,24 @@ def random_polynomial(rng, ctx, max_terms=4, max_exp=3, zero_ok=True):
     return Polynomial(ctx, terms)
 
 
+def normalize_reference(f: Polynomial) -> Polynomial:
+    """rings.normalize in Fraction arithmetic: the line through f scaled to
+    integer coefficients of content 1, positive on the greatest monomial."""
+    den_lcm = 1
+    for c in f.terms.values():
+        d = c.denominator if isinstance(c, Fraction) else 1
+        den_lcm = den_lcm * d // math.gcd(den_lcm, d)
+    num_gcd = 0
+    for c in f.terms.values():
+        num_gcd = math.gcd(num_gcd, abs(int(c * den_lcm)))
+    scale = Fraction(den_lcm, num_gcd)
+    out = {e: int(c * scale) for e, c in f.terms.items()}
+    lead = max(out, key=lambda e: monomial_key(f.context, e))
+    if out[lead] < 0:
+        out = {e: -c for e, c in out.items()}
+    return Polynomial(f.context, out)
+
+
 def check_leibniz(pairs=200, seed=7):
     """D(fg) = D(f)g + fD(g) for random pairs under several derivations."""
     rng = random.Random(seed)
@@ -586,6 +604,13 @@ def evaluate_termwise(terms, point):
     return sum(c * monomial_value_termwise(e, point) for e, c in terms.items())
 
 
+def line_slot_termwise(gens):
+    """The slot that the lines of ``syzygies._Points`` vary: the first slot
+    with the largest exponent among the generator terms, one scan per slot."""
+    slots = range(len(next(iter(gens[0].u_poly.terms))))
+    return max(slots, key=lambda s: max(e[s] for g in gens for e in g.u_poly.terms))
+
+
 def certified_rows_termwise(gens, d, candidates, point_range, idle_points,
                             modulus):
     """Rows of the certified evaluation system, evaluated term by term.
@@ -597,8 +622,7 @@ def certified_rows_termwise(gens, d, candidates, point_range, idle_points,
     The same stopping rule and modulus give the exact rows the modular
     eliminator keeps.
     """
-    slots = range(len(next(iter(gens[0].u_poly.terms))))
-    slot = max(slots, key=lambda s: max(e[s] for g in gens for e in g.u_poly.terms))
+    slot = line_slot_termwise(gens)
     steps = [0]
     for t in range(1, point_range + 1):
         steps += [t, -t]

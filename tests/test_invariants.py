@@ -1,5 +1,6 @@
 import io
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,11 +26,25 @@ from invforge.invariants import (
     verify_invariant_x,
 )
 from invforge.linalg import PackedEliminator, nullspace_sparse, solve_affine_sparse
-from invforge.rings import Polynomial, monomial_key, normalize, u_ring, weight_u, x_ring
+from invforge.rings import (
+    Polynomial,
+    gen_ring,
+    monomial_key,
+    normalize,
+    u_ring,
+    weight_u,
+    x_ring,
+)
 from invforge.syzygies import expand_in_generators
 from invforge.textio import parse_poly
 
-from properties import invariant_basis_direct, naive_nullspace, naive_solve_affine, span_equal
+from properties import (
+    invariant_basis_direct,
+    naive_nullspace,
+    naive_solve_affine,
+    normalize_reference,
+    span_equal,
+)
 
 U3, U4, U5 = u_ring(3), u_ring(4), u_ring(5)
 
@@ -210,15 +225,23 @@ def test_context_construction_rejects_small_n():
 
 def test_monomial_rows_descending():
     # one column whose coefficient names its monomial, so every row says
-    # which monomial it belongs to
-    monos = [e for d in (3, 4, 5) for e in _compositions(U5, d)]
-    random.Random(5).shuffle(monos)
-    col = Polynomial(U5, {e: k + 1 for k, e in enumerate(monos)})
-    rows = monomial_rows(U5, [col, col.scale(2)])
-    assert len(rows) == len(monos)
-    keys = [monomial_key(U5, monos[row[0] - 1]) for row in rows]
-    assert all(a > b for a, b in zip(keys, keys[1:]))
-    assert all(row[1] == 2 * row[0] for row in rows)
+    # which monomial it belongs to.  u-ring rows come by x0 exponent first,
+    # descending, ties in descending canonical order; a generator-ring
+    # system keeps plain descending canonical order
+    gens = gen_ring([("f2", 2, 3), ("f3", 3, 4), ("g3", 3, 5), ("f4", 4, 6)])
+    for ctx, key in ((U5, lambda e: (e[0], monomial_key(U5, e))),
+                     (gens, lambda e: monomial_key(gens, e))):
+        monos = [e for d in (3, 4, 5, 6) for e in _compositions(ctx, d)]
+        random.Random(5).shuffle(monos)
+        col = Polynomial(ctx, {e: k + 1 for k, e in enumerate(monos)})
+        rows = monomial_rows(ctx, [col, col.scale(2)])
+        assert len(rows) == len(monos)
+        order = [monos[row[0] - 1] for row in rows]
+        assert order == sorted(monos, key=key, reverse=True)
+        assert all(row[1] == 2 * row[0] for row in rows)
+    # the u-ring order is not the canonical one: x0^3 comes before u5^4
+    col = Polynomial(U5, {(3, 0, 0, 0, 0): 1, (0, 0, 0, 0, 4): 2})
+    assert monomial_rows(U5, [col]) == [{0: 1}, {0: 2}]
 
 
 def _basis_system(n, d):
@@ -226,6 +249,22 @@ def _basis_system(n, d):
     candidates = powers(n, d)
     return len(candidates), monomial_rows(
         ctx, (apply_derivation(op, Polynomial.monomial(ctx, e)) for e in candidates))
+
+
+def test_normalize_nullspace_vectors():
+    # the combinations nullspace_polynomials normalizes: Fraction
+    # coefficients, here with denominator 1, and rescaled by -2/3 so that
+    # some have denominator 3
+    ncols, rows = _basis_system(5, 12)
+    candidates = powers(5, 12)
+    raw = [Polynomial(U5, {candidates[j]: v for j, v in enumerate(vec) if v})
+           for vec in nullspace_sparse(ncols, rows)]
+    assert all(type(c) is Fraction for f in raw for c in f.terms.values())
+    for f in raw + [f.scale(Fraction(-2, 3)) for f in raw]:
+        got = normalize(f)
+        assert got == normalize_reference(f)
+        assert all(type(c) is int for c in got.terms.values())
+    assert [normalize(f) for f in raw] == list(invariant_basis(5, 12))
 
 
 def _member_system(gens, f):
@@ -237,35 +276,40 @@ def _member_system(gens, f):
 
 
 def test_row_order_does_not_change_solutions():
-    # descending rows are the fast order; the reduced echelon form is unique,
-    # so the exact kernel on them agrees with a route on the ascending rows
-    # that shares none of its code: the textbook oracle up to NAIVE_DEGREE,
-    # and the packed modular store, whose certificate must hold, above it
-    gens = load_generator_dir(5, fixture_root() / "n5")
-    for d in range(2, 25, 2):
-        ncols, rows = _basis_system(5, d)
-        if d <= NAIVE_DEGREE:
-            want = naive_nullspace(_dense(ncols, rows[::-1]), ncols)
-        else:
-            want = _packed_nullspace(ncols, rows[::-1])
-        assert nullspace_sparse(ncols, rows) == want
-        if d < 4:
-            continue
-        # basis elements are members; a lone candidate monomial is not
-        targets = list(invariant_basis(5, d)) + [Polynomial.monomial(U5, powers(5, d)[0])]
-        for f in targets:
-            ncols, rows = _member_system(gens, f)
-            if d <= NAIVE_DEGREE:
-                dense = _dense(ncols + 1, rows[::-1])
-                want = naive_solve_affine([r[:-1] for r in dense], [r[-1] for r in dense],
-                                          ncols)
+    # monomial_rows gives the fast order; the reduced echelon form is unique,
+    # so the exact kernel on its rows agrees with a route on the reversed
+    # rows that shares none of its code: the textbook oracle up to
+    # NAIVE_DEGREE[n], and the packed modular store, whose certificate must
+    # hold, above it
+    for n, degrees in ((5, range(2, 25, 2)), (6, range(2, 16))):
+        gens = load_generator_dir(n, fixture_root() / f"n{n}")
+        for d in degrees:
+            naive = d <= NAIVE_DEGREE[n]
+            ncols, rows = _basis_system(n, d)
+            if naive:
+                want = naive_nullspace(_dense(ncols, rows[::-1]), ncols)
             else:
-                want = _packed_solve_affine(ncols, rows[::-1])
-            assert solve_affine_sparse(ncols, rows) == want
-        assert solve_affine_sparse(ncols, rows) is None
+                want = _packed_nullspace(ncols, rows[::-1])
+            assert nullspace_sparse(ncols, rows) == want
+            if d < min(gens.degrees()):
+                continue
+            # basis elements are members; a lone candidate monomial is not
+            targets = list(invariant_basis(n, d)) + [
+                Polynomial.monomial(u_ring(n), powers(n, d)[0])]
+            for f in targets:
+                ncols, rows = _member_system(gens, f)
+                if naive:
+                    dense = _dense(ncols + 1, rows[::-1])
+                    want = naive_solve_affine([r[:-1] for r in dense],
+                                              [r[-1] for r in dense], ncols)
+                else:
+                    want = _packed_solve_affine(ncols, rows[::-1])
+                assert solve_affine_sparse(ncols, rows) == want
+            assert solve_affine_sparse(ncols, rows) is None
 
 
-NAIVE_DEGREE = 10
+# the naive oracle's reach: systems of at most 40 candidate columns
+NAIVE_DEGREE = {5: 10, 6: 7}
 
 
 def _packed_nullspace(ncols, rows):

@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invforge.rings import (
     ContextMismatchError,
@@ -18,6 +20,8 @@ from invforge.rings import (
     x_ring,
 )
 from invforge.textio import parse_poly
+
+from properties import normalize_reference
 
 X2 = x_ring(2)
 X3 = x_ring(3)
@@ -192,6 +196,26 @@ def test_normalize_scale_invariant(f, c):
         return
     assert normalize(f.scale(c)) == normalize(f)
     assert normalize(normalize(f)) == normalize(f)
+
+
+# int (up to 2^70), Fraction and mixed coefficients
+big = st.integers(min_value=-2**70, max_value=2**70)
+normalize_inputs = st.one_of(*(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), c, min_size=1, max_size=6)
+    for c in (st.integers(-8, 8) | big, st.fractions(max_denominator=12), coeffs | big)
+)).map(lambda t: Polynomial(U3, t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(normalize_inputs)
+@example(Polynomial(U3, {(1, 0, 0): Fraction(-3, 4), (0, 1, 0): 6}))
+@example(Polynomial(U3, {(0, 0, 2): Fraction(-2, 3)}))
+def test_normalize_matches_fraction_reference(f):
+    if f.is_zero():
+        return
+    got = normalize(f)
+    assert got == normalize_reference(f)
+    assert all(type(c) is int for c in got.terms.values())
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,7 +17,12 @@ from invforge.syzygies import (
 )
 from invforge.textio import parse_poly
 
-from properties import certified_rows_termwise, evaluate_termwise, syzygy_basis_by_expansion
+from properties import (
+    certified_rows_termwise,
+    evaluate_termwise,
+    line_slot_termwise,
+    syzygy_basis_by_expansion,
+)
 
 REFERENCE_RELATION_5 = (
     "1296*f18^2 + 48*f12^3 - f4^5*f8^2 + 6*f4^3*f8^3 - 9*f4*f8^4"
@@ -352,6 +357,34 @@ def test_certified_rows_match_termwise_reference(n, d):
             gens, d, candidates, syzygies.POINT_RANGE, syzygies.IDLE_POINTS, modulus)
         # each line gives several rows from one plan evaluation
         assert 2 * len(points.lines) <= len(system.rows)
+
+
+@pytest.mark.parametrize("n,slot", [(5, 1), (6, 1), (8, 3)])
+def test_line_slot_is_the_first_largest_exponent(n, slot):
+    gens, _ = bundled(n)
+    points = syzygies._Points(gens)
+    points.values(0, 0)
+    assert points.plan.slot == line_slot_termwise(gens) == slot
+
+
+@pytest.mark.parametrize("n,degrees", [(6, [10, 15, 29]), (8, [12, 15])])
+def test_full_rank_certified_system_has_no_back_substitution(n, degrees, monkeypatch):
+    # degrees below the first relation: the certified system reaches rank
+    # ncols, so its nullspace is [] with no back-substitution and no exact
+    # fallback
+    def refuse(*args):
+        raise AssertionError("not reached")
+
+    monkeypatch.setattr(linalg.PackedEliminator, "_null_residues", refuse)
+    monkeypatch.setattr(linalg, "nullspace_sparse", refuse)
+    gens, _ = bundled(n)
+    points = syzygies._Points(gens)
+    for d in degrees:
+        candidates = powers2(gens.degrees(), d)
+        system = syzygies._certified_system(gens, d, candidates, points, linalg.PRIME)
+        assert system.rank == system.ncols == len(candidates)
+        assert linalg.certified_nullspace(system) == []
+    assert syzygy_basis(gens, degrees[-1]) == []
 
 
 def test_check_systems_run_on_the_word_prime(expansions, monkeypatch):
