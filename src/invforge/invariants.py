@@ -32,7 +32,6 @@ from .hilbert import MAX_CANDIDATES, MAX_DEGREE, candidate_count, invariant_dime
 from .linalg import nullspace_sparse, solve_affine_sparse
 from .rings import (
     Polynomial,
-    RingKind,
     VarContext,
     degree,
     gen_ring,
@@ -150,30 +149,25 @@ def _verified(gens: GeneratorSet) -> GeneratorSet:
 def monomial_rows(ctx: VarContext, columns: Iterable[Polynomial]) -> list:
     """Sparse rows of the linear system whose j-th column is columns[j].
 
-    One row per monomial occurring in some column.  The reduced echelon
-    form of a row space is unique, so the order changes no nullspace and no
-    solution, but it sets how much work the exact kernel does to get there,
-    most of it clearing new pivot columns from earlier pivot rows.  A
-    u-ring system takes its rows by x0 exponent first, descending, with
-    ties in descending canonical order of ctx: on a 2-vCPU Xeon host with
-    CPython 3.11 the nullspace of invariant_basis(8, 10) takes 0.13 s and
-    that of (8, 12) 0.63 s, against 0.24 s and 1.37 s in plain descending
-    canonical order and 18 s for (8, 10) in ascending order.  Any other
-    ring, such as the generator ring of the syzygy minimality filter, takes
-    plain descending canonical order.  Columns are read one at a time: pass
-    a generator, and no list of column polynomials is ever held.
+    One row per monomial occurring in some column, by first exponent (x0's
+    in a u-ring) first, descending, with ties in descending canonical order
+    of ctx.  The reduced echelon form of a row space is unique, so the order
+    changes no nullspace and no solution, but it sets how much work the
+    exact kernel does to get there, most of it clearing new pivot columns
+    from earlier pivot rows: on a 2-vCPU Xeon host with CPython 3.11 the
+    nullspace of invariant_basis(8, 10) takes 0.13 s and that of (8, 12)
+    0.63 s, against 0.24 s and 1.37 s in plain descending canonical order
+    and 18 s for (8, 10) in ascending order.  The generator-ring systems of
+    the syzygy minimality filter have a few columns, and either order
+    solves them in the same time.  Columns are read one at a time: pass a
+    generator, and no list of column polynomials is ever held.
     """
     rows = {}
     for j, col in enumerate(columns):
         for e, c in col.terms.items():
             rows.setdefault(e, {})[j] = c
-    if ctx.kind is RingKind.U:
-        def key(e):
-            return e[0], monomial_key(ctx, e)
-    else:
-        def key(e):
-            return monomial_key(ctx, e)
-    return [rows[e] for e in sorted(rows, key=key, reverse=True)]
+    return [rows[e] for e in sorted(rows, key=lambda e: (e[0], monomial_key(ctx, e)),
+                                    reverse=True)]
 
 
 def nullspace_polynomials(ctx: VarContext, candidates, vectors) -> list:

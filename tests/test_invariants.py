@@ -28,7 +28,6 @@ from invforge.invariants import (
 from invforge.linalg import PackedEliminator, nullspace_sparse, solve_affine_sparse
 from invforge.rings import (
     Polynomial,
-    gen_ring,
     monomial_key,
     normalize,
     u_ring,
@@ -225,21 +224,18 @@ def test_context_construction_rejects_small_n():
 
 def test_monomial_rows_descending():
     # one column whose coefficient names its monomial, so every row says
-    # which monomial it belongs to.  u-ring rows come by x0 exponent first,
-    # descending, ties in descending canonical order; a generator-ring
-    # system keeps plain descending canonical order
-    gens = gen_ring([("f2", 2, 3), ("f3", 3, 4), ("g3", 3, 5), ("f4", 4, 6)])
-    for ctx, key in ((U5, lambda e: (e[0], monomial_key(U5, e))),
-                     (gens, lambda e: monomial_key(gens, e))):
-        monos = [e for d in (3, 4, 5, 6) for e in _compositions(ctx, d)]
-        random.Random(5).shuffle(monos)
-        col = Polynomial(ctx, {e: k + 1 for k, e in enumerate(monos)})
-        rows = monomial_rows(ctx, [col, col.scale(2)])
-        assert len(rows) == len(monos)
-        order = [monos[row[0] - 1] for row in rows]
-        assert order == sorted(monos, key=key, reverse=True)
-        assert all(row[1] == 2 * row[0] for row in rows)
-    # the u-ring order is not the canonical one: x0^3 comes before u5^4
+    # which monomial it belongs to.  Rows come by x0 exponent first,
+    # descending, ties in descending canonical order
+    monos = [e for d in (3, 4, 5, 6) for e in _compositions(U5, d)]
+    random.Random(5).shuffle(monos)
+    col = Polynomial(U5, {e: k + 1 for k, e in enumerate(monos)})
+    rows = monomial_rows(U5, [col, col.scale(2)])
+    assert len(rows) == len(monos)
+    order = [monos[row[0] - 1] for row in rows]
+    assert order == sorted(monos, key=lambda e: (e[0], monomial_key(U5, e)),
+                           reverse=True)
+    assert all(row[1] == 2 * row[0] for row in rows)
+    # the order is not the canonical one: x0^3 comes before u5^4
     col = Polynomial(U5, {(3, 0, 0, 0, 0): 1, (0, 0, 0, 0, 4): 2})
     assert monomial_rows(U5, [col]) == [{0: 1}, {0: 2}]
 

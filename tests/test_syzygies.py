@@ -357,14 +357,7 @@ def test_certified_rows_match_termwise_reference(n, d):
             gens, d, candidates, syzygies.POINT_RANGE, syzygies.IDLE_POINTS, modulus)
         # each line gives several rows from one plan evaluation
         assert 2 * len(points.lines) <= len(system.rows)
-
-
-@pytest.mark.parametrize("n,slot", [(5, 1), (6, 1), (8, 3)])
-def test_line_slot_is_the_first_largest_exponent(n, slot):
-    gens, _ = bundled(n)
-    points = syzygies._Points(gens)
-    points.values(0, 0)
-    assert points.plan.slot == line_slot_termwise(gens) == slot
+        assert points.plan.slot == line_slot_termwise(gens)
 
 
 @pytest.mark.parametrize("n,degrees", [(6, [10, 15, 29]), (8, [12, 15])])
