@@ -75,11 +75,13 @@ def _cmd_mingenset(args, out) -> int:
     else:
         _, degrees = known_degree_table(args.n)
     gens = mingenset(args.n, len(degrees), degrees)
+    # write first, so a directory that cannot be written leaves stdout empty
+    if args.out:
+        write_generator_dir(gens, args.out)
     for g in gens:
         out.write(f"{g.name} degree={g.degree} weight={g.weight}\n")
         _emit(g.u_poly if args.coords == "u" else g.x_poly, args.format, out)
     if args.out:
-        write_generator_dir(gens, args.out)
         out.write(f"wrote {len(gens)} generators to {args.out}\n")
     return 0
 

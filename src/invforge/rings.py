@@ -4,7 +4,9 @@ Every polynomial is tagged with a variable context (one of the ring kinds
 below) and stores its terms as a map from exponent tuples to nonzero
 coefficients.  Coefficients are plain ints while no division has occurred
 and ``fractions.Fraction`` afterwards; both compare and hash consistently,
-so mixed dicts are safe.
+so mixed dicts are safe.  A product adds the exponent tuples of each term
+pair with ``tuple(map(add, e1, e2))``, one pass in C per pair, and sums
+the coefficients straight into one dict.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping
 
 
@@ -233,7 +235,7 @@ class Polynomial:
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(map(sum, zip(e1, e2)))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s

@@ -650,6 +650,29 @@ def certified_rows_termwise(gens, d, candidates, point_range, idle_points,
 
 # -- term-by-term references of the request-path kernels ----------------------
 
+def mul_termwise(f, g):
+    """f * g term pair by term pair, each exponent summed slot by slot over zip.
+
+    The same loop as ``Polynomial.__mul__`` (the shorter factor outside, one
+    dict, a cancelled sum deleted), so the terms come out in the same order.
+    """
+    if f.context != g.context:
+        raise ContextMismatchError("product operands' contexts disagree")
+    a, b = f.terms, g.terms
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(sum, zip(e1, e2)))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    return Polynomial(f.context, out)
+
+
 def apply_derivation_termwise(d, f):
     """Leibniz rule with one polynomial product and sum per (term, slot)."""
     if f.context != d.context:
@@ -662,7 +685,7 @@ def apply_derivation_termwise(d, f):
                 continue
             lowered = list(e)
             lowered[slot] = k - 1
-            part = Polynomial.monomial(ctx, lowered, c * k) * images[slot]
+            part = mul_termwise(Polynomial.monomial(ctx, lowered, c * k), images[slot])
             total = total + part
     return total
 

@@ -62,6 +62,16 @@ def test_mingenset_defaults_and_out(tmp_path):
     assert (out_dir / "f2_x.poly").read_text().strip() == "x0*x2 - x1^2"
 
 
+def test_mingenset_unwritable_out_prints_nothing(tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("not a directory\n")
+    code, out = run_cli("mingenset", "--n", "4", "--out", str(blocker / "gens4"))
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_mingenset_unsupported_n_exits_2():
     code, _ = run_cli("mingenset", "--n", "7")
     assert code == 2

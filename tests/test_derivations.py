@@ -329,6 +329,22 @@ def test_apply_derivation_matches_termwise(rings, n, data):
     assert all(got.terms.values())
 
 
+_OPERATORS = (lowering_derivation, raising_derivation, u_lowering_derivation,
+              u_raising_derivation, reduced_operator)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_OPERATORS), st.integers(2, 8), st.booleans(), st.data())
+def test_operators_match_termwise(make, n, one_term, data):
+    d = make(n)
+    if one_term:
+        e = data.draw(st.tuples(*[st.integers(0, 4)] * d.context.slot_count))
+        f = Polynomial.monomial(d.context, e, data.draw(st.integers(-9, 9)))
+    else:
+        f = data.draw(_polys(d.context))
+    assert apply_derivation(d, f) == properties.apply_derivation_termwise(d, f)
+
+
 def test_apply_derivation_on_zero_images_and_disjoint_rings():
     zero = Derivation(U3, (Polynomial.zero(U3),) * 3)
     f = p("x0*u2^3 + 2*u3^2", U3)

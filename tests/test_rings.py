@@ -21,7 +21,7 @@ from invforge.rings import (
 )
 from invforge.textio import parse_poly
 
-from properties import normalize_reference
+from properties import mul_termwise, normalize_reference
 
 X2 = x_ring(2)
 X3 = x_ring(3)
@@ -216,6 +216,42 @@ def test_normalize_matches_fraction_reference(f):
     got = normalize(f)
     assert got == normalize_reference(f)
     assert all(type(c) is int for c in got.terms.values())
+
+
+# x-, u- and generator rings; small, negative, >= 2^70 and Fraction
+# coefficients; exponents past one byte
+PRODUCT_RINGS = (x_ring(3), u_ring(4), gen_ring([("f4", 4, 10), ("f8", 8, 20), ("g3", 3, 9)]))
+product_coeffs = (st.integers(-9, 9) | st.integers(2**70, 2**90) | st.integers(-2**90, -2**70)
+                  | st.fractions(min_value=-7, max_value=7, max_denominator=9))
+product_exps = st.integers(0, 4) | st.integers(250, 300)
+
+
+def product_factors(ctx):
+    expt = st.tuples(*[product_exps] * ctx.slot_count)
+    terms = (st.dictionaries(expt, product_coeffs, max_size=6)
+             | st.dictionaries(expt, product_coeffs, min_size=1, max_size=1))
+    return terms.map(lambda t: Polynomial(ctx, t))
+
+
+def assert_same_product(f, g):
+    got, want = f * g, mul_termwise(f, g)
+    assert got.context == want.context
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+    assert all(got.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRODUCT_RINGS).flatmap(
+    lambda ctx: st.tuples(product_factors(ctx), product_factors(ctx))))
+@example((p("x0 + x1", X3), p("x0 - x1", X3)))
+@example((p(f"x0^300*u2^256 - {2**71}*u3", U4), p(f"x0^300*u2^256 + {2**71}*u3", U4)))
+def test_mul_matches_termwise_reference(pair):
+    f, g = pair
+    assert_same_product(f, g)
+    # (f + g)(f - g): the cross terms f*g and -g*f cancel
+    assert_same_product(f + g, f - g)
+    assert_same_product(g, f)
 
 
 @settings(max_examples=40, deadline=None)

@@ -28,3 +28,74 @@ def test_script_runs(name, summaries, capsys):
     lines = capsys.readouterr().out.splitlines()
     for summary in summaries:
         assert any(line.startswith(summary) for line in lines), summary
+
+
+END_TO_END = [{"name": "wall_ref_s", "better": "lower", "bound": 0.15},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def canned_runs(parent_walls, change_walls, parent_rss=30.0, change_rss=30.0,
+                change_failed=0):
+    runs = []
+    for seed, (pw, cw) in enumerate(zip(parent_walls, change_walls), start=1):
+        for side, wall, rss in (("parent", pw, parent_rss), ("change", cw, change_rss)):
+            runs.append({"workload": "generators", "seed": seed, "side": side,
+                         "metrics": {"wall_ref_s": wall, "peak_rss_mb": rss},
+                         "passes": 20 if side == "parent" else 25,
+                         "failed": change_failed if side == "change" else 0,
+                         "attempted": 60})
+    return runs
+
+
+def test_bench_pairs_summary_counts_wins_and_applies_the_rule():
+    bench = load("bench_pairs")
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    change = [0.80, 0.81, 0.79, 0.82, 0.80, 0.78, 0.83, 0.80, 0.81, 0.98]
+    summary = bench.summarize(canned_runs(parent, change), END_TO_END)["generators"]
+    assert summary["seeds"] == list(range(1, 11))
+    assert summary["parent"]["passes"] == [20] * 10
+    assert summary["change"]["failed_ratio"] == 0
+    wall = summary["pairs"]["wall_ref_s"]
+    # the last pair is a tie and counts for neither side
+    assert (wall["change_wins"], wall["parent_wins"], wall["ties"]) == (9, 0, 1)
+    assert wall["parent_median"] == 1.0 and wall["change_median"] == 0.805
+    assert summary["parent"]["quartiles"]["wall_ref_s"] == pytest.approx([0.9825, 1.0175])
+    assert wall["gain_rule_met"] and wall["verdict"] == "gain met"
+    rss = summary["pairs"]["peak_rss_mb"]
+    assert (rss["change_wins"], rss["ties"]) == (0, 10)
+    assert not rss["gain_rule_met"] and rss["verdict"] == "no gain; within bound"
+
+
+def test_bench_pairs_summary_needs_nine_wins_and_the_iqr():
+    bench = load("bench_pairs")
+    parent = [1.0] * 10
+    eight = bench.summarize(canned_runs(parent, [0.5] * 8 + [1.0, 1.1]),
+                            END_TO_END)["generators"]["pairs"]["wall_ref_s"]
+    assert eight["change_wins"] == 8 and not eight["gain_rule_met"]
+    spread = [0.8, 1.2, 0.8, 1.2, 0.8, 1.2, 0.8, 1.2, 0.8, 1.2]
+    small = bench.summarize(canned_runs(spread, [s - 0.01 for s in spread]),
+                            END_TO_END)["generators"]["pairs"]["wall_ref_s"]
+    assert small["change_wins"] == 10 and not small["gain_rule_met"]
+    worse = bench.summarize(canned_runs(parent, [1.0] * 10, 30.0, 34.0),
+                            END_TO_END)["generators"]["pairs"]["peak_rss_mb"]
+    assert not worse["within_bound"] and worse["verdict"] == "regression past bound"
+
+
+def test_bench_pairs_summary_meets_no_gain_with_more_failed_operations():
+    bench = load("bench_pairs")
+    runs = canned_runs([1.0] * 10, [0.5] * 10, change_failed=1)
+    summary = bench.summarize(runs, END_TO_END)["generators"]
+    assert summary["change"]["failed"] == 10 and summary["parent"]["failed"] == 0
+    wall = summary["pairs"]["wall_ref_s"]
+    assert wall["change_wins"] == 10 and not wall["gain_rule_met"]
+    assert wall["verdict"] == summary["pairs"]["peak_rss_mb"]["verdict"] == "more failed operations"
+
+
+def test_bench_pairs_pairs_only_seeds_run_on_both_sides():
+    bench = load("bench_pairs")
+    runs = canned_runs([1.0, 1.0, 1.0], [0.9, 0.9, 0.9])
+    runs = [r for r in runs if not (r["seed"] == 3 and r["side"] == "change")]
+    summary = bench.summarize(runs, END_TO_END)["generators"]
+    assert summary["seeds"] == [1, 2]
+    assert summary["parent"]["runs"]["wall_ref_s"] == [1.0, 1.0]
+    assert bench.parse_seeds("1-3,7,10-11") == [1, 2, 3, 7, 10, 11]
