@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs: a parent revision against the working tree.
 
-Checks the parent revision out with ``git worktree add --detach`` into a
+Extracts the parent revision's committed files (``git archive``) into a
 temporary directory, then runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
@@ -10,9 +10,11 @@ with T the ``run_seconds`` of BENCHMARK.json, once there and once in the
 working tree for every workload and seed, one run at a time.  Odd seeds run
 the parent first, even seeds the change.  Writes one BENCH JSON file
 (rewritten after every pair, so an interrupted run keeps what it measured)
-with every run's end-to-end metrics, pass count and failed operations, and
-per workload and metric the medians, quartiles, pair wins and verdicts.
-The worktree is removed on exit, also on error.
+with every run's end-to-end metrics, pass count and failed operations; per
+workload each side's median passes per run and the least-squares slope of
+``peak_rss_mb`` against the pass count; and per workload and metric the
+medians, quartiles, pair wins and verdicts.  The temporary directory is
+removed on exit, also on error.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_x.json
     python3 scripts/bench_pairs.py --workloads generators --seeds 11 --out x.json
@@ -95,6 +97,20 @@ def compare(parent: list, change: list, better: str, bound: float,
             "verdict": verdict}
 
 
+def rss_per_pass(runs: list):
+    """Least-squares slope of peak_rss_mb against the pass count, in MB.
+
+    perfbench keeps every pass's results until its check, so a run's peak
+    grows with its passes; the slope says how much of a gap in
+    ``peak_rss_mb`` the pass counts alone explain.  None without two
+    distinct pass counts.
+    """
+    if len({r["passes"] for r in runs}) < 2:
+        return None
+    return statistics.linear_regression(
+        [r["passes"] for r in runs], [r["metrics"]["peak_rss_mb"] for r in runs]).slope
+
+
 def summarize(runs: list, end_to_end: list) -> dict:
     """Per workload: each side's runs, medians and quartiles, and the pairs.
 
@@ -112,18 +128,22 @@ def summarize(runs: list, end_to_end: list) -> dict:
         entry = {"seeds": seeds}
         for side in SIDES:
             picked = [by_side[side][s] for s in seeds]
+            passes = [r["passes"] for r in picked]
             values = {m["name"]: [r["metrics"][m["name"]] for r in picked]
                       for m in end_to_end}
             failed = sum(r["failed"] for r in picked)
             attempted = sum(r["attempted"] for r in picked)
             entry[side] = {
                 "runs": values,
-                "passes": [r["passes"] for r in picked],
+                "passes": passes,
+                "median_passes": statistics.median(passes) if passes else None,
                 "failed": failed, "attempted": attempted,
                 "failed_ratio": failed / attempted if attempted else None,
                 "median": {k: statistics.median(v) for k, v in values.items() if v},
                 "quartiles": {k: quartiles(v) for k, v in values.items() if v},
             }
+        entry["peak_rss_mb_per_pass"] = rss_per_pass(
+            [by_side[side][s] for side in SIDES for s in seeds])
         if seeds:
             entry["pairs"] = {
                 m["name"]: compare(entry["parent"]["runs"][m["name"]],
@@ -196,11 +216,12 @@ def main(argv=None) -> int:
         doc["workloads"] = summarize(runs, bench["end_to_end"])
         out.write_text(json.dumps(doc, indent=1) + "\n")
 
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-    worktree = tmp / "tree"
+    tree = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
-        git("worktree", "add", "--detach", str(worktree), parent_sha)
-        trees = {"parent": worktree, "change": ROOT}
+        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        trees = {"parent": tree, "change": ROOT}
         for workload in workloads:
             for seed in seeds:
                 order = SIDES if seed % 2 else SIDES[::-1]
@@ -216,11 +237,13 @@ def main(argv=None) -> int:
         doc["complete"] = True
         write()
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(worktree)],
-                       cwd=ROOT, capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
-        shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(tree, ignore_errors=True)
     for workload, entry in doc["workloads"].items():
+        slope = entry["peak_rss_mb_per_pass"]
+        print(f"{workload} passes per run (median): "
+              f"{entry['parent']['median_passes']} -> {entry['change']['median_passes']};"
+              " peak_rss_mb per pass: "
+              + ("n/a" if slope is None else f"{slope:.3g} MB"))
         for name, pair in entry.get("pairs", {}).items():
             print(f"{workload} {name}: {pair['parent_median']:.4g} -> "
                   f"{pair['change_median']:.4g} ({pair['change_wins']} wins of "

@@ -5,6 +5,13 @@ x0, u2..un (kernel generators of the lowering derivation) the whole system
 collapses to a single first-order operator.  This module builds all of
 these derivations and the coordinate-change maps in both directions.
 
+Every derivation is applied by one Leibniz loop on packed monomials
+(PackedDerivation): an exponent vector is one int of byte fields, so a
+product of a term with a shifted image term is one int add, and only the
+terms that survive cancellation become exponent tuples again.  Verifying
+an invariant cancels everything and builds no tuple; invariant_basis files
+the packed images of its candidates as rows without unpacking them.
+
 u -> x never substitutes the Laurent images of the ui.  Since the lowering
 derivation L kills x0 and every ui, it kills the x-form of any u-polynomial
 f; writing that x-form as sum_k x1^k * g_k (no g_k containing x1), L = 0
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import mul
 
 from .hilbert import MAX_CANDIDATES, candidate_count
 from .rings import (
@@ -48,36 +55,80 @@ class Derivation:
             raise ValueError("need exactly one image per variable slot")
 
 
+class PackedDerivation:
+    """A derivation's Leibniz rule on packed integer monomials.
+
+    Every exponent vector of the call is one int of fixed-width byte fields,
+    each wide enough for the largest exponent the call can produce: slot 0
+    in the most significant field, then slots m-1 down to 1.  Within one
+    degree, descending packed keys are then x0's exponent first, descending,
+    ties in descending canonical order: the row order of monomial_rows.
+    Each slot's image is packed once, shifted by -1 on its own slot, so the
+    product of a term x^e with an image term x^h of slot s (e[s] != 0) has
+    the key E + H.  A field may borrow in H, never in E + H, whose fields
+    are the exponents of x^(e + h - unit_s): nonnegative, and below
+    2^bits by the choice of width.
+    """
+
+    __slots__ = ("bits", "weights", "shifted")
+
+    def __init__(self, d: Derivation, top: int):
+        """Packs d's images for arguments with exponents up to top."""
+        top += max((max(h) for g in d.images for h in g.terms), default=0)
+        m = d.context.slot_count
+        self.bits = bits = 8 * max(1, -(-top.bit_length() // 8))
+        self.weights = weights = ((1 << bits * (m - 1),)
+                                  + tuple(1 << bits * (i - 1) for i in range(1, m)))
+        self.shifted = [(slot, [(sum(map(mul, h, weights)) - weights[slot], c)
+                                for h, c in g.terms.items()])
+                        for slot, g in enumerate(d.images) if g.terms]
+
+    def image(self, terms) -> dict:
+        """Packed key -> coefficient of the image of sum c*x^e over (e, c).
+
+        The cost is linear in the number of (term, image term) pairs, with
+        one int add per pair.  Cancelled keys stay in, with coefficient 0.
+        """
+        weights, shifted = self.weights, self.shifted
+        out = {}
+        for e, c in terms:
+            packed = sum(map(mul, e, weights))
+            for slot, image in shifted:
+                k = e[slot]
+                if k:
+                    ck = c * k
+                    for h, ch in image:
+                        key = packed + h
+                        out[key] = out.get(key, 0) + ck * ch
+        return out
+
+    def unpack(self, key: int) -> tuple:
+        """The exponent tuple of a packed key."""
+        bits, mask = self.bits, (1 << self.bits) - 1
+        fields = [key >> bits * i & mask for i in range(len(self.weights))]
+        return (fields.pop(),) + tuple(fields)
+
+
 def apply_derivation(d: Derivation, f: Polynomial) -> Polynomial:
     """Leibniz-rule action: sum over slots of (df/dslot) * image(slot).
 
-    Each slot's image terms are first shifted by -1 on that slot, so a term
-    c*x^e of f and an image term c'*x^h of slot s (e[s] = k != 0) add
-    k*c*c' to the coefficient of x^(e + h - unit_s) directly.  Every
-    product lands in one dict: the cost is linear in the number of
-    (term, image term) pairs, with no intermediate polynomial.
+    Runs PackedDerivation's loop on f's terms and turns only the keys that
+    survive cancellation back into exponent tuples: the image of an
+    invariant under an operator that kills it builds no tuple at all.
     """
     if f.context != d.context:
         raise ContextMismatchError("derivation and argument contexts disagree")
-    shifted = []
-    for slot, g in enumerate(d.images):
-        if g.terms:
-            shifted.append((slot, [(h[:slot] + (h[slot] - 1,) + h[slot + 1:], c)
-                                   for h, c in g.terms.items()]))
-    out = {}
-    for e, c in f.terms.items():
-        for slot, image in shifted:
-            k = e[slot]
-            if k:
-                ck = c * k
-                for h, ch in image:
-                    key = tuple(map(add, e, h))
-                    out[key] = out.get(key, 0) + ck * ch
-    return Polynomial(d.context, out)
+    if not f.terms:
+        return Polynomial.zero(d.context)
+    packed = PackedDerivation(d, max(map(max, f.terms)))
+    return Polynomial(d.context, {packed.unpack(key): c
+                                  for key, c in packed.image(f.terms.items()).items()
+                                  if c})
 
 
 # -- the sl2 derivations ---------------------------------------------------
 
+@lru_cache(maxsize=MAX_FORM_DEGREE)
 def lowering_derivation(n: int) -> Derivation:
     """x0 -> 0, xi -> i*x(i-1): lowers the x-weight by one."""
     ctx = x_ring(n)
@@ -87,6 +138,7 @@ def lowering_derivation(n: int) -> Derivation:
     return Derivation(ctx, tuple(images))
 
 
+@lru_cache(maxsize=MAX_FORM_DEGREE)
 def raising_derivation(n: int) -> Derivation:
     """xi -> (n-i)*x(i+1), xn -> 0: raises the x-weight by one."""
     ctx = x_ring(n)

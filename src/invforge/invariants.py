@@ -3,8 +3,10 @@
 The per-degree solver turns the reduced operator's action on candidate
 monomials into a homogeneous linear system indexed directly by monomials
 (columns: degree-d weight-balanced candidates, rows: image monomials) and
-reads invariants off the canonical nullspace.  Membership solves the system
-whose columns are the expanded generator products and the target.  Both
+reads invariants off the canonical nullspace.  Its rows are keyed by the
+packed integer monomials of derivations.PackedDerivation, so no image term
+becomes an exponent tuple.  Membership solves the system whose columns are
+the expanded generator products and the target, keyed by tuples.  Both
 systems are sparse and go to ``linalg``'s exact kernel, an incremental
 reduced echelon form over integer rows, so the answer is the exact
 canonical one by construction; the basis size is still checked against the
@@ -21,6 +23,7 @@ from itertools import chain
 from typing import Iterable, Optional
 
 from .derivations import (
+    PackedDerivation,
     apply_derivation,
     expand_u_to_x,
     lowering_derivation,
@@ -154,13 +157,12 @@ def monomial_rows(ctx: VarContext, columns: Iterable[Polynomial]) -> list:
     of ctx.  The reduced echelon form of a row space is unique, so the order
     changes no nullspace and no solution, but it sets how much work the
     exact kernel does to get there, most of it clearing new pivot columns
-    from earlier pivot rows: on a 2-vCPU Xeon host with CPython 3.11 the
-    nullspace of invariant_basis(8, 10) takes 0.13 s and that of (8, 12)
-    0.63 s, against 0.24 s and 1.37 s in plain descending canonical order
-    and 18 s for (8, 10) in ascending order.  The generator-ring systems of
-    the syzygy minimality filter have a few columns, and either order
-    solves them in the same time.  Columns are read one at a time: pass a
-    generator, and no list of column polynomials is ever held.
+    from earlier pivot rows (timings in the README's performance notes).
+    Membership builds its systems here, and so does the syzygy minimality
+    filter, whose generator-ring systems have a few columns and solve in
+    the same time in either order; invariant_basis files packed keys in the
+    same order instead (_basis_rows).  Columns are read one at a time: pass
+    a generator, and no list of column polynomials is ever held.
     """
     rows = {}
     for j, col in enumerate(columns):
@@ -177,6 +179,23 @@ def nullspace_polynomials(ctx: VarContext, candidates, vectors) -> list:
             for vec in vectors]
 
 
+def _basis_rows(n: int, d: int, candidates) -> list:
+    """Rows of the system whose j-th column is the reduced operator's image
+    of the degree-d monomial candidates[j], in monomial_rows' order.
+
+    The images are filed by their packed keys, with no Polynomial and no
+    exponent tuple per image term.  Every image has degree d + 1, so the
+    descending packed order is monomial_rows' order (see PackedDerivation).
+    """
+    packed = PackedDerivation(reduced_operator(n), d)
+    rows = {}
+    for j, e in enumerate(candidates):
+        for key, c in packed.image(((e, 1),)).items():
+            if c:
+                rows.setdefault(key, {})[j] = c
+    return [rows[key] for key in sorted(rows, reverse=True)]
+
+
 def invariant_basis(n: int, d: int) -> InvariantBasis:
     """All invariants of degree d, via the reduced single-operator system.
 
@@ -185,13 +204,10 @@ def invariant_basis(n: int, d: int) -> InvariantBasis:
     than MAX_CANDIDATES candidates raises ValueError, before any work.
     """
     _refuse_oversized(n, d, "invariants")
-    ctx = u_ring(n)
-    op = reduced_operator(n)
     candidates = powers(n, d)
-    rows = monomial_rows(ctx, (apply_derivation(op, Polynomial.monomial(ctx, e))
-                               for e in candidates))
     elements = tuple(nullspace_polynomials(
-        ctx, candidates, nullspace_sparse(len(candidates), rows)))
+        u_ring(n), candidates,
+        nullspace_sparse(len(candidates), _basis_rows(n, d, candidates))))
     expected = invariant_dimension(n, d)
     if len(elements) != expected:
         raise DimensionMismatchError(

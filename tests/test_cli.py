@@ -13,6 +13,8 @@ from invforge import cli
 from invforge.cli import main
 from invforge.fixtures import fixture_root, load_generator_dir
 from invforge.invariants import mingenset
+from invforge.rings import x_ring
+from invforge.textio import parse_poly
 
 
 def run_cli(*argv):
@@ -50,6 +52,27 @@ def test_verify_bad_input_exit_2(tmp_path):
     f.write_text("x0 + @@\n")
     code, _ = run_cli("verify", "--n", "2", "--coords", "x", str(f))
     assert code == 2
+
+
+def test_binary_quadric_degree_600_on_two_byte_fields(tmp_path):
+    # exponents of 300 and 600 take two-byte packed fields in the verifiers
+    # and in the basis rows; the output is the discriminant's 300th power
+    code, out = run_cli("invariants", "--n", "2", "--degree", "600", "--coords", "x")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5b7dbf586db1688411bebe246894b5f3d40fc173c650aa1842547f6dd26e4483")
+    assert parse_poly(out, x_ring(2)) == parse_poly("x0*x2 - x1^2", x_ring(2)) ** 300
+    code, js = run_cli("invariants", "--n", "2", "--degree", "600", "--coords", "x",
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(js.encode()).hexdigest() == (
+        "a097669806341aebec86e70c50d32f90e3e1efc2d4b0a042e432b642b9dcb5cc")
+    u_form = tmp_path / "u.poly"
+    u_form.write_text("x0^300*u2^300\n")
+    assert run_cli("verify", "--n", "2", str(u_form)) == (0, "invariant\n")
+    x_form = tmp_path / "x.poly"
+    x_form.write_text(out)
+    assert run_cli("verify", "--n", "2", "--coords", "x", str(x_form)) == (0, "invariant\n")
 
 
 def test_mingenset_defaults_and_out(tmp_path):

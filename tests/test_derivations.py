@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from invforge.derivations import (
     Derivation,
+    PackedDerivation,
     ResidualDenominatorError,
     apply_derivation,
     expand_u_to_x,
@@ -18,7 +19,14 @@ from invforge.exponents import _compositions
 from invforge.fixtures import fixture_root, load_generator_dir
 from invforge.hilbert import MAX_CANDIDATES, candidate_count
 from invforge.invariants import invariant_basis
-from invforge.rings import MAX_FORM_DEGREE, ContextMismatchError, Polynomial, u_ring, x_ring
+from invforge.rings import (
+    MAX_FORM_DEGREE,
+    ContextMismatchError,
+    Polynomial,
+    monomial_key,
+    u_ring,
+    x_ring,
+)
 from invforge.textio import parse_poly
 
 import properties
@@ -54,6 +62,13 @@ def test_reduced_operator_is_built_once_per_form_degree():
     assert reduced_operator(7) is reduced_operator(7)
     assert reduced_operator(7) is not reduced_operator(6)
     assert reduced_operator.cache_info().maxsize == MAX_FORM_DEGREE
+
+
+def test_sl2_derivations_are_built_once_per_form_degree():
+    for make in (lowering_derivation, raising_derivation):
+        assert make(7) is make(7)
+        assert make(7) is not make(6)
+        assert make.cache_info().maxsize == MAX_FORM_DEGREE
 
 
 def test_reduced_operator_kills_known_invariants():
@@ -300,9 +315,15 @@ def test_full_operator_agrees_on_balanced():
 
 def _polys(ctx, max_exp=3):
     expt = st.tuples(*[st.integers(0, max_exp)] * ctx.slot_count)
-    coeffs = st.one_of(st.integers(-6, 6),
+    coeffs = st.one_of(st.integers(-6, 6), st.integers(2**70, 2**72),
+                       st.integers(-2**72, -2**70),
                        st.fractions(min_value=-4, max_value=4, max_denominator=5))
     return st.dictionaries(expt, coeffs, max_size=4).map(lambda t: Polynomial(ctx, t))
+
+
+# small exponents make terms collide and cancel; exponents up to 300 need
+# packed fields wider than one byte, with products up to 600
+_MAX_EXPONENTS = st.sampled_from((3, 300))
 
 
 # (derivation ring, argument ring): the same ring, or two rings that differ
@@ -314,11 +335,12 @@ _RING_PAIRS = [(x_ring, x_ring), (u_ring, u_ring), (mixed_ring, mixed_ring),
 @given(st.sampled_from(_RING_PAIRS), st.integers(2, 4), st.data())
 def test_apply_derivation_matches_termwise(rings, n, data):
     dctx, fctx = rings[0](n), rings[1](n)
-    images = [data.draw(_polys(dctx)) for _ in range(dctx.slot_count)]
+    max_exp = data.draw(_MAX_EXPONENTS)
+    images = [data.draw(_polys(dctx, max_exp)) for _ in range(dctx.slot_count)]
     for slot in data.draw(st.sets(st.integers(0, dctx.slot_count - 1))):
         images[slot] = Polynomial.zero(dctx)
     d = Derivation(dctx, tuple(images))
-    f = data.draw(_polys(fctx))
+    f = data.draw(_polys(fctx, max_exp))
     if dctx != fctx:
         with pytest.raises(ContextMismatchError):
             apply_derivation(d, f)
@@ -341,7 +363,7 @@ def test_operators_match_termwise(make, n, one_term, data):
         e = data.draw(st.tuples(*[st.integers(0, 4)] * d.context.slot_count))
         f = Polynomial.monomial(d.context, e, data.draw(st.integers(-9, 9)))
     else:
-        f = data.draw(_polys(d.context))
+        f = data.draw(_polys(d.context, data.draw(_MAX_EXPONENTS)))
     assert apply_derivation(d, f) == properties.apply_derivation_termwise(d, f)
 
 
@@ -364,3 +386,27 @@ def test_apply_derivation_sums_in_one_dict(polynomial_arithmetic):
     assert apply_derivation(lower, x_form).is_zero()
     assert apply_derivation(upper, x_form).is_zero()
     assert not polynomial_arithmetic
+
+
+def test_packed_fields_hold_the_largest_exponent_of_the_call():
+    # the reduced operator's images reach exponent 2 (u2^2 in slot u3's),
+    # so arguments up to 253 fit one byte per field and 254 needs two
+    op = reduced_operator(5)
+    assert PackedDerivation(op, 253).bits == 8
+    assert PackedDerivation(op, 254).bits == 16
+    f = p("x0^254*u3 + u2^253*u4", u_ring(5))
+    assert apply_derivation(op, f) == properties.apply_derivation_termwise(op, f)
+
+
+def test_packed_order_is_the_row_order_within_a_degree():
+    # slot 0 in the most significant field, then slots m-1 down to 1:
+    # descending keys of one degree are monomial_rows' order
+    ctx = u_ring(5)
+    packed = PackedDerivation(reduced_operator(5), 300)
+    monos = _compositions(ctx, 7, 14) + [(300, 0, 0, 0, 0), (0, 0, 0, 0, 300)]
+    for d in (7, 300):
+        same = [e for e in monos if sum(e) == d]
+        keys = {sum(k * w for k, w in zip(e, packed.weights)): e for e in same}
+        assert [keys[k] for k in sorted(keys, reverse=True)] == sorted(
+            same, key=lambda e: (e[0], monomial_key(ctx, e)), reverse=True)
+        assert all(packed.unpack(k) == e for k, e in keys.items())

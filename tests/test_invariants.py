@@ -38,6 +38,7 @@ from invforge.syzygies import expand_in_generators
 from invforge.textio import parse_poly
 
 from properties import (
+    apply_derivation_termwise,
     invariant_basis_direct,
     naive_nullspace,
     naive_solve_affine,
@@ -238,6 +239,20 @@ def test_monomial_rows_descending():
     # the order is not the canonical one: x0^3 comes before u5^4
     col = Polynomial(U5, {(3, 0, 0, 0, 0): 1, (0, 0, 0, 0, 4): 2})
     assert monomial_rows(U5, [col]) == [{0: 1}, {0: 2}]
+
+
+def test_basis_rows_match_the_termwise_assembly():
+    # invariant_basis files packed keys; the reference files every
+    # candidate's termwise image through monomial_rows
+    cases = [(n, d) for n in range(2, 9) for d in range(1, 7)]
+    cases += [(5, 12), (6, 10), (8, 8), (2, 600)]
+    for n, d in cases:
+        ctx, op = u_ring(n), reduced_operator(n)
+        candidates = powers(n, d)
+        reference = monomial_rows(ctx, (
+            apply_derivation_termwise(op, Polynomial.monomial(ctx, e))
+            for e in candidates))
+        assert invariants._basis_rows(n, d, candidates) == reference, (n, d)
 
 
 def _basis_system(n, d):

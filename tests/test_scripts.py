@@ -99,3 +99,23 @@ def test_bench_pairs_pairs_only_seeds_run_on_both_sides():
     assert summary["seeds"] == [1, 2]
     assert summary["parent"]["runs"]["wall_ref_s"] == [1.0, 1.0]
     assert bench.parse_seeds("1-3,7,10-11") == [1, 2, 3, 7, 10, 11]
+
+
+def test_bench_pairs_reports_median_passes_and_the_rss_slope_per_pass():
+    bench = load("bench_pairs")
+    runs = []
+    for seed, passes in enumerate([(10, 14), (12, 15), (11, 19)], start=1):
+        for side, k in zip(bench.SIDES, passes):
+            runs.append({"workload": "queries", "seed": seed, "side": side,
+                         "metrics": {"wall_ref_s": 0.2, "peak_rss_mb": 24.0 + 0.25 * k},
+                         "passes": k, "failed": 0, "attempted": 99 * k})
+    summary = bench.summarize(runs, END_TO_END)["queries"]
+    assert summary["parent"]["median_passes"] == 11
+    assert summary["change"]["median_passes"] == 15
+    assert summary["peak_rss_mb_per_pass"] == pytest.approx(0.25)
+    # an unpaired run takes no part, and one pass count fits no slope
+    runs.append(dict(runs[0], seed=4, passes=40, metrics={"peak_rss_mb": 0.0}))
+    assert bench.summarize(runs, END_TO_END)["queries"]["peak_rss_mb_per_pass"] == (
+        pytest.approx(0.25))
+    level = [dict(r, passes=12) for r in runs]
+    assert bench.summarize(level, END_TO_END)["queries"]["peak_rss_mb_per_pass"] is None
