@@ -11,10 +11,11 @@ working tree for every workload and seed, one run at a time.  Odd seeds run
 the parent first, even seeds the change.  Writes one BENCH JSON file
 (rewritten after every pair, so an interrupted run keeps what it measured)
 with every run's end-to-end metrics, pass count and failed operations; per
-workload each side's median passes per run and the least-squares slope of
-``peak_rss_mb`` against the pass count; and per workload and metric the
-medians, quartiles, pair wins and verdicts.  The temporary directory is
-removed on exit, also on error.
+workload each side's median passes per run, the least-squares slope of
+``peak_rss_mb`` against the pass count and the largest ``wall_ref_s`` gain
+that the ``peak_rss_mb`` bound admits at that slope (``rss_gain_ceiling``);
+and per workload and metric the medians, quartiles, pair wins and
+verdicts.  The temporary directory is removed on exit, also on error.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_x.json
     python3 scripts/bench_pairs.py --workloads generators --seeds 11 --out x.json
@@ -111,6 +112,21 @@ def rss_per_pass(runs: list):
         [r["passes"] for r in runs], [r["metrics"]["peak_rss_mb"] for r in runs]).slope
 
 
+def rss_gain_ceiling(passes, mb_per_pass, parent_rss, bound):
+    """Largest wall_ref_s gain, as a fraction, that the peak_rss_mb bound admits.
+
+    A run lasts a fixed time, so a change that cuts wall_ref_s by g runs
+    P / (1 - g) passes where the parent runs its median P, and each extra
+    pass adds s MB to the peak.  The rise s * P * g / (1 - g) stays within
+    bound * R, R the parent's median peak_rss_mb, up to g = x / (1 + x)
+    with x = bound * R / (s * P).  None without a positive slope.
+    """
+    if not passes or not mb_per_pass or mb_per_pass <= 0 or bound is None or not parent_rss:
+        return None
+    x = bound * parent_rss / (mb_per_pass * passes)
+    return x / (1 + x)
+
+
 def summarize(runs: list, end_to_end: list) -> dict:
     """Per workload: each side's runs, medians and quartiles, and the pairs.
 
@@ -144,6 +160,10 @@ def summarize(runs: list, end_to_end: list) -> dict:
             }
         entry["peak_rss_mb_per_pass"] = rss_per_pass(
             [by_side[side][s] for side in SIDES for s in seeds])
+        rss_bound = {m["name"]: m["bound"] for m in end_to_end}.get("peak_rss_mb")
+        entry["rss_gain_ceiling"] = rss_gain_ceiling(
+            entry["parent"]["median_passes"], entry["peak_rss_mb_per_pass"],
+            entry["parent"]["median"].get("peak_rss_mb"), rss_bound)
         if seeds:
             entry["pairs"] = {
                 m["name"]: compare(entry["parent"]["runs"][m["name"]],
@@ -239,11 +259,13 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tree, ignore_errors=True)
     for workload, entry in doc["workloads"].items():
-        slope = entry["peak_rss_mb_per_pass"]
+        slope, ceiling = entry["peak_rss_mb_per_pass"], entry["rss_gain_ceiling"]
         print(f"{workload} passes per run (median): "
               f"{entry['parent']['median_passes']} -> {entry['change']['median_passes']};"
               " peak_rss_mb per pass: "
-              + ("n/a" if slope is None else f"{slope:.3g} MB"))
+              + ("n/a" if slope is None else f"{slope:.3g} MB")
+              + "; largest wall_ref_s gain within the peak_rss_mb bound: "
+              + ("n/a" if ceiling is None else f"{ceiling:.1%}"))
         for name, pair in entry.get("pairs", {}).items():
             print(f"{workload} {name}: {pair['parent_median']:.4g} -> "
                   f"{pair['change_median']:.4g} ({pair['change_wins']} wins of "

@@ -3,7 +3,8 @@
 The per-degree solver turns the reduced operator's action on candidate
 monomials into a homogeneous linear system indexed directly by monomials
 (columns: degree-d weight-balanced candidates, rows: image monomials) and
-reads invariants off the canonical nullspace.  Its rows are keyed by the
+reads invariants off the canonical nullspace, as coprime integer vectors
+that are already the normalized invariants.  Its rows are keyed by the
 packed integer monomials of derivations.PackedDerivation, so no image term
 becomes an exponent tuple.  Membership solves the system whose columns are
 the expanded generator products and the target, keyed by tuples.  Both
@@ -32,7 +33,7 @@ from .derivations import (
 )
 from .exponents import grad, powers
 from .hilbert import MAX_CANDIDATES, MAX_DEGREE, candidate_count, invariant_dimension
-from .linalg import nullspace_sparse, solve_affine_sparse
+from .linalg import Eliminator, solve_affine_sparse
 from .rings import (
     Polynomial,
     VarContext,
@@ -179,6 +180,18 @@ def nullspace_polynomials(ctx: VarContext, candidates, vectors) -> list:
             for vec in vectors]
 
 
+def _primitive_polynomial(ctx: VarContext, candidates, vec: dict) -> Polynomial:
+    """sum(v * candidates[j]) for a vector of ``Eliminator.integer_nullspace``.
+
+    The candidates ascend in the canonical order, so the vector's free
+    column, its last, is the greatest monomial: with content 1 and a
+    positive entry there, the polynomial is already normalized.
+    """
+    p = Polynomial.__new__(Polynomial)
+    p.context, p.terms = ctx, {candidates[j]: v for j, v in vec.items()}
+    return p
+
+
 def _basis_rows(n: int, d: int, candidates) -> list:
     """Rows of the system whose j-th column is the reduced operator's image
     of the degree-d monomial candidates[j], in monomial_rows' order.
@@ -205,9 +218,9 @@ def invariant_basis(n: int, d: int) -> InvariantBasis:
     """
     _refuse_oversized(n, d, "invariants")
     candidates = powers(n, d)
-    elements = tuple(nullspace_polynomials(
-        u_ring(n), candidates,
-        nullspace_sparse(len(candidates), _basis_rows(n, d, candidates))))
+    elim = Eliminator(len(candidates)).add_rows(_basis_rows(n, d, candidates))
+    elements = tuple(_primitive_polynomial(u_ring(n), candidates, vec)
+                     for vec in elim.integer_nullspace())
     expected = invariant_dimension(n, d)
     if len(elements) != expected:
         raise DimensionMismatchError(

@@ -12,6 +12,9 @@ an affine solution are read straight off the pivot rows.
 ``nullspace_sparse`` and ``solve_affine_sparse`` run on it, with no
 modular step: the expanded, sparse monomial systems of invariant bases,
 membership, the syzygy minimality filter and the syzygy expansion route.
+``integer_nullspace`` reads each canonical null vector as coprime integers
+straight off the integer pivot rows, with no Fraction: invariant bases take
+it, since that is already their normalized form.
 An affine system [A | b] is answered from the same form: it is
 inconsistent exactly when b's column is a pivot column.
 
@@ -20,18 +23,22 @@ short: ``PRIME`` = 2^127 - 1 for a system whose nullspace is read, or the
 word-size ``WORD_PRIME`` for one read only through its rank and ``kills``.
 It is the store of the dense syzygy evaluation systems, whose rows fill
 nearly every column with integers that exact elimination grows to
-thousands of bits; each row modulo p is packed into one Python int, so a
-row update is one big-integer multiply-add.  Its rank is a lower bound for
-the rational rank of the rows it was fed, whatever the prime.  Its
+thousands of bits; it takes and keeps them as dense lists (a sparse dict
+row is accepted too), each row modulo p is packed into one Python int, so
+a row update is one big-integer multiply-add.  Its rank is a lower bound
+for the rational rank of the rows it was fed, whatever the prime.  Its
 nullspace is exact all the same: each modular null vector is recovered by
 rational reconstruction, with a bound that follows the modulus, and then
-checked with exact dot products against every row it keeps.  A checked
+checked with exact dot products against every row it keeps, all the
+vectors at once: ``kills`` packs them into one integer per column, so one
+dot product per row checks every vector.  A checked
 vector for free column f has 1 on f, 0 on every other modular free column
 and nothing after f, so the ncols - rank_p checked vectors are
 independent; since rank_p <= rank_Q, they span the rational nullspace,
 their free columns are the rational RREF's, and they are its canonical
 basis.  Whenever a row has no residue, or reconstruction or a check fails,
-``certified_nullspace`` eliminates the kept rows with ``Eliminator``.
+``certified_nullspace`` eliminates the kept rows with ``Eliminator``, the
+only place where dense rows become sparse dicts.
 
 The kernel follows from how a system is built, never from an option.  On
 sparse rows an exact update touches only the entries present, and the
@@ -47,6 +54,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional
 
 
@@ -126,18 +134,43 @@ class Eliminator:
 
         One basis vector per free column, in ascending free-column order; the
         vector carries 1 on its free column f, -P_c[f] / P_c[c] on each pivot
-        column c and 0 on every other free column.
+        column c and 0 on every other free column: the vector of
+        ``integer_nullspace`` divided by its entry on f.
         """
-        free = [f for f in range(self.ncols) if f not in self.pivots]
-        basis = {f: [Fraction(0)] * self.ncols for f in free}
-        for f, vec in basis.items():
-            vec[f] = Fraction(1)
-        for c, p in self.pivots.items():
+        basis = []
+        for vec in self.integer_nullspace():
+            den = vec[next(reversed(vec))]  # f, the last column
+            row = [Fraction(0)] * self.ncols
+            for j, v in vec.items():
+                row[j] = Fraction(v, den)
+            basis.append(row)
+        return basis
+
+    def integer_nullspace(self) -> list:
+        """The canonical nullspace basis, each vector scaled to integers.
+
+        Per free column f, ascending: the canonical vector for f (1 on f,
+        -P_c[f] / P_c[c] on each pivot column c, 0 elsewhere) times the
+        least common denominator of its entries, as {column: entry} in
+        ascending column order, so f comes last.  That puts the lcm,
+        positive, on f, and leaves content 1: a smaller multiple would make
+        every entry integral already.  No Fraction is built.
+        """
+        pivots = self.pivots
+        entries = {f: [] for f in range(self.ncols) if f not in pivots}
+        for c in sorted(pivots):
+            p = pivots[c]
             lead = p[c]
             for f, v in p.items():
                 if f != c:
-                    basis[f][c] = Fraction(-v, lead)
-        return [basis[f] for f in free]
+                    entries[f].append((c, v, lead))
+        basis = []
+        for f, col in entries.items():
+            den = math.lcm(*(lead // math.gcd(lead, v) for _, v, lead in col))
+            vec = {c: -v * den // lead for c, v, lead in col}
+            vec[f] = den
+            basis.append(vec)
+        return basis
 
 
 PRIME = 2**127 - 1
@@ -203,6 +236,12 @@ class PackedEliminator:
     found and normalized by one unpack of the row.  Pivot rows stay in
     echelon form, not reduced; ``_null_residues`` back-substitutes once at
     the end.
+
+    Rows come as dense lists, the form of the evaluation rows: the residues
+    are one comprehension and the pack one byte join.  A sparse dict row is
+    spread to a list first.  A row that holds Fractions takes its residues
+    entry by entry (``_residue``); one whose denominator p divides has none
+    and leaves the store unreduced, so only the exact fallback reads it.
     """
 
     def __init__(self, ncols: int, modulus: int = PRIME):
@@ -230,17 +269,26 @@ class PackedEliminator:
         return [int.from_bytes(data[i:i + s], "little") % p
                 for i in range(0, s * count, s)]
 
-    def add_row(self, row: dict) -> None:
+    def add_row(self, row) -> None:
+        """Feed one row: a list of ncols entries, or a sparse dict {col: value}.
+
+        The row is kept as it came, for ``kills`` and the exact fallback.
+        """
         self.rows.append(row)
         p, ncols = self.modulus, self.ncols
-        vals = [0] * ncols
-        for j, c in row.items():
-            v = _residue(c, p)
-            if v is None:
+        if type(row) is dict:
+            dense = [0] * ncols
+            for j, c in row.items():
+                dense[j] = c
+            row = dense
+        try:
+            acc = self._pack([c % p for c in row])
+        except AttributeError:  # a Fraction entry: c % p is a Fraction, with no to_bytes
+            vals = [_residue(c, p) for c in row]
+            if None in vals:
                 self.reduced = False
                 return
-            vals[j] = v
-        acc = self._pack(vals)
+            acc = self._pack(vals)
         w = 8 * self.slot
         mask = (1 << w) - 1
         pos = start = 0  # acc's slot 0 is column pos; columns from start on are unread
@@ -266,23 +314,54 @@ class PackedEliminator:
         inv = pow(vals[0], -1, p)
         insort(self.echelon, (lead, self._pack([v * inv % p for v in vals])))
 
-    def add_rows(self, rows: Iterable[dict]) -> "PackedEliminator":
+    def add_rows(self, rows: Iterable) -> "PackedEliminator":
         for row in rows:
             if row:
                 self.add_row(row)
         return self
 
-    def kills(self, vec: dict) -> bool:
-        """True iff every kept row is exactly orthogonal to vec {col: value}.
+    def kills(self, *vectors) -> bool:
+        """True iff every kept row is exactly orthogonal to every vector.
 
-        Each dot product walks the vector's entries and looks them up in the
-        row: the kept rows are evaluation rows, which fill nearly every
-        column.
+        Each vector is a dict {col: value}, scaled here to integers.  The
+        vectors are packed into one integer per column, vector k in the
+        balanced slot k of B bits, B = bits(largest row l1 norm * largest
+        entry) + 2.  A row's dot product with the packed columns is then the
+        sum of its dot products with the vectors, each shifted to its slot;
+        every one is below 2^(B - 2) in absolute value, so the sum is 0
+        exactly when every one is.  One dot product per row checks them all.
         """
-        den = math.lcm(*(v.denominator for v in vec.values()))
-        ints = [(j, int(v * den)) for j, v in vec.items() if v]
+        ints = []
+        for vec in vectors:
+            den = math.lcm(*(v.denominator for v in vec.values()))
+            ints.append([(j, v.numerator * (den // v.denominator))
+                         for j, v in vec.items() if v])
+        top = max((abs(x) for vec in ints for _, x in vec), default=0)
+        if not top:
+            return True
+        rows, norm = [], 0
         for row in self.rows:
-            if sum(c * x for j, x in ints if (c := row.get(j))):
+            vals = row.values() if type(row) is dict else row
+            size = sum(map(abs, vals))
+            if type(size) is not int:  # Fraction entries: scale the row to integers
+                den = math.lcm(*(v.denominator for v in vals))
+                size = int(size * den)
+                if type(row) is dict:
+                    row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+                else:
+                    row = [v.numerator * (den // v.denominator) for v in row]
+            rows.append(row)
+            norm = max(norm, size)
+        width = (norm * top).bit_length() + 2
+        packed = [0] * self.ncols
+        for k, vec in enumerate(ints):
+            for j, x in vec:
+                packed[j] += x << width * k
+        for row in rows:
+            if type(row) is dict:
+                if sum(c * packed[j] for j, c in row.items()):
+                    return False
+            elif sum(map(mul, row, packed)):
                 return False
         return True
 
@@ -308,9 +387,9 @@ class PackedEliminator:
                 if q is None:
                     return None
                 vec[c] = q
-            if not self.kills({j: v for j, v in enumerate(vec) if v}):
-                return None
             basis.append(vec)
+        if not self.kills(*({j: v for j, v in enumerate(vec) if v} for vec in basis)):
+            return None
         return basis
 
     def _null_residues(self):
@@ -348,7 +427,9 @@ def certified_nullspace(elim: PackedEliminator) -> list:
     """
     basis = elim.nullspace()
     if basis is None:
-        basis = nullspace_sparse(elim.ncols, elim.rows)
+        basis = nullspace_sparse(elim.ncols, (
+            row if type(row) is dict else {j: v for j, v in enumerate(row) if v}
+            for row in elim.rows))
     return basis
 
 

@@ -7,10 +7,11 @@ of weighted degree d, rows: u-monomials).  Rather than expanding A, the
 engine evaluates the generators at integer points: one point gives one row
 of E = V*A, so null(A) is contained in null(E), and rank E <= rank A <=
 dim I_d because every column of A is a degree-d invariant.  The rows go to
-a ``linalg.PackedEliminator``, the modular kernel (each row modulo p is one
-packed integer, so a row update is one big-integer multiply-add; evaluation
-rows fill nearly every column), and points are added until the rank of E
-modulo a prime reaches the Cayley-Sylvester count dim I_d.  Since
+a ``linalg.PackedEliminator``, the modular kernel, as dense lists of values
+(each row modulo p is one packed integer, so a row update is one big-integer
+multiply-add; evaluation rows fill nearly every column), and points are
+added until the rank of E modulo a prime reaches the Cayley-Sylvester count
+dim I_d.  Since
 rank_p E <= rank_Q E for every prime p, that certifies rank E = rank A =
 dim I_d over Q, so null(E) = null(A) exactly and E answers both questions:
 
@@ -19,7 +20,10 @@ dim I_d over Q, so null(E) = null(A) exactly and E answers both questions:
   ncols - rank_Q of them, and each one's last nonzero entry is its own
   free column, so they are the canonical (RREF) basis of null(A), the same
   one the expansion route gives.  Its entries are rebuilt by rational
-  reconstruction, so these systems run modulo the 127-bit ``PRIME``;
+  reconstruction, so these systems run modulo the 127-bit ``PRIME``.  A
+  degree whose candidates number dim I_d has no free column: rank = ncols
+  proves its basis empty, with nothing to rebuild, so it runs modulo
+  ``WORD_PRIME``;
 * a relation checks iff each weighted-degree component v has E*v = 0 on the
   kept rows, by exact dot products alone.  Only the rank is read modulo p,
   so these systems run modulo the word-size ``WORD_PRIME``, whose residues
@@ -27,23 +31,31 @@ dim I_d over Q, so null(E) = null(A) exactly and E answers both questions:
 
 The points lie on lines (``_Points``).  Line k draws a base point from
 ``random.Random(k)`` and sets one slot, the one with the largest exponent
-among the generator terms, to t = 0, 1, -1, 2, -2, ... (``LINE_STEPS``); a
-line ends at its first point that does not raise the rank, or after its
-last step.  Restricted to a line each generator is a polynomial in t, so
-one plan evaluation per line gives all its coefficients and a point costs
-one Horner step per coefficient.  Every row is still the exact value of E
-at a point, so the certificate and every answer are unchanged.
+among the generator terms, to t = 0, 1, -1, ..., 5, -5 (``LINE_STEPS``, 11
+points); a line ends at its first point that does not raise the rank, or
+after its last step.  Restricted to a line each generator is a polynomial
+in t, so one plan evaluation per line gives all its coefficients and a
+point costs one Horner step per coefficient.  The bundled systems of rank
+47 (n = 6 degree 30, n = 8 degree 16) take 5 lines and no idle point.
+Every row is still the exact value of E at a point, so the certificate and
+every answer are unchanged.
 
-The plan (``_Plan``) evaluates many term dicts at one point: every exponent
-tuple is split into a head (the first half of the slots) and a tail (the
-rest).  The bundled octavic set has 1512 terms but 295 distinct heads and
-166 distinct tails.  At a point, one power table per coordinate gives every
-distinct head and tail value, each term is then ``c * head * tail`` and
-each polynomial the sum of its terms, in their stored order.  All of it is
-exact integer (or rational) arithmetic, so every value is the one the
-term-by-term sum gives.  The candidate row at a point comes from a second
-plan of the same kind, one per degree, over the generator slots with the
-generator values as coordinates.
+The generator plan (``_Plan``) evaluates many term dicts at one point:
+every exponent tuple is split into a head (the first half of the slots)
+and a tail (the rest).  The bundled octavic set has 1512 terms but 295
+distinct heads and 166 distinct tails.  At a point, one power table per
+coordinate gives every distinct head and tail value, each term is then
+``c * head * tail`` and each polynomial the sum of its terms, in their
+stored order.  The candidate row at a point comes from prefix products
+instead (``_PrefixPlan``, one per degree, over the generator slots with
+the generator values as coordinates): the candidates, read from their last
+slot, form a trie in which every distinct prefix costs one multiply at
+most and one ending in a zero exponent none: 88 multiplies for the 183
+prefixes of the 48 candidates of n = 8 degree 16.  Products pay there
+because candidates are plain monomials that share long prefixes, while
+generator terms carry coefficients and share halves.  All of it is exact
+integer (or rational) arithmetic, so every value is the one the
+term-by-term product and sum give.
 
 A certified system's basis is read back by ``linalg.certified_nullspace``,
 whose only fallback is the exact kernel on the same rows.  Without the
@@ -77,16 +89,19 @@ from .rings import ContextMismatchError, Polynomial, u_ring
 # The certificate gives up after this many consecutive points that do not
 # raise the rank.  Base point coordinates are drawn from [-POINT_RANGE,
 # POINT_RANGE], and a line visits t in that range too, nearest 0 first
-# (small values keep the integers in the elimination short).
+# (small values keep the integers in the elimination short).  Ranges 3..7
+# measured alike per `relations` pass; 5 gives the fewest lines without an
+# idle point on the bundled systems, and n = 8 degree 24 took 19 lines
+# instead of 29 at range 3.
 IDLE_POINTS = 8
-POINT_RANGE = 3
+POINT_RANGE = 5
 LINE_STEPS = (0,) + tuple(s * t for t in range(1, POINT_RANGE + 1) for s in (1, -1))
 
 # Largest number of generator monomials a syzygy degree may have.  The
-# bundled octavic set needs at most 107 (d = 20, 0.12 s on a 2-vCPU Xeon
-# host); d = 24 has 220 and takes 0.6 s, d = 28 has 422 and takes 3.1 s,
-# about half of it the packed 127-bit elimination and a third the exact
-# check of the nullspace, and the time grows about 2.3-fold per two
+# bundled octavic set needs at most 107 (d = 20, 0.11 s on a 2-vCPU Xeon
+# host); d = 24 has 220 and takes 0.5 s, d = 28 has 422 and takes 2.6 s,
+# about two thirds of it the packed 127-bit elimination and a seventh the
+# exact check of the nullspace, and the time grows about 2.3-fold per two
 # degrees.  Larger requests are refused before any point is evaluated.
 MAX_CANDIDATES = 500
 
@@ -180,6 +195,62 @@ def _products(tables, columns, count: int) -> list:
     return vals
 
 
+class _PrefixPlan:
+    """Exact values of exponent vectors (monomials) at a point, by prefix
+    products.
+
+    Read from the last slot to the first, the vectors form a trie: a prefix
+    is its parent prefix times x^a, one multiply from the power table of its
+    slot, and a prefix whose last exponent is 0 is its parent, with no
+    multiply.  The canonical order sorts a degree's candidates by that same
+    reading, so a prefix shared by consecutive vectors is made once and
+    every distinct prefix costs at most one multiply; any other order still
+    gives the right values.
+    """
+
+    def __init__(self, exps, slots: int):
+        parents = [[] for _ in range(slots)]  # per depth: (depth, index) of each parent
+        powers = [[] for _ in range(slots)]
+        # the current vector's prefix nodes; (-1, 0) is the empty prefix, 1
+        node = [(-1, 0)] * (slots + 1)
+        prev, out = (), []
+        for e in exps:
+            r = e[::-1]
+            start = 0
+            for a, b in zip(r, prev):
+                if a != b:
+                    break
+                start += 1
+            for i in range(start, slots):
+                if a := r[i]:
+                    parents[i].append(node[i])
+                    powers[i].append(a)
+                    node[i + 1] = (i, len(powers[i]) - 1)
+                else:
+                    node[i + 1] = node[i]
+            out.append(node[slots])
+            prev = r
+        # one flat list of values: 1, then each depth's new prefixes
+        offset = {-1: 0}
+        for i in range(slots):
+            offset[i] = offset[i - 1] + (len(powers[i - 1]) if i else 1)
+        self.steps = [(slots - 1 - i, [offset[d] + k for d, k in parents[i]],
+                       powers[i], max(powers[i]))
+                      for i in range(slots) if powers[i]]
+        self.out = [offset[d] + k for d, k in out]
+
+    def values(self, point) -> list:
+        """One exact value per exponent vector; point has one number per slot."""
+        flat = [1]
+        for slot, parents, powers, top in self.steps:
+            x = point[slot]
+            table = [1]
+            for _ in range(top):
+                table.append(table[-1] * x)
+            flat += [flat[p] * table[a] for p, a in zip(parents, powers)]
+        return [flat[k] for k in self.out]
+
+
 class _LinePlan:
     """Coefficients in t of term dicts on a line that varies one slot.
 
@@ -249,19 +320,22 @@ def _certified_system(gens: GeneratorSet, d: int, candidates: list,
 
     The rows come from the points t in LINE_STEPS of lines 0, 1, ...; a
     line ends at its first point that does not raise the rank.  The modulus
-    is PRIME for a system whose nullspace is read, else WORD_PRIME.
+    is PRIME for a system whose nullspace is read, else WORD_PRIME; a
+    system with as many candidates as dim I_d has no nullspace to read and
+    takes WORD_PRIME whatever the caller asks.
     """
     target = invariant_dimension(gens.n, d)
     if len(candidates) < target or not gens.verified:
         return None
-    monomials = _Plan([{e: 1} for e in candidates], len(gens))
+    if len(candidates) == target:  # no free column: the rank alone certifies it
+        modulus = WORD_PRIME
+    monomials = _PrefixPlan(candidates, len(gens))
     elim = PackedEliminator(len(candidates), modulus)
     k = idle = 0
     while elim.rank < target and idle < IDLE_POINTS:
         for t in LINE_STEPS:
             before = elim.rank
-            row = monomials.values(points.values(k, t))
-            elim.add_row({j: v for j, v in enumerate(row) if v})
+            elim.add_row(monomials.values(points.values(k, t)))
             if elim.rank == before:
                 idle += 1
                 break

@@ -620,7 +620,7 @@ def certified_rows_termwise(gens, d, candidates, point_range, idle_points,
     exponent (the first such) to t = 0, 1, -1, ..., point_range,
     -point_range, ending at its first point that does not raise the rank.
     The same stopping rule and modulus give the exact rows the modular
-    eliminator keeps.
+    eliminator keeps: dense lists, one value per candidate.
     """
     slot = line_slot_termwise(gens)
     steps = [0]
@@ -636,8 +636,7 @@ def certified_rows_termwise(gens, d, candidates, point_range, idle_points,
             point = base[:slot] + [t] + base[slot + 1:]
             values = [evaluate_termwise(g.u_poly.terms, point) for g in gens]
             before = elim.rank
-            elim.add_row({j: v for j, e in enumerate(candidates)
-                          if (v := monomial_value_termwise(e, values))})
+            elim.add_row([monomial_value_termwise(e, values) for e in candidates])
             if elim.rank == before:
                 idle += 1
                 break

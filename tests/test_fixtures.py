@@ -1,4 +1,5 @@
 import shutil
+from operator import mul
 
 import pytest
 
@@ -107,26 +108,28 @@ def test_load_generator_dir_rejects_bad_names(tmp_path, stem):
 
 def test_load_fixtures_builds_one_generator_plan(monkeypatch):
     # every relation check of one load shares the generator values, so the
-    # generators' line plan is built once; the other plans are the
-    # per-degree candidate plans, over the generator slots
+    # generators' line plan is built once; each checked degree builds one
+    # candidate evaluator, over the generator slots
     gens = fixture_generator_set(8)
     generator_terms = [g.u_poly.terms for g in gens]
-    lines, plans = [], []
-    line_plan, plan = syzygies._LinePlan, syzygies._Plan
+    lines, evaluators = [], []
+    line_plan, prefix_plan = syzygies._LinePlan, syzygies._PrefixPlan
 
     def line_spy(polys, slots, slot):
         lines.append(polys == generator_terms)
         return line_plan(polys, slots, slot)
 
-    def spy(polys, slots):
-        plans.append(slots)
-        return plan(polys, slots)
+    def evaluator_spy(exps, slots):
+        evaluators.append((sum(map(mul, exps[0], gens.degrees())), slots))
+        return prefix_plan(exps, slots)
 
     monkeypatch.setattr(syzygies, "_LinePlan", line_spy)
-    monkeypatch.setattr(syzygies, "_Plan", spy)
+    monkeypatch.setattr(syzygies, "_PrefixPlan", evaluator_spy)
     records = load_fixtures(8)
     relations = [r for r in records if r.coordinates == "gen"]
     assert len(relations) == 5
     assert all(r.status == VALIDATED for r in relations)
     assert lines == [True]
-    assert len(plans) > 1 and plans.count(len(gens)) == len(plans) - 1
+    degrees = [sum(map(mul, next(iter(r.poly.terms)), gens.degrees())) for r in relations]
+    assert sorted(degrees) == list(range(16, 21))
+    assert evaluators == [(d, len(gens)) for d in degrees]

@@ -278,6 +278,25 @@ def test_normalize_nullspace_vectors():
     assert [normalize(f) for f in raw] == list(invariant_basis(5, 12))
 
 
+@pytest.mark.parametrize("n,degrees", [
+    (2, (2, 4, 40)), (3, (4, 8, 12)), (4, (2, 3, 6, 12)), (5, (4, 8, 12, 18, 24)),
+    (6, (2, 6, 10, 15)), (8, (2, 5, 8, 10))])
+def test_integer_null_vectors_are_the_normalized_invariants(n, degrees):
+    # read off the integer pivot rows, each invariant is term for term, in
+    # the same order and with int coefficients, what normalizing the
+    # canonical Fraction vector gives
+    ctx = u_ring(n)
+    for d in degrees:
+        candidates = powers(n, d)
+        ncols, rows = len(candidates), invariants._basis_rows(n, d, candidates)
+        want = [normalize(Polynomial(ctx, {candidates[j]: v for j, v in enumerate(vec) if v}))
+                for vec in nullspace_sparse(ncols, rows)]
+        got = list(invariant_basis(n, d))
+        assert [list(f.terms.items()) for f in got] == [list(f.terms.items()) for f in want]
+        assert all(type(c) is int for f in got for c in f.terms.values())
+        assert all(normalize(f).terms == f.terms for f in got)
+
+
 def _member_system(gens, f):
     target = (sum(next(iter(f.terms))), weight_u(f))
     candidates = grad(gens.profile(), target)

@@ -359,3 +359,117 @@ def test_packed_store_falls_back_on_unreduced_rows():
     assert not elim.reduced
     assert elim.nullspace() is None
     assert certified_nullspace(elim) == [[Fraction(-PRIME, 3), Fraction(1)]]
+
+
+# -- dense rows, the packed certificate and integer null vectors --------------
+
+def _feeds(cols, data, modulus=PRIME):
+    """The packed store fed the dense lists and fed their sparse dicts."""
+    dense = PackedEliminator(cols, modulus)
+    for row in data:
+        dense.add_row(list(row))
+    return dense, PackedEliminator(cols, modulus).add_rows(sparse_rows(data))
+
+
+def _same_feeds(cols, data, modulus=PRIME):
+    dense, sparse = _feeds(cols, data, modulus)
+    assert dense.rank == sparse.rank
+    assert dense.reduced == sparse.reduced
+    assert dense.echelon == sparse.echelon
+    assert dense.nullspace() == sparse.nullspace()
+    exact = nullspace_sparse(cols, sparse_rows(data))
+    assert certified_nullspace(dense) == certified_nullspace(sparse) == exact
+    vectors = [{j: v for j, v in enumerate(vec) if v} for vec in exact]
+    assert dense.kills(*vectors) and sparse.kills(*vectors)
+    for vec in vectors:
+        assert dense.kills(vec) and sparse.kills(vec)
+    # a vector off the nullspace fails on both, alone or among null vectors
+    for j in range(cols):
+        e = {j: Fraction(1, 3)}
+        hit = any(row[j] for row in data)
+        assert dense.kills(e) == sparse.kills(e) == (not hit)
+        assert dense.kills(*vectors, e) == sparse.kills(*vectors, e) == (not hit)
+
+
+def test_dense_and_sparse_feeds_agree_on_the_naive_cases():
+    for data, cols, _ in linalg_naive_cases():
+        _same_feeds(cols, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_dense_and_sparse_feeds_agree(system):
+    data, cols, _ = system
+    for modulus in (PRIME, WORD_PRIME):
+        _same_feeds(cols, data, modulus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_systems())
+def test_dense_and_sparse_feeds_agree_on_dense_systems(system):
+    cols, data, modulus = system
+    _same_feeds(cols, data, modulus)
+
+
+def test_packed_certificate_finds_the_one_failing_row():
+    # three null vectors with negative entries; a fourth that misses on one
+    # row only, by 1 against entries of 2^100, must fail in any company
+    rng = random.Random(7)
+    base = [[rng.randrange(-2**100, 2**100) for _ in range(6)] for _ in range(3)]
+    exact = nullspace_sparse(6, sparse_rows(base))
+    assert len(exact) == 3
+    assert any(v < 0 for vec in exact for v in vec)
+    vectors = [{j: v for j, v in enumerate(vec) if v} for vec in exact]
+    elim = PackedEliminator(6)
+    for row in base:
+        elim.add_row(list(row))
+    assert elim.kills(*vectors)
+    bad = [row[:] for row in base]
+    bad[1][5] += 1
+    # only the vector of free column 5 has an entry there: it alone fails,
+    # and on row 1 alone
+    broken = PackedEliminator(6)
+    for row in bad:
+        broken.add_row(row)
+    assert [broken.kills(vec) for vec in vectors] == [True, True, False]
+    assert not broken.kills(*vectors)
+    assert not broken.kills(*reversed(vectors))
+    # the one null vector of the first two rows, with a negative entry,
+    # against those rows and one row it misses
+    two = nullspace_sparse(6, sparse_rows(base[:2]))
+    vec = {j: v for j, v in enumerate(two[-1]) if v}
+    assert any(v < 0 for v in vec.values())
+    rows = PackedEliminator(6)
+    for row in base[:2]:
+        rows.add_row(list(row))
+    assert rows.kills(vec)
+    rows.add_row(list(base[2]))
+    assert not rows.kills(vec)
+    assert not rows.kills({j: 1 for j in range(6)}, vec)
+    # dot products of 1 and -1 with one row cancel only in one shared slot,
+    # and 4 and -1 in slots of 2 bits: the slots follow the row's l1 norm
+    assert not PackedEliminator(2).add_rows([[1, 1]]).kills({0: 1}, {1: -1})
+    assert not PackedEliminator(2).add_rows([[4, 1]]).kills({0: 1}, {1: -1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+@example(([[2, -4, 6], [2, -4, 6], [-1, 2, -3]], 3, [0, 0, 0]))
+@example(([[Fraction(1, 3), 2**80, 0], [0, 6, -4]], 3, [0, 0]))
+def test_integer_nullspace_is_the_primitive_canonical_basis(system):
+    # each canonical vector times the least common denominator of its
+    # entries: integers of content 1, positive on the free column, which is
+    # the vector's last nonzero column
+    data, cols, _ = system
+    elim = Eliminator(cols).add_rows(sparse_rows(data))
+    canonical = elim.nullspace()
+    got = elim.integer_nullspace()
+    assert len(got) == len(canonical)
+    for vec, want in zip(got, canonical):
+        assert list(vec) == sorted(vec)
+        assert all(type(v) is int and v for v in vec.values())
+        den = math.lcm(*(v.denominator for v in want))
+        assert vec == {j: int(v * den) for j, v in enumerate(want) if v}
+        assert math.gcd(*vec.values()) == 1
+        f = max(vec)
+        assert want[f] == 1 and vec[f] > 0

@@ -119,3 +119,29 @@ def test_bench_pairs_reports_median_passes_and_the_rss_slope_per_pass():
         pytest.approx(0.25))
     level = [dict(r, passes=12) for r in runs]
     assert bench.summarize(level, END_TO_END)["queries"]["peak_rss_mb_per_pass"] is None
+
+
+def test_bench_pairs_rss_gain_ceiling():
+    bench = load("bench_pairs")
+    # the parent's figures at the time the ceiling was added: relations
+    # runs about 440 passes at 0.0118 MB each, generators 32 at 0.46 MB
+    assert bench.rss_gain_ceiling(440, 0.0118, 26.0, 0.1) == pytest.approx(0.334, abs=1e-3)
+    assert bench.rss_gain_ceiling(32, 0.46, 36.55, 0.1) == pytest.approx(0.199, abs=1e-3)
+    # at the ceiling the extra passes fill the bound exactly
+    g = bench.rss_gain_ceiling(20, 0.5, 30.0, 0.1)
+    assert 0.5 * (20 / (1 - g) - 20) == pytest.approx(0.1 * 30.0)
+    assert bench.rss_gain_ceiling(20, None, 30.0, 0.1) is None
+    assert bench.rss_gain_ceiling(20, -0.1, 30.0, 0.1) is None
+    # summarize reports it per workload from the parent's median passes
+    runs = []
+    for seed, passes in enumerate([(10, 14), (12, 15), (11, 19)], start=1):
+        for side, k in zip(bench.SIDES, passes):
+            runs.append({"workload": "queries", "seed": seed, "side": side,
+                         "metrics": {"wall_ref_s": 0.2, "peak_rss_mb": 24.0 + 0.25 * k},
+                         "passes": k, "failed": 0, "attempted": 99 * k})
+    summary = bench.summarize(runs, END_TO_END)["queries"]
+    parent_rss = summary["parent"]["median"]["peak_rss_mb"]
+    assert summary["rss_gain_ceiling"] == pytest.approx(
+        bench.rss_gain_ceiling(11, 0.25, parent_rss, 0.1))
+    level = [dict(r, passes=12) for r in runs]
+    assert bench.summarize(level, END_TO_END)["queries"]["rss_gain_ceiling"] is None

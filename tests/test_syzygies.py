@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from invforge import invariants, linalg, syzygies
 from invforge.exponents import powers2
-from invforge.hilbert import generator_monomial_count
+from invforge.hilbert import generator_monomial_count, invariant_dimension
 from invforge.fixtures import fixture_generator_set, fixture_root, load_generator_dir
 from invforge.invariants import Generator, GeneratorSet, mingenset
 from invforge.rings import Polynomial, normalize, u_ring
@@ -21,6 +21,7 @@ from properties import (
     certified_rows_termwise,
     evaluate_termwise,
     line_slot_termwise,
+    monomial_value_termwise,
     syzygy_basis_by_expansion,
 )
 
@@ -462,3 +463,91 @@ def test_oversized_syzygy_request_is_refused_before_any_work(monkeypatch):
         check_syzygy(gens, big)
     with pytest.raises(ValueError, match="above the limit"):
         syzygy_basis(gens, 10**12)
+
+
+@st.composite
+def exponent_lists(draw):
+    """(slot count, distinct exponent vectors, point) for the prefix plan.
+
+    Vectors come in the canonical order or drawn order, with the all-zero
+    vector among them now and then; the point mixes ints and Fractions.
+    """
+    slots = draw(st.integers(1, 6))
+    vector = st.tuples(*[st.integers(0, 5)] * slots)
+    exps = draw(st.lists(vector, min_size=1, max_size=40, unique=True))
+    if draw(st.booleans()):
+        exps.append((0,) * slots)
+        exps = list(dict.fromkeys(exps))
+    if draw(st.booleans()):
+        exps.sort(key=lambda e: e[::-1])
+    value = st.integers(-2**70, 2**70) | st.fractions(-9, 9, max_denominator=7)
+    point = draw(st.lists(value, min_size=slots, max_size=slots))
+    return slots, exps, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_lists())
+@example((1, [(0,), (3,), (1,)], [Fraction(-2, 3)]))
+@example((3, [(0, 0, 0)], [0, 5, Fraction(1, 2)]))
+@example((2, [(2, 0), (0, 1), (1, 1), (0, 0)], [0, 0]))
+def test_prefix_plan_matches_termwise_values(case):
+    slots, exps, point = case
+    got = syzygies._PrefixPlan(exps, slots).values(point)
+    assert got == [monomial_value_termwise(e, point) for e in exps]
+
+
+@pytest.mark.parametrize("n,d", [(5, 36), (6, 30), (8, 16), (8, 20)])
+def test_prefix_plan_shares_every_prefix_of_the_candidates(n, d):
+    # on a degree's candidates, in their canonical order, a multiply is
+    # made once per distinct prefix with a nonzero last exponent, read from
+    # the last slot
+    gens, _ = bundled(n)
+    candidates = powers2(gens.degrees(), d)
+    plan = syzygies._PrefixPlan(candidates, len(gens))
+    prefixes = {e[::-1][:i + 1] for e in candidates for i in range(len(gens))}
+    assert sum(len(powers) for _, _, powers, _ in plan.steps) == sum(
+        1 for r in prefixes if r[-1])
+
+
+def test_rational_generators_take_the_certified_route(ref5, expansions):
+    # thirds of the bundled generators: every evaluation row holds Fractions,
+    # which the packed store reduces entry by entry
+    gens = GeneratorSet(5, tuple(
+        Generator(g.name, g.degree, g.weight, g.u_poly.scale(Fraction(1, 3)), None)
+        for g in ref5))
+    got = syzygy_basis(gens, 36)
+    assert not expansions
+    assert len(got) == 1 and got == syzygy_basis_by_expansion(gens, 36)
+    assert check_syzygy(gens, got[0].relation)
+
+
+def test_nullity_zero_degrees_run_on_the_word_prime(expansions, monkeypatch):
+    # below the first relation degree the candidates number dim I_d, so the
+    # certified rank alone proves the basis empty, modulo the word-size
+    # prime; the bases are the same as modulo the 127-bit one
+    built = []
+    init = linalg.PackedEliminator.__init__
+
+    def spy(self, ncols, modulus=linalg.PRIME):
+        built.append((ncols, modulus))
+        init(self, ncols, modulus)
+
+    monkeypatch.setattr(linalg.PackedEliminator, "__init__", spy)
+    for n, top in ((6, 29), (8, 15)):
+        gens, _ = bundled(n)
+        for d in range(1, top + 1):
+            built.clear()
+            count = len(powers2(gens.degrees(), d))
+            assert count == invariant_dimension(n, d)
+            assert syzygy_basis(gens, d) == []
+            assert built == ([(count, linalg.WORD_PRIME)] if count else [])
+            with monkeypatch.context() as m:
+                m.setattr(syzygies, "WORD_PRIME", linalg.PRIME)
+                built.clear()
+                assert syzygy_basis(gens, d) == []
+                assert built == ([(count, linalg.PRIME)] if count else [])
+    assert not expansions
+    # a degree with a relation still reads its nullspace modulo PRIME
+    built.clear()
+    assert len(syzygy_basis(gens, 16)) == 1
+    assert built == [(len(powers2(gens.degrees(), 16)), linalg.PRIME)]
