@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Recompute the minimal relations among the generators, per form degree.
 
-The quintic has one relation (weighted degree 36), the sextic one (degree
-30), the octavic five (degrees 16..20).  Relations are computed for the
-freshly computed generator sets and, where available, the bundled relation
-is checked against the bundled generators as an independent identity check.
+Every weighted degree is requested: 1..48 for the quintic, 1..36 for the
+sextic and 1..26 for the octavic (under --all), each filtered from its own
+basis.  The quintic has one minimal relation (weighted degree 36), the
+sextic one (degree 30), the octavic five (degrees 16..20, none in 21..26);
+the script asserts those degrees.  Relations are computed for the freshly
+computed generator sets and, where available, the bundled relation is
+checked against the bundled generators as an independent identity check.
 """
 
 import argparse
@@ -15,14 +18,15 @@ from invforge.invariants import known_degree_table, mingenset
 from invforge.syzygies import check_syzygy, minimal_syzygies
 from invforge.textio import format_poly
 
-DEGREES = {5: [36], 6: [30], 8: [16, 17, 18, 19, 20]}
+TOP_DEGREE = {5: 48, 6: 36, 8: 26}
+RELATION_DEGREES = {5: [36], 6: [30], 8: [16, 17, 18, 19, 20]}
 
 
 def run(n: int) -> None:
     r, degrees = known_degree_table(n)
     gens = mingenset(n, r, degrees)
     t0 = time.perf_counter()
-    found = minimal_syzygies(gens, DEGREES[n])
+    found = minimal_syzygies(gens, range(1, TOP_DEGREE[n] + 1))
     dt = time.perf_counter() - t0
     print(f"n={n}: {len(found)} minimal relations at degrees "
           f"{[s.degree for s in found]} in {dt:.1f}s")
@@ -31,6 +35,7 @@ def run(n: int) -> None:
         shown = body if len(body) < 100 else f"{body[:96]}... ({len(syz.relation.terms)} terms)"
         print(f"  degree {syz.degree}: {shown}")
         assert check_syzygy(gens, syz.relation)
+    assert [syz.degree for syz in found] == RELATION_DEGREES[n]
     reference = fixture_generator_set(n)
     bundled = [rec for rec in load_fixtures(n) if rec.coordinates == "gen"]
     for rec in bundled:

@@ -41,7 +41,6 @@ from .rings import (
     gen_ring,
     is_isobaric_balanced,
     monomial_key,
-    normalize,
     u_ring,
     weight_u,
 )
@@ -173,15 +172,9 @@ def monomial_rows(ctx: VarContext, columns: Iterable[Polynomial]) -> list:
                                     reverse=True)]
 
 
-def nullspace_polynomials(ctx: VarContext, candidates, vectors) -> list:
-    """Normalized polynomials sum(v[j] * candidates[j]), one per vector."""
-    return [normalize(Polynomial(ctx, {candidates[j]: v
-                                       for j, v in enumerate(vec) if v}))
-            for vec in vectors]
-
-
-def _primitive_polynomial(ctx: VarContext, candidates, vec: dict) -> Polynomial:
-    """sum(v * candidates[j]) for a vector of ``Eliminator.integer_nullspace``.
+def primitive_polynomial(ctx: VarContext, candidates, vec: dict) -> Polynomial:
+    """sum(v * candidates[j]) for a primitive integer null vector, in the
+    form of ``Eliminator.integer_nullspace`` (invariant bases and relations).
 
     The candidates ascend in the canonical order, so the vector's free
     column, its last, is the greatest monomial: with content 1 and a
@@ -219,7 +212,7 @@ def invariant_basis(n: int, d: int) -> InvariantBasis:
     _refuse_oversized(n, d, "invariants")
     candidates = powers(n, d)
     elim = Eliminator(len(candidates)).add_rows(_basis_rows(n, d, candidates))
-    elements = tuple(_primitive_polynomial(u_ring(n), candidates, vec)
+    elements = tuple(primitive_polynomial(u_ring(n), candidates, vec)
                      for vec in elim.integer_nullspace())
     expected = invariant_dimension(n, d)
     if len(elements) != expected:

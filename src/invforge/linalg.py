@@ -9,36 +9,40 @@ over sparse integer rows.  Each pivot row has content 1, a positive entry
 on its own pivot column and 0 on every other pivot column, so a new row is
 cleared of every pivot column it meets in one pass, and the nullspace and
 an affine solution are read straight off the pivot rows.
-``nullspace_sparse`` and ``solve_affine_sparse`` run on it, with no
-modular step: the expanded, sparse monomial systems of invariant bases,
-membership, the syzygy minimality filter and the syzygy expansion route.
-``integer_nullspace`` reads each canonical null vector as coprime integers
-straight off the integer pivot rows, with no Fraction: invariant bases take
-it, since that is already their normalized form.
+It solves, with no modular step, the expanded sparse monomial systems of
+invariant bases, membership (``solve_affine_sparse``) and the syzygy
+expansion route, and the small basis-coordinate systems of the syzygy
+minimality filter.  ``integer_nullspace`` reads each canonical null vector
+as coprime integers straight off the integer pivot rows, with no Fraction:
+invariant bases and relations take it, since that is already their
+normalized form; ``nullspace_sparse`` gives the same vectors as Fractions,
+1 on their free column.
 An affine system [A | b] is answered from the same form: it is
 inconsistent exactly when b's column is a pivot column.
 
-``PackedEliminator`` eliminates modulo a prime, which keeps every entry
-short: ``PRIME`` = 2^127 - 1 for a system whose nullspace is read, or the
-word-size ``WORD_PRIME`` for one read only through its rank and ``kills``.
-It is the store of the dense syzygy evaluation systems, whose rows fill
-nearly every column with integers that exact elimination grows to
-thousands of bits; it takes and keeps them as dense lists (a sparse dict
-row is accepted too), each row modulo p is packed into one Python int, so
-a row update is one big-integer multiply-add.  Its rank is a lower bound
-for the rational rank of the rows it was fed, whatever the prime.  Its
-nullspace is exact all the same: each modular null vector is recovered by
-rational reconstruction, with a bound that follows the modulus, and then
-checked with exact dot products against every row it keeps, all the
-vectors at once: ``kills`` packs them into one integer per column, so one
-dot product per row checks every vector.  A checked
-vector for free column f has 1 on f, 0 on every other modular free column
-and nothing after f, so the ncols - rank_p checked vectors are
-independent; since rank_p <= rank_Q, they span the rational nullspace,
-their free columns are the rational RREF's, and they are its canonical
-basis.  Whenever a row has no residue, or reconstruction or a check fails,
-``certified_nullspace`` eliminates the kept rows with ``Eliminator``, the
-only place where dense rows become sparse dicts.
+``PackedEliminator`` eliminates modulo ``WORD_PRIME``, the largest prime
+below 2^30, whose residues are one-digit CPython ints.  It is the store of
+the dense syzygy evaluation systems, whose rows fill nearly every column
+with integers that exact elimination grows to thousands of bits; it takes
+and keeps them as dense lists (a sparse dict row is accepted too), each row
+modulo p is packed into one Python int, so a row update is one big-integer
+multiply-add.  Its rank is a lower bound for the rational rank of the rows
+it was fed.  Its nullspace is exact all the same: every row that raises
+the rank records the multipliers it took and its normalizing inverse, so
+the echelon solves modulo p, and p-adic lifting (Dixon) gives the null
+vectors modulo p^s, every free column at once.  After each step the
+vectors are reconstructed with one common denominator and checked with
+exact dot products against every row kept, all the vectors at once:
+``kills`` packs them into one integer per column, so one dot product per
+row checks every vector.  The first checked set whose vectors each end on
+their own free column is the canonical basis, as primitive integer vectors
+(the form of ``integer_nullspace``): the ncols - rank_p vectors are
+independent, since rank_p <= rank_Q they span the rational nullspace, and
+their last columns are the rational RREF's free columns.  Whenever a row has
+no residue or lifting reaches its step cap (a Hadamard bound on the
+entries, from the rows themselves), ``certified_nullspace`` eliminates the
+kept rows with ``Eliminator``, the only place where dense rows become
+sparse dicts.
 
 The kernel follows from how a system is built, never from an option.  On
 sparse rows an exact update touches only the entries present, and the
@@ -54,6 +58,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 from typing import Iterable, Optional
 
@@ -173,33 +178,20 @@ class Eliminator:
         return basis
 
 
-PRIME = 2**127 - 1
 WORD_PRIME = 2**30 - 35  # the largest prime below 2^30: one-digit CPython ints
 
 
-def _residue(c, p: int) -> Optional[int]:
-    """c modulo p, or None when its denominator is divisible by p."""
-    if type(c) is int:  # the common case, without isinstance's ABC lookup
-        return c % p
-    if isinstance(c, Fraction):
-        den = c.denominator % p
-        if not den:
-            return None
-        return c.numerator * pow(den, -1, p) % p
-    return c % p
-
-
-def _rational(a: int, p: int) -> Optional[Fraction]:
-    """The r/s with |r|, |s| <= sqrt(p/2) congruent to a modulo p, or None.
+def _rational(a: int, m: int) -> Optional[Fraction]:
+    """The r/s with |r|, |s| <= sqrt(m/2) congruent to a modulo m, or None.
 
     Wang, Guy & Davenport, "P-adic reconstruction of rational numbers",
     SIGSAM Bull. 1982: stop the extended Euclidean remainder sequence of
-    (p, a) at the first remainder within the bound.  The bound follows the
+    (m, a) at the first remainder within the bound.  The bound follows the
     modulus, so a short modulus recovers only short entries and refuses
     (None) the rest.
     """
-    bound = math.isqrt(p // 2)
-    r0, r1, s0, s1 = p, a, 0, 1
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, a, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
@@ -209,14 +201,58 @@ def _rational(a: int, p: int) -> Optional[Fraction]:
     return Fraction(r1, s1)
 
 
-class PackedEliminator:
-    """Row echelon form modulo a prime that keeps every exact row it is fed.
+def _primitive_vector(residues: dict, m: int) -> Optional[dict]:
+    """The primitive integer vector on the rational vector that ``residues``
+    ({column: residue modulo m}) stands for, or None.
 
-    The modulus defaults to PRIME, whose 127 bits let ``nullspace``
-    reconstruct the entries the engine's systems have.  A system read only
-    through ``rank`` and ``kills`` may take WORD_PRIME instead: its residues
-    are one-digit CPython ints, so every update is cheaper, and the rank
-    modulo any prime is still a lower bound for the rational rank.
+    The entries share one growing denominator D (Bright & Storjohann,
+    "Vector rational number reconstruction", ISSAC 2011): an entry whose
+    D-multiple modulo m lies within sqrt(m/2) needs no reconstruction, and
+    any other one is reconstructed alone by ``_rational`` and multiplies D
+    by what its denominator lacks.  The vector times the final D is then
+    divided by the gcd of its entries and signed positive on its last
+    column.  Zero entries are dropped, and the column order is kept.
+    """
+    bound, den, nums = math.isqrt(m // 2), 1, []
+    for j, a in residues.items():
+        v = a * den % m
+        if v > bound:
+            v -= m
+            if v < -bound:
+                q = _rational(a, m)
+                if q is None:
+                    return None
+                den *= q.denominator // math.gcd(den, q.denominator)
+                v = q.numerator * (den // q.denominator)
+        if v:
+            nums.append((j, v, den))
+    vec = {j: v * (den // at) for j, v, at in nums}
+    g = math.gcd(*vec.values())
+    if nums[-1][1] < 0:
+        g = -g
+    return {j: v // g for j, v in vec.items()}
+
+
+def _pack(values: list, width: int) -> int:
+    """One int of little-endian slots of width bytes, one per value; a
+    single int value is its own packing."""
+    if len(values) == 1 and type(values[0]) is int:
+        return values[0]
+    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]),
+                          "little")
+
+
+def _unpack(packed: int, count: int, width: int) -> list:
+    """The first count slots of width bytes of a nonnegative packed int."""
+    if count == 1:
+        return [packed & ((1 << 8 * width) - 1)]
+    data = packed.to_bytes(width * count, "little")
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, width * count, width)]
+
+
+class PackedEliminator:
+    """Row echelon form modulo WORD_PRIME that keeps every exact row it is fed.
 
     A row modulo p is one Python int made of fixed-width little-endian byte
     slots, one per column, so a row update is one multiply-add on big
@@ -234,40 +270,37 @@ class PackedEliminator:
     early at a non-pivot column that is nonzero modulo p; that column, or
     else the first such one after the last pivot, becomes the new pivot,
     found and normalized by one unpack of the row.  Pivot rows stay in
-    echelon form, not reduced; ``_null_residues`` back-substitutes once at
-    the end.
+    echelon form, not reduced.
+
+    Each row that raises the rank leaves in ``solver`` the multipliers p - f
+    it took from each pivot and the inverse that normalized it, so the
+    echelon also solves, modulo p, any system whose rows are the rows that
+    raised the rank (``_lift``).
 
     Rows come as dense lists, the form of the evaluation rows: the residues
     are one comprehension and the pack one byte join.  A sparse dict row is
-    spread to a list first.  A row that holds Fractions takes its residues
-    entry by entry (``_residue``); one whose denominator p divides has none
-    and leaves the store unreduced, so only the exact fallback reads it.
+    spread to a list first.  A row that holds Fractions is scaled to
+    integers by the lcm D of its denominators, and that row is eliminated
+    and recorded; when p divides D the row has no residue and leaves the
+    store unreduced, so only the exact fallback reads it.
     """
 
-    def __init__(self, ncols: int, modulus: int = PRIME):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        self.modulus = modulus
         self.rows = []       # the exact rows, as fed
         self.reduced = True  # every kept row was reduced modulo the prime
-        self.slot = (2 * modulus.bit_length() + (ncols + 1).bit_length() + 7) // 8
+        self.slot = (2 * WORD_PRIME.bit_length() + (ncols + 1).bit_length() + 7) // 8
         self.echelon = []  # (pivot column, packed shifted row), ascending column
+        # per row that raised the rank, in the order fed: (the row as
+        # integers, its pivot column c, the multiplier p - f it took from
+        # each column before c, 0 off the pivots, the inverse that normalized
+        # it, its pivot row from c on)
+        self.solver = []
 
     @property
     def rank(self) -> int:
         """Rank modulo the prime: at most the rational rank of the kept rows."""
         return len(self.echelon)
-
-    def _pack(self, residues) -> int:
-        s = self.slot
-        return int.from_bytes(b"".join([v.to_bytes(s, "little") for v in residues]),
-                              "little")
-
-    def _unpack(self, packed: int, count: int) -> list:
-        """The first count slots of packed, each reduced modulo the prime."""
-        s, p = self.slot, self.modulus
-        data = packed.to_bytes(s * count, "little")
-        return [int.from_bytes(data[i:i + s], "little") % p
-                for i in range(0, s * count, s)]
 
     def add_row(self, row) -> None:
         """Feed one row: a list of ncols entries, or a sparse dict {col: value}.
@@ -275,44 +308,52 @@ class PackedEliminator:
         The row is kept as it came, for ``kills`` and the exact fallback.
         """
         self.rows.append(row)
-        p, ncols = self.modulus, self.ncols
+        p, ncols, s = WORD_PRIME, self.ncols, self.slot
         if type(row) is dict:
             dense = [0] * ncols
             for j, c in row.items():
                 dense[j] = c
             row = dense
         try:
-            acc = self._pack([c % p for c in row])
+            acc = _pack([c % p for c in row], s)
         except AttributeError:  # a Fraction entry: c % p is a Fraction, with no to_bytes
-            vals = [_residue(c, p) for c in row]
-            if None in vals:
+            den = math.lcm(*(c.denominator for c in row))
+            if not den % p:  # a denominator divisible by p: no residue
                 self.reduced = False
                 return
-            acc = self._pack(vals)
-        w = 8 * self.slot
+            row = [c.numerator * (den // c.denominator) for c in row]
+            acc = _pack([c % p for c in row], s)
+        w = 8 * s
         mask = (1 << w) - 1
+        taken = []  # (pivot column, multiplier p - f) where f was nonzero
         pos = start = 0  # acc's slot 0 is column pos; columns from start on are unread
         for c, pivot in self.echelon:
             if c > start:  # columns start..c-1 are free and final: the lead may be there
-                gap = self._unpack((acc & ((1 << w * (c - pos)) - 1)) >> w * (start - pos),
-                                   c - start)
-                lead = next((start + i for i, v in enumerate(gap) if v), None)
+                gap = _unpack((acc & ((1 << w * (c - pos)) - 1)) >> w * (start - pos),
+                              c - start, s)
+                lead = next((start + i for i, v in enumerate(gap) if v % p), None)
                 if lead is not None:
-                    vals = self._unpack(acc >> w * (lead - pos), ncols - lead)
+                    vals = _unpack(acc >> w * (lead - pos), ncols - lead, s)
                     break
             acc >>= w * (c - pos)
             pos, start = c, c + 1
             f = (acc & mask) % p
             if f:
                 acc += (p - f) * pivot
+                taken.append((c, p - f))
         else:
-            vals = self._unpack(acc >> w * (start - pos), ncols - start)
-            lead = next((start + i for i, v in enumerate(vals) if v), None)
+            vals = _unpack(acc >> w * (start - pos), ncols - start, s)
+            lead = next((start + i for i, v in enumerate(vals) if v % p), None)
             if lead is None:
                 return
             vals = vals[lead - start:]
         inv = pow(vals[0], -1, p)
-        insort(self.echelon, (lead, self._pack([v * inv % p for v in vals])))
+        vals = [v * inv % p for v in vals]
+        insort(self.echelon, (lead, _pack(vals, s)))
+        mult = [0] * lead
+        for c, m in taken:
+            mult[c] = m
+        self.solver.append((row, lead, mult, inv, vals))
 
     def add_rows(self, rows: Iterable) -> "PackedEliminator":
         for row in rows:
@@ -368,68 +409,129 @@ class PackedEliminator:
     def nullspace(self) -> Optional[list]:
         """The canonical nullspace basis of the kept rows, or None.
 
-        Same form as ``Eliminator.nullspace``; None when a row could not be
-        reduced modulo the prime, an entry cannot be reconstructed or a
-        reconstructed vector fails ``kills``.  A full-rank store answers []
-        at once: rank_p <= rank_Q <= ncols, so there is no null vector.
+        Same form as ``Eliminator.integer_nullspace``: per free column f,
+        ascending, the canonical vector scaled to integers of content 1,
+        positive on f, as {column: entry} in ascending column order.  The
+        vectors come from ``_lift``; after each lifting step every vector is
+        reconstructed (``_primitive_vector``), and the first set in which
+        each vector ends on its own free column and which ``kills`` accepts
+        is the answer: those ncols - rank_p vectors are independent null
+        vectors of the kept rows with distinct last columns, and since
+        rank_p <= rank_Q they span the rational nullspace, their last columns
+        are the free columns of the rational RREF, and they are its canonical
+        basis.  None when a row could not be reduced modulo the prime, when
+        a lifted vector has an entry past its free column (the pivot columns
+        modulo p are not the rational ones, which no further step changes),
+        or when the step cap passes with no accepted set.  A full-rank store
+        answers [] at once: rank_p <= rank_Q <= ncols, so there is no null
+        vector.
         """
         if self.rank == self.ncols:
             return []
         if not self.reduced:
             return None
-        p = self.modulus
-        basis = []
-        for f, residues in self._null_residues():
-            vec = [Fraction(0)] * self.ncols
-            vec[f] = Fraction(1)
-            for c, v in residues.items():
-                q = _rational(v, p)
-                if q is None:
+        pivots = [c for c, _ in self.echelon]
+        free = sorted(set(range(self.ncols)).difference(pivots))
+        for m, x in self._lift(free):
+            basis = []
+            for f, xf in zip(free, x):
+                entries = dict(zip(reversed(pivots), xf))
+                if any(entries[c] for c in pivots if c > f):
                     return None
-                vec[c] = q
-            basis.append(vec)
-        if not self.kills(*({j: v for j, v in enumerate(vec) if v} for vec in basis)):
-            return None
-        return basis
+                vec = _primitive_vector({**{c: entries[c] for c in pivots if c < f}, f: 1}, m)
+                if vec is None:
+                    break
+                basis.append(vec)
+            else:
+                if self.kills(*basis):
+                    return basis
+        return None
 
-    def _null_residues(self):
-        """Per free column f, ascending: (f, {pivot column: nonzero residue})
-        of the modular null vector that is 1 on f and 0 on every other free
-        column, by back-substitution.
+    def _lift(self, free):
+        """Dixon's p-adic lifting of the null vectors (Dixon, "Exact solution
+        of linear equations using p-adic expansions", Numer. Math. 40, 1982).
 
-        For the free columns F, each pivot c, descending, gets its entries
-        in all the null vectors at once, packed one slot per free column:
-        x_c = -(row c on F + sum over pivots j > c of row_c[j] * x_j).  A
-        slot sums fewer than ncols products below p^2 and one residue, so
-        the slot bound of ``add_row`` holds here too.
+        Let A be the r rows that raised the rank (``solver``, as integers)
+        and B its pivot columns, invertible modulo p.  The null vector of
+        free column f is 1 on f, 0 on the other free columns and y on the
+        pivot columns, with B y = -A e_f.  Per step, y_s = B^-1 R mod p,
+        where R starts as -A e_f, and then R = (R - A y_s) / p exactly, so
+        that y = sum p^s y_s.  After each step s this yields (p^s, x), x
+        holding per free column its y modulo p^s on the pivot columns,
+        descending; at most ``cap`` steps are taken.
+
+        Every free column goes through each step in one pass: the
+        right-hand sides and y_s are packed one slot per free column.  B^-1
+        modulo p is the echelon read backwards: the recorded multipliers and
+        inverses turn R into the right-hand sides of the pivot rows
+        (forward, in the order fed), and back-substitution on the pivot
+        rows, descending, with their entries negated, gives y_s.  Both sums
+        have nonnegative slots below (ncols + 1) * p^2, so they take the
+        slots of ``add_row`` and are reduced modulo p slot by slot.  The
+        exact residual of each free column is one integer of balanced slots
+        (each slot signed, the sum taken as one integer), one per row, of B
+        bits with 2^(B - 1) above ncols * (largest entry) * p, within which
+        R - A y_s stays; the pivot columns of A are packed the same way, so
+        R - A y_s is one dot product of them with y_s, and the division by p
+        is exact, every slot being a multiple of p.
+
+        The step cap: by Cramer's rule every entry of y is a ratio of r x r
+        minors of A, which Hadamard's inequality bounds by H = product over
+        the rows of sqrt(ncols) * (largest entry).  Once p^s > 2 H^2,
+        ``_rational`` recovers every entry exactly, so more steps change
+        nothing.
         """
-        p, ncols = self.modulus, self.ncols
-        pivot_cols = {c for c, _ in self.echelon}
-        free = [f for f in range(ncols) if f not in pivot_cols]
-        x, packed = {}, {}  # pivot column -> its entries in the null vectors
-        for c, pivot in reversed(self.echelon):
-            row = self._unpack(pivot, ncols - c)
-            acc = self._pack([row[f - c] if f > c else 0 for f in free])
-            for j, xj in packed.items():
-                if v := row[j - c]:
-                    acc += v * xj
-            x[c] = [-v % p for v in self._unpack(acc, len(free))]
-            packed[c] = self._pack(x[c])
-        for i, f in enumerate(free):
-            yield f, {c: v for c, _ in self.echelon if (v := x[c][i])}
+        p, ncols, k, s = WORD_PRIME, self.ncols, len(free), self.slot
+        solver, r = self.solver, self.rank
+        top = hbits = 0
+        for row, *_ in solver:
+            big = max(max(row), -min(row))
+            top = max(top, big)
+            hbits += big.bit_length() + (ncols.bit_length() + 1) // 2
+        cap = (2 * hbits + 1) // (p.bit_length() - 1) + 1
+        width = (ncols * top * p).bit_length() // 8 + 1
+        half = 1 << 8 * width - 1
+        offset = _pack([half] * r, width)  # half in every slot: balanced to unsigned
+        # the pivot rows, descending, negated past their pivot
+        back = sorted(((lead, [p - v if v else 0 for v in vals[1:]])
+                       for _, lead, _, _, vals in solver), reverse=True)
+        rows = [row for row, *_ in solver]
+        columns = [_pack([half + row[c] for row in rows], width) - offset for c, _ in back]
+        residual = [_pack([half - row[f] for row in rows], width) - offset for f in free]
+        x = [[0] * r for _ in free]
+        scale = 1
+        for _ in range(cap):
+            residues = zip(*[[(v - half) % p for v in _unpack(res + offset, r, width)]
+                             for res in residual])
+            rhs = [0] * ncols
+            for (_, lead, taken, inv, _), b in zip(solver, residues):
+                rhs[lead] = _pack([(u + v) * inv % p for u, v in zip(
+                    b, _unpack(sum(map(mul, taken, rhs)), k, s))], s)
+            y, digits = [0] * ncols, []
+            for c, tail in back:
+                d = [v % p for v in _unpack(
+                    rhs[c] + sum(map(mul, tail, islice(y, c + 1, None))), k, s)]
+                y[c] = _pack(d, s)
+                digits.append(d)
+            for i, yi in enumerate(zip(*digits)):
+                residual[i] = (residual[i] - sum(map(mul, columns, yi))) // p
+                x[i] = [a + v * scale for a, v in zip(x[i], yi)]
+            scale *= p
+            yield scale, x
 
 
 def certified_nullspace(elim: PackedEliminator) -> list:
-    """Canonical nullspace basis of elim's kept rows.
+    """Canonical nullspace basis of elim's kept rows, as primitive integer
+    vectors ({column: entry}, the form of ``Eliminator.integer_nullspace``).
 
-    The checked modular basis when ``elim.nullspace()`` has one, else the
-    basis of the kept rows eliminated exactly.
+    The lifted basis when ``elim.nullspace()`` has one, else the basis of
+    the kept rows eliminated exactly.
     """
     basis = elim.nullspace()
     if basis is None:
-        basis = nullspace_sparse(elim.ncols, (
+        basis = Eliminator(elim.ncols).add_rows(
             row if type(row) is dict else {j: v for j, v in enumerate(row) if v}
-            for row in elim.rows))
+            for row in elim.rows).integer_nullspace()
     return basis
 
 

@@ -8,26 +8,30 @@ engine evaluates the generators at integer points: one point gives one row
 of E = V*A, so null(A) is contained in null(E), and rank E <= rank A <=
 dim I_d because every column of A is a degree-d invariant.  The rows go to
 a ``linalg.PackedEliminator``, the modular kernel, as dense lists of values
-(each row modulo p is one packed integer, so a row update is one big-integer
-multiply-add; evaluation rows fill nearly every column), and points are
-added until the rank of E modulo a prime reaches the Cayley-Sylvester count
-dim I_d.  Since
-rank_p E <= rank_Q E for every prime p, that certifies rank E = rank A =
-dim I_d over Q, so null(E) = null(A) exactly and E answers both questions:
+(each row modulo the word-size prime p = ``WORD_PRIME`` is one packed
+integer, so a row update is one big-integer multiply-add; evaluation rows
+fill nearly every column), and points are added until the rank of E modulo
+p reaches the Cayley-Sylvester count dim I_d.  Since rank_p E <= rank_Q E,
+that certifies rank E = rank A = dim I_d over Q, so null(E) = null(A)
+exactly and E answers both questions:
 
-* the basis is the eliminator's checked nullspace.  Every vector is
-  in null(E) by exact dot products, there are ncols - rank_p =
-  ncols - rank_Q of them, and each one's last nonzero entry is its own
-  free column, so they are the canonical (RREF) basis of null(A), the same
-  one the expansion route gives.  Its entries are rebuilt by rational
-  reconstruction, so these systems run modulo the 127-bit ``PRIME``.  A
-  degree whose candidates number dim I_d has no free column: rank = ncols
-  proves its basis empty, with nothing to rebuild, so it runs modulo
-  ``WORD_PRIME``;
+* the basis is the eliminator's lifted nullspace: the null vectors modulo
+  p^s by p-adic lifting, reconstructed after each step and checked by
+  exact dot products.  Every checked vector is in null(E), there are
+  ncols - rank_p = ncols - rank_Q of them, and each one's last nonzero
+  entry is its own free column, so they are the canonical (RREF) basis of
+  null(A), the same one the expansion route gives, as primitive integer
+  vectors, which are the normalized relations.  A degree whose candidates
+  number dim I_d has no free column: rank = ncols proves its basis empty,
+  with nothing to lift;
 * a relation checks iff each weighted-degree component v has E*v = 0 on the
-  kept rows, by exact dot products alone.  Only the rank is read modulo p,
-  so these systems run modulo the word-size ``WORD_PRIME``, whose residues
-  are one-digit CPython ints.
+  kept rows, by exact dot products alone.
+
+A relation is minimal when no lower-degree relations give it: the
+consequences in degree d are the sum over the generators f_j of f_j times
+the relations of degree d - deg f_j, and ``minimal_syzygies`` reads them,
+per generator, from the degree-d basis alone, checking each count against
+count(e) - dim I_e.
 
 The points lie on lines (``_Points``).  Line k draws a base point from
 ``random.Random(k)`` and sets one slot, the one with the largest exponent
@@ -62,10 +66,9 @@ whose only fallback is the exact kernel on the same rows.  Without the
 certificate (a set that does not span I_d, a stalled rank, or a hand-built
 generator that is no invariant of its degree; loaded and computed sets
 arrive verified, see ``GeneratorSet.verified``) the rows are those of the
-expanded A instead, and the minimality filter is one more system of
-expanded rows; both are sparse and go to ``linalg.nullspace_sparse``, the
-exact kernel of invariant bases and membership.  The expanded A alone is
-the test suite's reference route.
+expanded A instead, sparse, and they go to ``linalg.Eliminator``, the exact
+kernel of invariant bases and membership.  The expanded A alone is the
+test suite's reference route.
 
 A degree above ``hilbert.MAX_DEGREE`` or with more than MAX_CANDIDATES
 generator monomials is refused with ValueError, counted by
@@ -82,8 +85,14 @@ from itertools import chain
 
 from .exponents import powers2
 from .hilbert import MAX_DEGREE, generator_monomial_count, invariant_dimension
-from .invariants import GeneratorSet, expand_candidate, monomial_rows, nullspace_polynomials
-from .linalg import PRIME, WORD_PRIME, PackedEliminator, certified_nullspace, nullspace_sparse
+from .invariants import (
+    DimensionMismatchError,
+    GeneratorSet,
+    expand_candidate,
+    monomial_rows,
+    primitive_polynomial,
+)
+from .linalg import Eliminator, PackedEliminator, certified_nullspace
 from .rings import ContextMismatchError, Polynomial, u_ring
 
 # The certificate gives up after this many consecutive points that do not
@@ -98,11 +107,12 @@ POINT_RANGE = 5
 LINE_STEPS = (0,) + tuple(s * t for t in range(1, POINT_RANGE + 1) for s in (1, -1))
 
 # Largest number of generator monomials a syzygy degree may have.  The
-# bundled octavic set needs at most 107 (d = 20, 0.11 s on a 2-vCPU Xeon
-# host); d = 24 has 220 and takes 0.5 s, d = 28 has 422 and takes 2.6 s,
-# about two thirds of it the packed 127-bit elimination and a seventh the
-# exact check of the nullspace, and the time grows about 2.3-fold per two
-# degrees.  Larger requests are refused before any point is evaluated.
+# bundled octavic set needs at most 107 (d = 20, 0.05 s on a 2-vCPU Xeon
+# host); d = 24 has 220 and takes 0.3 s, d = 28 has 422 and takes 1.5 to
+# 2.2 s: a sixth of it the word-size elimination, two fifths the p-adic
+# lifting of its 57 null vectors and a quarter their exact check.  The time
+# grows about 2.3-fold per two degrees.  Larger requests are refused before
+# any point is evaluated.
 MAX_CANDIDATES = 500
 
 
@@ -314,23 +324,17 @@ class _Points:
         return [_horner(coeffs, t) for coeffs in self.lines[k]]
 
 
-def _certified_system(gens: GeneratorSet, d: int, candidates: list,
-                      points: _Points, modulus: int):
+def _certified_system(gens: GeneratorSet, d: int, candidates: list, points: _Points):
     """PackedEliminator over evaluation rows with rank dim I_d, or None.
 
     The rows come from the points t in LINE_STEPS of lines 0, 1, ...; a
-    line ends at its first point that does not raise the rank.  The modulus
-    is PRIME for a system whose nullspace is read, else WORD_PRIME; a
-    system with as many candidates as dim I_d has no nullspace to read and
-    takes WORD_PRIME whatever the caller asks.
+    line ends at its first point that does not raise the rank.
     """
     target = invariant_dimension(gens.n, d)
     if len(candidates) < target or not gens.verified:
         return None
-    if len(candidates) == target:  # no free column: the rank alone certifies it
-        modulus = WORD_PRIME
     monomials = _PrefixPlan(candidates, len(gens))
-    elim = PackedEliminator(len(candidates), modulus)
+    elim = PackedEliminator(len(candidates))
     k = idle = 0
     while elim.rank < target and idle < IDLE_POINTS:
         for t in LINE_STEPS:
@@ -357,13 +361,14 @@ def _basis(gens: GeneratorSet, d: int, points: _Points) -> list:
     candidates = _candidates(gens, d)
     if not candidates:
         return []
-    system = _certified_system(gens, d, candidates, points, PRIME)
+    system = _certified_system(gens, d, candidates, points)
     if system is None:
-        nullspace = nullspace_sparse(len(candidates), _expansion_rows(gens, candidates))
+        vectors = Eliminator(len(candidates)).add_rows(
+            _expansion_rows(gens, candidates)).integer_nullspace()
     else:
-        nullspace = certified_nullspace(system)
-    return [Syzygy(rel, d) for rel in nullspace_polynomials(
-        gens.gen_context(), candidates, nullspace)]
+        vectors = certified_nullspace(system)
+    ctx = gens.gen_context()
+    return [Syzygy(primitive_polynomial(ctx, candidates, vec), d) for vec in vectors]
 
 
 def syzygy_basis(gens: GeneratorSet, d: int) -> list:
@@ -382,7 +387,7 @@ def _check(gens: GeneratorSet, relation: Polynomial, points: _Points) -> bool:
         parts.setdefault(sum(a * k for a, k in zip(e, degs)), {})[e] = c
     for d, terms in parts.items():
         candidates = _candidates(gens, d)
-        system = _certified_system(gens, d, candidates, points, WORD_PRIME)
+        system = _certified_system(gens, d, candidates, points)
         if system is None:
             part = Polynomial(relation.context, terms)
             if not expand_in_generators(gens, part).is_zero():
@@ -405,29 +410,67 @@ def check_syzygy(gens: GeneratorSet, relation: Polynomial) -> bool:
 
 
 def minimal_syzygies(gens: GeneratorSet, degrees) -> list:
-    """New relations per degree, modulo consequences of earlier ones.
+    """Minimal relations per degree: the basis relations that are no
+    consequence of lower-degree relations.
 
-    For each degree d in ascending order, the columns are m * s over earlier
-    minimal syzygies s and generator monomials m of complementary weighted
-    degree, then the degree-d basis.  A basis relation is minimal iff its
-    column is a pivot column: each free column is the last nonzero entry of
-    its canonical nullspace vector.  Minimal relations keep the basis order.
+    The degree-d consequences are C_d = sum over j of f_j * Rel_e, e =
+    d - deg f_j.  The generator ring is a domain with no zero generator, so
+    f_j * S is a relation exactly when S is one, and f_j * Rel_e is the set
+    of degree-d relations every term of which contains f_j: the null space
+    of the basis coefficients on the candidates without f_j.  Its dimension
+    is dim Rel_e.  For a verified set (every generator an invariant, so the
+    degree-e generator monomials map into I_e) that is at least count(e) -
+    dim I_e (count(e) the generator monomials of degree e), with equality
+    when the generators span I_e; a smaller one raises
+    DimensionMismatchError (a larger one comes from a hand-built set that
+    does not span I_e).  An unverified set bounds nothing and is not
+    counted.  Then, in basis coordinates,
+    the columns are the consequence vectors followed by the k unit vectors:
+    a basis relation is minimal iff its unit column is a pivot column.
+    Each degree reads its own basis only; minimal relations keep the basis
+    order, degrees ascending.
     """
     degrees = sorted(set(degrees))
     for d in degrees:
         _count(gens, d)
-    ctx, gen_degs = gens.gen_context(), gens.degrees()
     points = _Points(gens)
     minimal = []
     for d in degrees:
         basis = _basis(gens, d, points)
-        if not basis:
-            continue
-        columns = [Polynomial.monomial(ctx, m) * s.relation
-                   for s in minimal for m in powers2(gen_degs, d - s.degree)]
-        first = len(columns)
-        columns += [s.relation for s in basis]
-        free = {max(j for j, v in enumerate(vec) if v) for vec in
-                nullspace_sparse(len(columns), monomial_rows(ctx, columns))}
-        minimal += [s for j, s in enumerate(basis, first) if j not in free]
+        if basis:
+            minimal += _minimal(gens, d, basis)
     return minimal
+
+
+def _minimal(gens: GeneratorSet, d: int, basis: list) -> list:
+    k, degs = len(basis), gens.degrees()
+    consequences = []
+    for j, deg in enumerate(degs):
+        rows = {}
+        for i, s in enumerate(basis):
+            for e, c in s.relation.terms.items():
+                if not e[j]:
+                    rows.setdefault(e, {})[i] = c
+        elim = Eliminator(k)
+        for row in rows.values():
+            elim.add_row(row)
+            if elim.rank == k:
+                break
+        vectors = elim.integer_nullspace()
+        low = d - deg
+        if low >= 0 and gens.verified:
+            least = (generator_monomial_count(degs, low, MAX_CANDIDATES)
+                     - invariant_dimension(gens.n, low))
+            if len(vectors) < least:
+                raise DimensionMismatchError(
+                    f"degree-{d} relations for n={gens.n} hold {len(vectors)}"
+                    f" independent multiples of {gens[j].name}, below the"
+                    f" {least} that the degree-{low} count asks for")
+        consequences += vectors
+    m = len(consequences)
+    elim = Eliminator(m + k)
+    for i in range(k):
+        row = {c: vec[i] for c, vec in enumerate(consequences) if i in vec}
+        row[m + i] = 1
+        elim.add_row(row)
+    return [s for i, s in enumerate(basis) if m + i in elim.pivots]

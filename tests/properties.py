@@ -18,12 +18,7 @@ from invforge.derivations import (
 )
 from invforge.exponents import _compositions, powers2
 from invforge.hilbert import invariant_dimension
-from invforge.invariants import (
-    InvariantBasis,
-    expand_candidate,
-    monomial_rows,
-    nullspace_polynomials,
-)
+from invforge.invariants import InvariantBasis, expand_candidate, monomial_rows
 from invforge.linalg import (
     PackedEliminator,
     nullspace_sparse,
@@ -35,12 +30,13 @@ from invforge.rings import (
     Polynomial,
     gen_ring,
     monomial_key,
+    normalize,
     substitute,
     u_ring,
     weight_u,
     x_ring,
 )
-from invforge.syzygies import Syzygy
+from invforge.syzygies import Syzygy, syzygy_basis
 from invforge.textio import PolyParseError, _slot_table
 
 
@@ -441,6 +437,13 @@ def check_full_operator_agreement(n_max=6, seed=3, cases=40):
         assert lhs == rhs
 
 
+def nullspace_polynomials(ctx, candidates, vectors) -> list:
+    """Normalized polynomials sum(v[j] * candidates[j]), one per vector."""
+    return [normalize(Polynomial(ctx, {candidates[j]: v
+                                       for j, v in enumerate(vec) if v}))
+            for vec in vectors]
+
+
 def invariant_basis_direct(n: int, d: int) -> InvariantBasis:
     """Oracle: solve both derivation equations over the x-ring directly."""
     if (n * d) % 2:
@@ -490,6 +493,32 @@ def syzygy_basis_by_expansion(gens, d):
     rows = monomial_rows(u_ring(gens.n), columns)
     return [Syzygy(rel, d) for rel in nullspace_polynomials(
         gens.gen_context(), candidates, nullspace_sparse(len(candidates), rows))]
+
+
+def minimal_syzygies_reference(gens, degrees):
+    """minimal_syzygies by carrying the minimal relations found so far.
+
+    For each requested degree d, ascending, the columns are m * s over the
+    minimal relations s found at lower requested degrees and the generator
+    monomials m of complementary degree, then the degree-d basis; a basis
+    relation is minimal iff its column is a pivot column, since each free
+    column is the last nonzero entry of its canonical null vector.  It is
+    right only when every lower degree with a relation is requested too.
+    """
+    ctx, gen_degs = gens.gen_context(), gens.degrees()
+    minimal = []
+    for d in sorted(set(degrees)):
+        basis = syzygy_basis(gens, d)
+        if not basis:
+            continue
+        columns = [Polynomial.monomial(ctx, m) * s.relation
+                   for s in minimal for m in powers2(gen_degs, d - s.degree)]
+        first = len(columns)
+        columns += [s.relation for s in basis]
+        free = {max(j for j, v in enumerate(vec) if v) for vec in
+                nullspace_sparse(len(columns), monomial_rows(ctx, columns))}
+        minimal += [s for j, s in enumerate(basis, first) if j not in free]
+    return minimal
 
 
 def naive_rref(rows, cols):
@@ -611,23 +640,22 @@ def line_slot_termwise(gens):
     return max(slots, key=lambda s: max(e[s] for g in gens for e in g.u_poly.terms))
 
 
-def certified_rows_termwise(gens, d, candidates, point_range, idle_points,
-                            modulus):
+def certified_rows_termwise(gens, d, candidates, point_range, idle_points):
     """Rows of the certified evaluation system, evaluated term by term.
 
     The same lines as ``syzygies._certified_system``: line k has its base
     point drawn from random.Random(k) and sets the slot of largest generator
     exponent (the first such) to t = 0, 1, -1, ..., point_range,
     -point_range, ending at its first point that does not raise the rank.
-    The same stopping rule and modulus give the exact rows the modular
-    eliminator keeps: dense lists, one value per candidate.
+    The same stopping rule gives the exact rows the modular eliminator
+    keeps: dense lists, one value per candidate.
     """
     slot = line_slot_termwise(gens)
     steps = [0]
     for t in range(1, point_range + 1):
         steps += [t, -t]
     target = invariant_dimension(gens.n, d)
-    elim = PackedEliminator(len(candidates), modulus)
+    elim = PackedEliminator(len(candidates))
     k = idle = 0
     while elim.rank < target and idle < idle_points:
         rng = random.Random(k)

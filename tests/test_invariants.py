@@ -343,9 +343,12 @@ NAIVE_DEGREE = {5: 10, 6: 7}
 
 
 def _packed_nullspace(ncols, rows):
+    """The lifted route's basis, each vector divided by its entry on its
+    free column, its last."""
     basis = PackedEliminator(ncols).add_rows(rows).nullspace()
     assert basis is not None
-    return basis
+    return [[Fraction(vec.get(j, 0), vec[max(vec)]) for j in range(ncols)]
+            for vec in basis]
 
 
 def _packed_solve_affine(ncols, rows):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from invforge import linalg
 from invforge.linalg import (
-    PRIME,
     WORD_PRIME,
     Eliminator,
     PackedEliminator,
@@ -38,6 +38,33 @@ def rank(rows):
 
 def solve_affine(rows, b):
     return solve_affine_sparse(len(rows[0]), sparse_rows(rows, b))
+
+
+def fractions(ncols, vectors):
+    """Primitive integer null vectors as the canonical Fraction vectors:
+    each divided by its entry on its free column, its last."""
+    return [[Fraction(vec.get(j, 0), vec[max(vec)]) for j in range(ncols)]
+            for vec in vectors]
+
+
+def integer_nullspace(ncols, rows):
+    return Eliminator(ncols).add_rows(rows).integer_nullspace()
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """The lifting steps each PackedEliminator.nullspace call took."""
+    counts = []
+    lift = PackedEliminator._lift
+
+    def spy(self, free):
+        counts.append(0)
+        for step in lift(self, free):
+            counts[-1] += 1
+            yield step
+
+    monkeypatch.setattr(PackedEliminator, "_lift", spy)
+    return counts
 
 
 def test_nullspace_single_relation():
@@ -94,8 +121,8 @@ def test_against_naive_oracle():
     check_linalg_against_naive()
 
 
-def modular(rows, modulus=PRIME):
-    return PackedEliminator(len(rows[0]), modulus).add_rows(sparse_rows(rows))
+def modular(rows):
+    return PackedEliminator(len(rows[0])).add_rows(sparse_rows(rows))
 
 
 def test_modular_nullspace_matches_exact():
@@ -106,16 +133,16 @@ def test_modular_nullspace_matches_exact():
         basis = got.nullspace()
         if basis is not None:
             read += 1
-            assert basis == naive_nullspace(data, cols)
+            assert fractions(cols, basis) == naive_nullspace(data, cols)
     assert read == 120
 
 
-def test_modular_nullspace_near_the_bound():
+def test_modular_nullspace_near_the_bound(steps):
     # rank-3 rows with b-bit entries: nullspace entries are ratios of 3x3
-    # minors, about 3b bits, against a reconstruction bound of 63 bits
+    # minors, about 3b bits, so longer entries take more lifting steps, and
+    # every one is recovered
     rng = random.Random(5)
-    outcomes = set()
-    for bits in (16, 24):
+    for bits in (16, 24, 60):
         for _ in range(10):
             base = [[rng.randrange(-2**bits, 2**bits) for _ in range(6)]
                     for _ in range(3)]
@@ -123,17 +150,16 @@ def test_modular_nullspace_near_the_bound():
             data = [[sum(m * r[j] for m, r in zip(mx, base)) for j in range(6)]
                     for mx in mix]
             got = modular(data).nullspace()
-            outcomes.add(got is None)
-            if got is not None:
-                assert got == naive_nullspace(data, 6)
-    assert outcomes == {True, False}
+            assert fractions(6, got) == naive_nullspace(data, 6)
+    assert len(steps) == 30
+    assert max(steps[:10]) < min(steps[20:])
 
 
 def test_modular_kills_is_exact():
     elim = modular([[1, 2, 3], [4, 5, 6]])
     assert elim.kills({0: 1, 1: -2, 2: 1})
     assert elim.kills({0: Fraction(1, 3), 1: Fraction(-2, 3), 2: Fraction(1, 3)})
-    assert not elim.kills({0: 1, 1: -2, 2: 1 + PRIME})
+    assert not elim.kills({0: 1, 1: -2, 2: 1 + WORD_PRIME})
     assert elim.kills({})
 
 
@@ -144,23 +170,28 @@ def test_word_prime_is_the_largest_prime_below_2_30():
     assert not any(prime(m) for m in range(WORD_PRIME + 1, 2**30))
 
 
-def test_reconstruction_bound_follows_the_modulus():
-    # 10^5 lies past sqrt(WORD_PRIME / 2), far within sqrt(PRIME / 2)
-    rows = [{0: 1, 1: -10**5}]
-    want = [[Fraction(10**5), Fraction(1)]]
-    assert PackedEliminator(2).add_rows(rows).nullspace() == want
-    word = PackedEliminator(2, WORD_PRIME).add_rows(rows)
-    assert word.rank == 1 and word.nullspace() is None
-    assert certified_nullspace(word) == want
+def test_reconstruction_bound_follows_the_modulus(steps):
+    # the bound follows p^s: 10^5 lies past sqrt(WORD_PRIME / 2), within
+    # sqrt(WORD_PRIME^2 / 2), and 10^12 within sqrt(WORD_PRIME^3 / 2)
+    for entry, count in ((10**3, 1), (10**5, 2), (10**12, 3)):
+        steps.clear()
+        rows = [{0: 1, 1: -entry}]
+        assert PackedEliminator(2).add_rows(rows).nullspace() == [{0: entry, 1: 1}]
+        assert steps == [count]
+    # one step recovers some other short rational, which kills refuses
+    assert linalg._rational(10**5 % WORD_PRIME, WORD_PRIME) not in (None, 10**5)
+    assert linalg._rational(10**5, WORD_PRIME**2) == 10**5
 
 
 @pytest.mark.parametrize("rows", [
-    # modulo PRIME the pivot moves to column 1, so kills rejects (1, 0)
-    [[PRIME, 1]],
-    # 2^200 lies past the reconstruction bound
-    [[1, -2**200]],
-    # no residue exists for a denominator divisible by PRIME
-    [[Fraction(1, PRIME), 1]],
+    # modulo p the pivot moves to column 1: the lifted vector (1, -p) ends
+    # past its free column
+    [[WORD_PRIME, 1]],
+    # rank 2, but 1 modulo p: (-1, 1) fails the second row at every step
+    # up to the step cap
+    [[1, 1], [1, 1 + WORD_PRIME]],
+    # no residue exists for a denominator divisible by p
+    [[Fraction(1, WORD_PRIME), 1]],
 ], ids=["pivot-moves", "past-bound", "denominator-p"])
 def test_modular_nullspace_refuses(rows):
     assert modular(rows).nullspace() is None
@@ -220,39 +251,42 @@ def test_exact_kernel_matches_naive_oracle(system):
 @settings(max_examples=300, deadline=None)
 @given(sparse_systems())
 def test_modular_route_matches_exact_route(system):
-    # Fraction and long entries: the checked modular basis, where there is
-    # one, and the certified route always give the exact kernel's answer
+    # Fraction and long entries: the lifted basis, where there is one, and
+    # the certified route always give the exact kernel's answer
     data, cols, b = system
     for ncols, rows in ((cols, sparse_rows(data)), (cols + 1, sparse_rows(data, b))):
         elim = PackedEliminator(ncols).add_rows(rows)
-        exact = nullspace_sparse(ncols, rows)
+        exact = integer_nullspace(ncols, rows)
         assert elim.rank == ncols - len(exact)
         assert elim.nullspace() in (None, exact)
         assert certified_nullspace(elim) == exact
+        assert fractions(ncols, exact) == nullspace_sparse(ncols, rows)
+
+
+P = WORD_PRIME
 
 
 @pytest.mark.parametrize("data,b,null,sol", [
-    # modulo PRIME the pivot moves to column 1, so kills rejects (1, 0)
-    ([[PRIME, 1]], [1],
-     [[Fraction(-1, PRIME), Fraction(1)]], [Fraction(1, PRIME), Fraction(0)]),
-    # 2^200 lies past the reconstruction bound
-    ([[2**200, -1]], [1],
-     [[Fraction(1, 2**200), Fraction(1)]], [Fraction(1, 2**200), Fraction(0)]),
-    # no residue exists for a denominator divisible by PRIME
-    ([[Fraction(1, PRIME), 1]], [1],
-     [[Fraction(-PRIME), Fraction(1)]], [Fraction(PRIME), Fraction(0)]),
-    # consistent modulo PRIME only: kills refuses (-1, 0, 1), and the
-    # exact kernel finds b a pivot
-    ([[1, 0], [1, 0]], [1, 1 + PRIME], [[Fraction(0), Fraction(1)]], None),
+    # modulo p the pivot moves to column 1, past the lifted vector's free
+    # column
+    ([[P, 1]], [1], [{0: -1, 1: P}], [Fraction(1, P), Fraction(0)]),
+    # rank 2, but 1 modulo p, for [A | b] too: lifting reaches the step
+    # cap, and the exact kernel finds the solution
+    ([[1, 1], [1, 1 + P]], [1, 1], [], [Fraction(1), Fraction(0)]),
+    # no residue exists for a denominator divisible by p
+    ([[Fraction(1, P), 1]], [1], [{0: -P, 1: 1}], [Fraction(P), Fraction(0)]),
+    # consistent modulo p only: (-1, 0, 1) fails the second row at every
+    # step, and the exact kernel finds b a pivot
+    ([[1, 0], [1, 0]], [1, 1 + P], [{1: 1}], None),
 ], ids=["pivot-moves", "past-bound", "denominator-p", "consistent-mod-p"])
 def test_fallback_returns_the_exact_answer(data, b, null, sol):
     cols = len(data[0])
     rows, aug = sparse_rows(data), sparse_rows(data, b)
     elim = PackedEliminator(cols + 1).add_rows(aug)
     assert elim.nullspace() is None
-    assert certified_nullspace(elim) == nullspace_sparse(cols + 1, aug)
+    assert certified_nullspace(elim) == integer_nullspace(cols + 1, aug)
     assert certified_nullspace(PackedEliminator(cols).add_rows(rows)) == null
-    assert nullspace_sparse(cols, rows) == null
+    assert nullspace_sparse(cols, rows) == fractions(cols, null)
     assert solve_affine_sparse(cols, aug) == sol
 
 
@@ -292,8 +326,7 @@ dense_entries = st.one_of(st.integers(-3, 3), st.integers(-2**120, 2**120))
 
 @st.composite
 def dense_systems(draw):
-    """Dense rows mixed from a few base rows (so often rank-deficient), and
-    a modulus."""
+    """Dense rows mixed from a few base rows (so often rank-deficient)."""
     cols = draw(st.integers(1, 8))
     base = draw(st.lists(st.lists(dense_entries, min_size=cols, max_size=cols),
                          min_size=1, max_size=4))
@@ -301,43 +334,40 @@ def dense_systems(draw):
                                    max_size=len(base)), min_size=1, max_size=8))
     data = [[sum(m * r[j] for m, r in zip(mix, base)) for j in range(cols)]
             for mix in mixes]
-    return cols, data, draw(st.sampled_from([PRIME, WORD_PRIME]))
+    return cols, data
 
 
-def both_kernels(cols, rows, modulus):
+def both_kernels(cols, rows):
     """The packed store and the exact kernel fed the same rows; the modular
-    rank never exceeds the rational one, and modulo PRIME it equals it: no
-    minor of these entries is a multiple of a 127-bit prime."""
-    exact, packed = Eliminator(cols), PackedEliminator(cols, modulus)
+    rank never exceeds the rational one."""
+    exact, packed = Eliminator(cols), PackedEliminator(cols)
     for row in rows:
         exact.add_row(row)
         packed.add_row(row)
         assert packed.rank <= exact.rank
-        if modulus == PRIME:
-            assert packed.rank == exact.rank
     return exact, packed
 
 
 @settings(max_examples=300, deadline=None)
 @given(dense_systems())
-# a checked basis, and a refusal: -2^120 lies past WORD_PRIME's bound
-@example((4, [[1, 2, -3, 4], [2, 4, -6, 8], [0, 1, 1, 0]], PRIME))
-@example((2, [[1, -2**120], [-3, 3 * 2**120]], WORD_PRIME))
+# a lifted basis, and a system with 120-bit entries
+@example((4, [[1, 2, -3, 4], [2, 4, -6, 8], [0, 1, 1, 0]]))
+@example((2, [[1, -2**120], [-3, 3 * 2**120]]))
 def test_packed_store_matches_exact_kernel(system):
-    cols, data, modulus = system
-    exact, packed = both_kernels(cols, sparse_rows(data), modulus)
-    # entries of at most 2^8 over rank <= 4 give minors, hence null vector
-    # entries, far within PRIME's reconstruction bound of 63 bits
-    if modulus == PRIME and all(abs(v) <= 2**8 for row in data for v in row):
-        assert packed.nullspace() == exact.nullspace()
+    cols, data = system
+    exact, packed = both_kernels(cols, sparse_rows(data))
+    # entries of at most 2^5 over rank <= 4 give minors below 2^25 < p, so
+    # the pivots modulo p are the rational ones and lifting recovers the
+    # basis
+    if all(abs(v) <= 2**5 for row in data for v in row):
+        assert packed.nullspace() == exact.integer_nullspace()
     else:
-        assert packed.nullspace() in (None, exact.nullspace())
-    assert certified_nullspace(packed) == exact.nullspace()
+        assert packed.nullspace() in (None, exact.integer_nullspace())
+    assert certified_nullspace(packed) == exact.integer_nullspace()
 
 
-@pytest.mark.parametrize("modulus", [PRIME, WORD_PRIME], ids=["PRIME", "WORD_PRIME"])
 @pytest.mark.parametrize("last,rank", [(-498, MAX_CANDIDATES), (-499, MAX_CANDIDATES - 1)])
-def test_packed_store_worst_carry(modulus, last, rank):
+def test_packed_store_worst_carry(last, rank):
     # rows e_k - (e_(k+1) + ... + e_(n-1)), fed last first, are the packed
     # pivot rows 1, p-1, ..., p-1; the final row reads f = 1 at every
     # pivot, so each of its n - 1 reductions adds (p-1)^2 to every later
@@ -345,50 +375,49 @@ def test_packed_store_worst_carry(modulus, last, rank):
     n = MAX_CANDIDATES
     rows = [{k: 1, **{j: -1 for j in range(k + 1, n)}} for k in reversed(range(n - 1))]
     rows.append({**{c: 1 - c for c in range(n - 1) if c != 1}, n - 1: last})
-    exact, packed = both_kernels(n, rows, modulus)
+    exact, packed = both_kernels(n, rows)
     assert packed.rank == exact.rank == rank
-    assert all(packed._unpack(row, n - c) == [1] + [modulus - 1] * (n - 1 - c)
+    assert all(linalg._unpack(row, n - c, packed.slot) == [1] + [WORD_PRIME - 1] * (n - 1 - c)
                for c, row in packed.echelon)
-    # at rank n - 1 the null vector has entries of 499 bits, past either bound
-    assert packed.nullspace() == ([] if rank == n else None)
-    assert certified_nullspace(packed) == exact.nullspace()
+    # at rank n - 1 the null vector has entries of 499 bits, lifted in full
+    assert packed.nullspace() == exact.integer_nullspace()
+    assert certified_nullspace(packed) == exact.integer_nullspace()
 
 
 def test_packed_store_falls_back_on_unreduced_rows():
-    elim = PackedEliminator(2).add_rows(sparse_rows([[Fraction(3, PRIME), 1]]))
+    elim = PackedEliminator(2).add_rows(sparse_rows([[Fraction(3, WORD_PRIME), 1]]))
     assert not elim.reduced
     assert elim.nullspace() is None
-    assert certified_nullspace(elim) == [[Fraction(-PRIME, 3), Fraction(1)]]
+    assert certified_nullspace(elim) == [{0: -WORD_PRIME, 1: 3}]
 
 
 # -- dense rows, the packed certificate and integer null vectors --------------
 
-def _feeds(cols, data, modulus=PRIME):
+def _feeds(cols, data):
     """The packed store fed the dense lists and fed their sparse dicts."""
-    dense = PackedEliminator(cols, modulus)
+    dense = PackedEliminator(cols)
     for row in data:
         dense.add_row(list(row))
-    return dense, PackedEliminator(cols, modulus).add_rows(sparse_rows(data))
+    return dense, PackedEliminator(cols).add_rows(sparse_rows(data))
 
 
-def _same_feeds(cols, data, modulus=PRIME):
-    dense, sparse = _feeds(cols, data, modulus)
+def _same_feeds(cols, data):
+    dense, sparse = _feeds(cols, data)
     assert dense.rank == sparse.rank
     assert dense.reduced == sparse.reduced
     assert dense.echelon == sparse.echelon
     assert dense.nullspace() == sparse.nullspace()
-    exact = nullspace_sparse(cols, sparse_rows(data))
+    exact = integer_nullspace(cols, sparse_rows(data))
     assert certified_nullspace(dense) == certified_nullspace(sparse) == exact
-    vectors = [{j: v for j, v in enumerate(vec) if v} for vec in exact]
-    assert dense.kills(*vectors) and sparse.kills(*vectors)
-    for vec in vectors:
+    assert dense.kills(*exact) and sparse.kills(*exact)
+    for vec in exact:
         assert dense.kills(vec) and sparse.kills(vec)
     # a vector off the nullspace fails on both, alone or among null vectors
     for j in range(cols):
         e = {j: Fraction(1, 3)}
         hit = any(row[j] for row in data)
         assert dense.kills(e) == sparse.kills(e) == (not hit)
-        assert dense.kills(*vectors, e) == sparse.kills(*vectors, e) == (not hit)
+        assert dense.kills(*exact, e) == sparse.kills(*exact, e) == (not hit)
 
 
 def test_dense_and_sparse_feeds_agree_on_the_naive_cases():
@@ -400,15 +429,14 @@ def test_dense_and_sparse_feeds_agree_on_the_naive_cases():
 @given(sparse_systems())
 def test_dense_and_sparse_feeds_agree(system):
     data, cols, _ = system
-    for modulus in (PRIME, WORD_PRIME):
-        _same_feeds(cols, data, modulus)
+    _same_feeds(cols, data)
 
 
 @settings(max_examples=200, deadline=None)
 @given(dense_systems())
 def test_dense_and_sparse_feeds_agree_on_dense_systems(system):
-    cols, data, modulus = system
-    _same_feeds(cols, data, modulus)
+    cols, data = system
+    _same_feeds(cols, data)
 
 
 def test_packed_certificate_finds_the_one_failing_row():
@@ -473,3 +501,73 @@ def test_integer_nullspace_is_the_primitive_canonical_basis(system):
         assert math.gcd(*vec.values()) == 1
         f = max(vec)
         assert want[f] == 1 and vec[f] > 0
+
+
+# -- the lifted route against the exact kernel --------------------------------
+
+lifted_entries = st.one_of(
+    st.just(0), st.integers(-9, 9), st.integers(-2**64, 2**64),
+    st.fractions(-6, 6, max_denominator=5),
+    # a denominator divisible by WORD_PRIME leaves its row without a residue
+    st.builds(lambda a, b: Fraction(a, b * WORD_PRIME),
+              st.integers(-9, 9).filter(bool), st.integers(1, 3)))
+
+
+@st.composite
+def lifted_systems(draw):
+    """Rows mixed from a few base rows: several free columns, and idle rows
+    fed after the rank is reached; Fraction entries among them."""
+    cols = draw(st.integers(1, 8))
+    base = draw(st.lists(st.lists(lifted_entries, min_size=cols, max_size=cols),
+                         min_size=1, max_size=4))
+    mixes = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base),
+                                   max_size=len(base)), min_size=1, max_size=9))
+    return cols, [[sum(m * r[j] for m, r in zip(mix, base)) for j in range(cols)]
+                  for mix in mixes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lifted_systems())
+@example((5, [[1, 2, 0, 3, 4], [2, 4, 0, 6, 8], [0, 0, 1, 5, Fraction(1, 3)]]))
+@example((2, [[Fraction(1, WORD_PRIME), 1], [1, WORD_PRIME]]))
+@example((2, [[3**50, 1], [3**50, 1 + WORD_PRIME]]))
+def test_lifted_route_matches_the_exact_kernel(system):
+    cols, data = system
+    elim = PackedEliminator(cols)
+    for row in data:
+        elim.add_row(list(row))
+    exact = integer_nullspace(cols, sparse_rows(data))
+    lifted = elim.nullspace()
+    assert lifted in (None, exact)
+    assert certified_nullspace(elim) == exact
+    assert fractions(cols, exact) == nullspace_sparse(cols, sparse_rows(data))
+
+
+def test_lifted_route_reads_several_free_columns_at_once(steps):
+    # rank 3 over 8 columns with 40-bit entries: five free columns, every
+    # vector from the same steps, the idle rows checked by kills
+    rng = random.Random(11)
+    base = [[rng.randrange(-2**40, 2**40) for _ in range(8)] for _ in range(3)]
+    data = base + [[a + 2 * b - c for a, b, c in zip(*base)], base[0][:]]
+    elim = PackedEliminator(8)
+    for row in data:
+        elim.add_row(row)
+    assert len(elim.rows) == 5 and elim.rank == 3
+    assert elim.nullspace() == integer_nullspace(8, sparse_rows(data))
+    assert len(steps) == 1 and 1 < steps[0] < 10
+
+
+def test_lifting_stops_at_the_step_cap(steps):
+    # rank 2, but 1 modulo p: the lifted vector (-1, 3^50) is the rational
+    # solution of the first row, never a null vector of the second, so
+    # lifting runs to the cap and the exact kernel answers.  The cap is
+    # the first step with p^s > 2 H^2, H the Hadamard bound sqrt(2) * 3^50
+    # of the one row that raised the rank, rounded up to whole bits.
+    rows = [[3**50, 1], [3**50, 1 + WORD_PRIME]]
+    elim = modular(rows)
+    assert elim.rank == 1 and rank(rows) == 2
+    assert elim.nullspace() is None
+    assert certified_nullspace(elim) == [] == integer_nullspace(2, sparse_rows(rows))
+    cap = steps[0]
+    assert steps == [cap, cap]
+    assert WORD_PRIME**cap > 2 * 2 * 3**100 > WORD_PRIME**(cap - 2)

@@ -30,6 +30,25 @@ def test_script_runs(name, summaries, capsys):
         assert any(line.startswith(summary) for line in lines), summary
 
 
+def test_reproduce_syzygies_requests_every_degree(monkeypatch, capsys):
+    # every degree up to the top one, each filtered from its own basis, and
+    # the degrees of the minimal relations are asserted
+    script = load("reproduce_syzygies")
+    requested = []
+    minimal = script.minimal_syzygies
+
+    def spy(gens, degrees):
+        requested.append(list(degrees))
+        return minimal(gens, requested[-1])
+
+    monkeypatch.setattr(script, "minimal_syzygies", spy)
+    script.run(5)
+    assert requested == [list(range(1, 49))]
+    monkeypatch.setitem(script.RELATION_DEGREES, 5, [36, 40])
+    with pytest.raises(AssertionError):
+        script.run(5)
+
+
 END_TO_END = [{"name": "wall_ref_s", "better": "lower", "bound": 0.15},
               {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
 

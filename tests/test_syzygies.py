@@ -8,6 +8,7 @@ from invforge.exponents import powers2
 from invforge.hilbert import generator_monomial_count, invariant_dimension
 from invforge.fixtures import fixture_generator_set, fixture_root, load_generator_dir
 from invforge.invariants import Generator, GeneratorSet, mingenset
+from invforge.invariants import DimensionMismatchError
 from invforge.rings import Polynomial, normalize, u_ring
 from invforge.syzygies import (
     check_syzygy,
@@ -15,12 +16,13 @@ from invforge.syzygies import (
     minimal_syzygies,
     syzygy_basis,
 )
-from invforge.textio import parse_poly
+from invforge.textio import format_poly, parse_poly
 
 from properties import (
     certified_rows_termwise,
     evaluate_termwise,
     line_slot_termwise,
+    minimal_syzygies_reference,
     monomial_value_termwise,
     syzygy_basis_by_expansion,
 )
@@ -145,8 +147,9 @@ def test_exact_rows_fallback(n, d, expansions, monkeypatch):
 
 def test_certified_bases_build_no_exact_eliminator(ref5, monkeypatch):
     # an evaluation system builds an exact Eliminator only when its
-    # certificate fails; the minimality filter is one exact system per
-    # degree with a basis
+    # certificate fails; the minimality filter builds, per degree with a
+    # basis of k relations, one k-column system per generator and one
+    # pivot system over the consequence vectors and the k unit vectors
     built = []
     init = linalg.Eliminator.__init__
 
@@ -156,16 +159,15 @@ def test_certified_bases_build_no_exact_eliminator(ref5, monkeypatch):
 
     monkeypatch.setattr(linalg.Eliminator, "__init__", spy)
     assert [s.degree for s in minimal_syzygies(ref5, [36, 40])] == [36]
-    # d = 36: the one basis relation; d = 40: its product with the quartic
-    # generator, then the one basis relation
-    assert built == [1, 2]
+    # d = 36: no consequence; d = 40: one, f4 times the degree-36 relation
+    assert built == [1] * 4 + [1] + [1] * 4 + [2]
     # with the certificate refused, each basis is one more exact system
     # over its candidates, built before its filter
     built.clear()
     monkeypatch.setattr(linalg.PackedEliminator, "nullspace", lambda self: None)
     assert [s.degree for s in minimal_syzygies(ref5, [36, 40])] == [36]
     count = [len(powers2(ref5.degrees(), d)) for d in (36, 40)]
-    assert built == [count[0], 1, count[1], 2]
+    assert built == [count[0]] + [1] * 5 + [count[1]] + [1] * 4 + [2]
 
 
 def test_minimal_syzygies_quintic(ref5):
@@ -269,6 +271,11 @@ def test_fallback_when_a_generator_is_not_invariant(expansions):
     assert got == syzygy_basis_by_expansion(gens, 4) == [syzygies.Syzygy(want, 4)]
     assert check_syzygy(gens, want)
     assert not check_syzygy(gens, parse_poly("f2^2 - h4", gens.gen_context()))
+    # Rel_6 = {f2*r, g2*r}, r = f2*g2 - h4: the null space for f2 has
+    # dimension 1 while count(4) - dim I_4 = 3.  No generator count bounds
+    # a set that is not verified, so the filter must not raise on it.
+    assert not gens.verified
+    assert minimal_syzygies(gens, [4, 6]) == [syzygies.Syzygy(want, 4)]
 
 
 def test_mixed_degree_relation_checks_every_component(ref5):
@@ -350,52 +357,49 @@ def test_line_values_match_termwise_evaluation(case, slot, t):
 def test_certified_rows_match_termwise_reference(n, d):
     gens, _ = bundled(n)
     candidates = powers2(gens.degrees(), d)
-    for modulus in (linalg.PRIME, linalg.WORD_PRIME):
-        points = syzygies._Points(gens)
-        system = syzygies._certified_system(gens, d, candidates, points, modulus)
-        assert system is not None
-        assert system.rows == certified_rows_termwise(
-            gens, d, candidates, syzygies.POINT_RANGE, syzygies.IDLE_POINTS, modulus)
-        # each line gives several rows from one plan evaluation
-        assert 2 * len(points.lines) <= len(system.rows)
-        assert points.plan.slot == line_slot_termwise(gens)
+    points = syzygies._Points(gens)
+    system = syzygies._certified_system(gens, d, candidates, points)
+    assert system is not None
+    assert system.rows == certified_rows_termwise(
+        gens, d, candidates, syzygies.POINT_RANGE, syzygies.IDLE_POINTS)
+    # each line gives several rows from one plan evaluation
+    assert 2 * len(points.lines) <= len(system.rows)
+    assert points.plan.slot == line_slot_termwise(gens)
 
 
 @pytest.mark.parametrize("n,degrees", [(6, [10, 15, 29]), (8, [12, 15])])
 def test_full_rank_certified_system_has_no_back_substitution(n, degrees, monkeypatch):
     # degrees below the first relation: the certified system reaches rank
-    # ncols, so its nullspace is [] with no back-substitution and no exact
-    # fallback
+    # ncols, so its nullspace is [] with no lifting and no exact fallback
     def refuse(*args):
         raise AssertionError("not reached")
 
-    monkeypatch.setattr(linalg.PackedEliminator, "_null_residues", refuse)
-    monkeypatch.setattr(linalg, "nullspace_sparse", refuse)
+    monkeypatch.setattr(linalg.PackedEliminator, "_lift", refuse)
+    monkeypatch.setattr(linalg.Eliminator, "__init__", refuse)
     gens, _ = bundled(n)
     points = syzygies._Points(gens)
     for d in degrees:
         candidates = powers2(gens.degrees(), d)
-        system = syzygies._certified_system(gens, d, candidates, points, linalg.PRIME)
+        system = syzygies._certified_system(gens, d, candidates, points)
         assert system.rank == system.ncols == len(candidates)
         assert linalg.certified_nullspace(system) == []
     assert syzygy_basis(gens, degrees[-1]) == []
 
 
 def test_check_systems_run_on_the_word_prime(expansions, monkeypatch):
-    # check_syzygy reads only ranks and exact dot products; the bases
-    # reconstruct rationals and keep the 127-bit prime.  The dense
-    # evaluation systems take the packed modular store, the sparse systems
-    # the exact kernel, with no modular step.
+    # every dense evaluation system, read through kills alone or through
+    # its lifted nullspace, takes the packed store, modulo WORD_PRIME; the
+    # sparse systems take the exact kernel, with no modular step
     built = []
     init = linalg.PackedEliminator.__init__
     exact_init = linalg.Eliminator.__init__
 
-    def spy(self, ncols, modulus=linalg.PRIME):
-        built.append(modulus)
-        init(self, ncols, modulus)
+    def spy(self, ncols):
+        built.append("packed")
+        init(self, ncols)
 
     def exact_spy(self, ncols):
-        built.append(None)
+        built.append("exact")
         exact_init(self, ncols)
 
     monkeypatch.setattr(linalg.PackedEliminator, "__init__", spy)
@@ -405,15 +409,18 @@ def test_check_systems_run_on_the_word_prime(expansions, monkeypatch):
     bad = Polynomial(rel.context, {**rel.terms, e: c + 1})
     assert check_syzygy(gens, rel)
     assert not check_syzygy(gens, bad)
-    assert built == [linalg.WORD_PRIME] * 2
+    assert built == ["packed"] * 2
     built.clear()
+    system = syzygies._certified_system(
+        gens, 16, powers2(gens.degrees(), 16), syzygies._Points(gens))
+    assert system.slot == (2 * 30 + (system.ncols + 1).bit_length() + 7) // 8
     assert len(syzygy_basis(gens, 16)) == 1
-    assert built == [linalg.PRIME]
+    assert built == ["packed"] * 2
     assert not expansions
     built.clear()
     assert linalg.nullspace_sparse(2, [{0: 1, 1: -1}]) == [[Fraction(1), Fraction(1)]]
     assert linalg.solve_affine_sparse(1, [{0: 2, 1: 6}]) == [Fraction(3)]
-    assert built == [None] * 2
+    assert built == ["exact"] * 2
 
 
 def test_expansion_sums_in_one_dict(ref5, polynomial_arithmetic):
@@ -509,45 +516,138 @@ def test_prefix_plan_shares_every_prefix_of_the_candidates(n, d):
         1 for r in prefixes if r[-1])
 
 
-def test_rational_generators_take_the_certified_route(ref5, expansions):
+def test_rational_generators_take_the_certified_route(ref5, expansions, monkeypatch):
     # thirds of the bundled generators: every evaluation row holds Fractions,
-    # which the packed store reduces entry by entry
+    # which the packed store scales to integers before it reduces them, so
+    # the lifted route answers with no exact fallback
     gens = GeneratorSet(5, tuple(
         Generator(g.name, g.degree, g.weight, g.u_poly.scale(Fraction(1, 3)), None)
         for g in ref5))
+    read = []
+    nullspace = linalg.PackedEliminator.nullspace
+
+    def spy(self):
+        read.append(nullspace(self))
+        return read[-1]
+
+    monkeypatch.setattr(linalg.PackedEliminator, "nullspace", spy)
     got = syzygy_basis(gens, 36)
     assert not expansions
+    assert len(read) == 1 and read[0] is not None
     assert len(got) == 1 and got == syzygy_basis_by_expansion(gens, 36)
     assert check_syzygy(gens, got[0].relation)
 
 
 def test_nullity_zero_degrees_run_on_the_word_prime(expansions, monkeypatch):
     # below the first relation degree the candidates number dim I_d, so the
-    # certified rank alone proves the basis empty, modulo the word-size
-    # prime; the bases are the same as modulo the 127-bit one
-    built = []
-    init = linalg.PackedEliminator.__init__
+    # certified rank alone proves the basis empty: nothing is lifted
+    lifted = []
+    lift = linalg.PackedEliminator._lift
 
-    def spy(self, ncols, modulus=linalg.PRIME):
-        built.append((ncols, modulus))
-        init(self, ncols, modulus)
+    def spy(self, free):
+        lifted.append(len(free))
+        return lift(self, free)
 
-    monkeypatch.setattr(linalg.PackedEliminator, "__init__", spy)
+    monkeypatch.setattr(linalg.PackedEliminator, "_lift", spy)
     for n, top in ((6, 29), (8, 15)):
         gens, _ = bundled(n)
         for d in range(1, top + 1):
-            built.clear()
-            count = len(powers2(gens.degrees(), d))
-            assert count == invariant_dimension(n, d)
+            assert len(powers2(gens.degrees(), d)) == invariant_dimension(n, d)
             assert syzygy_basis(gens, d) == []
-            assert built == ([(count, linalg.WORD_PRIME)] if count else [])
-            with monkeypatch.context() as m:
-                m.setattr(syzygies, "WORD_PRIME", linalg.PRIME)
-                built.clear()
-                assert syzygy_basis(gens, d) == []
-                assert built == ([(count, linalg.PRIME)] if count else [])
-    assert not expansions
-    # a degree with a relation still reads its nullspace modulo PRIME
-    built.clear()
+    assert not expansions and not lifted
+    # a degree with a relation lifts its one free column
     assert len(syzygy_basis(gens, 16)) == 1
-    assert built == [(len(powers2(gens.degrees(), 16)), linalg.PRIME)]
+    assert lifted == [1]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The certified systems whose lifted nullspace was refused."""
+    refused = []
+    nullspace = linalg.PackedEliminator.nullspace
+
+    def spy(self):
+        basis = nullspace(self)
+        if basis is None:
+            refused.append(self.ncols)
+        return basis
+
+    monkeypatch.setattr(linalg.PackedEliminator, "nullspace", spy)
+    return refused
+
+
+# every degree the bundled sets have relations in, up to the largest
+# checked: the reference filter needs every lower degree
+FULL_RANGES = [(5, 48), (6, 36), pytest.param(8, 24, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("n,top", FULL_RANGES)
+def test_minimal_syzygies_match_the_reference_filter(n, top, fallbacks, expansions):
+    # filtered from each degree's own basis, the relations are the ones the
+    # filter that carries every lower minimal relation keeps, byte for byte;
+    # every bundled system on the way is read by lifting, with no fallback
+    gens, _ = bundled(n)
+    got = minimal_syzygies(gens, range(1, top + 1))
+    assert not fallbacks and not expansions
+    want = minimal_syzygies_reference(gens, range(1, top + 1))
+    assert [(s.degree, format_poly(s.relation)) for s in got] == [
+        (s.degree, format_poly(s.relation)) for s in want]
+    assert [s.degree for s in got] == {5: [36], 6: [30], 8: [16, 17, 18, 19, 20]}[n]
+
+
+@pytest.mark.parametrize("n,degrees,want", [
+    (5, [40], []),
+    (6, [32, 34], []),
+    (8, [20], [20]),
+])
+def test_minimal_syzygies_drop_consequences_of_unrequested_degrees(n, degrees, want):
+    # each degree is filtered from its own basis, so the consequences of
+    # relations at degrees not requested are dropped too: f4 times the
+    # degree-36 relation at n = 5, products of the degree-30 relation at
+    # n = 6, and four of the five degree-20 basis relations at n = 8
+    gens, _ = bundled(n)
+    got = minimal_syzygies(gens, degrees)
+    assert [s.degree for s in got] == want
+    assert len(syzygy_basis(gens, degrees[-1])) > len(got)
+    if n == 8:
+        reference = minimal_syzygies_reference(gens, range(16, 21))
+        assert [format_poly(s.relation) for s in got] == [
+            format_poly(s.relation) for s in reference if s.degree == 20]
+
+
+class _Nullities(linalg.Eliminator):
+    """An exact kernel whose integer nullspaces the test edits."""
+
+    edit = staticmethod(lambda vectors: vectors)
+
+    def integer_nullspace(self):
+        return self.edit(super().integer_nullspace())
+
+
+def test_relation_count_below_the_degree_count_is_an_internal_error(ref5, monkeypatch):
+    # degree 40 holds f4 times the degree-36 relation: the null space for
+    # f4 has dimension dim Rel_36 = count(36) - dim I_36 = 1; with it
+    # emptied, the per-generator check fails
+    assert len(minimal_syzygies(ref5, [40])) == 0
+    monkeypatch.setattr(_Nullities, "edit", staticmethod(lambda vectors: vectors[1:]))
+    monkeypatch.setattr(syzygies, "Eliminator", _Nullities)
+    with pytest.raises(DimensionMismatchError, match="multiples of f4"):
+        minimal_syzygies(ref5, [40])
+
+
+def test_relation_count_above_the_degree_count_is_no_error(ref5, monkeypatch):
+    # a null space larger than the count comes from a set that does not
+    # span I_e: a hand-built one, not an internal failure.  A zero vector
+    # more per generator is such a null space, and changes no pivot.
+    want = minimal_syzygies(ref5, [36, 40])
+    monkeypatch.setattr(_Nullities, "edit", staticmethod(lambda vectors: vectors + [{}]))
+    monkeypatch.setattr(syzygies, "Eliminator", _Nullities)
+    assert minimal_syzygies(ref5, [36, 40]) == want
+    # and the set with f8 replaced by f4^2 misses I_8, so degree 12 holds
+    # f4 * (g8 - f4^2) with count(8) - dim I_8 = 0
+    f4 = ref5[0]
+    g8 = Generator("g8", 8, 20, f4.u_poly * f4.u_poly, None)
+    gens = GeneratorSet(5, tuple(g8 if g.name == "f8" else g for g in ref5))
+    monkeypatch.undo()
+    assert [s.degree for s in minimal_syzygies(gens, [8, 12])] == [8]
+    assert [s.degree for s in minimal_syzygies(gens, [12])] == []
