@@ -10,11 +10,8 @@ from .rings import (
     degree,
     gen_ring,
     is_isobaric_balanced,
-    normalize,
-    substitute,
     u_ring,
     weight_u,
-    weight_x,
     x_ring,
 )
 from .exponents import grad, powers, powers2

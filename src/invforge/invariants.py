@@ -158,10 +158,9 @@ def monomial_rows(ctx: VarContext, columns: Iterable[Polynomial]) -> list:
     changes no nullspace and no solution, but it sets how much work the
     exact kernel does to get there, most of it clearing new pivot columns
     from earlier pivot rows (timings in the README's performance notes).
-    Membership builds its systems here, and so does the syzygy minimality
-    filter, whose generator-ring systems have a few columns and solve in
-    the same time in either order; invariant_basis files packed keys in the
-    same order instead (_basis_rows).  Columns are read one at a time: pass
+    Membership builds its systems here, and so does the syzygy expansion
+    route, for a degree without a certificate; invariant_basis files packed
+    keys in the same order instead (_basis_rows).  Columns are read one at a time: pass
     a generator, and no list of column polynomials is ever held.
     """
     rows = {}

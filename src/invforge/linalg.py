@@ -24,25 +24,26 @@ inconsistent exactly when b's column is a pivot column.
 below 2^30, whose residues are one-digit CPython ints.  It is the store of
 the dense syzygy evaluation systems, whose rows fill nearly every column
 with integers that exact elimination grows to thousands of bits; it takes
-and keeps them as dense lists (a sparse dict row is accepted too), each row
-modulo p is packed into one Python int, so a row update is one big-integer
-multiply-add.  Its rank is a lower bound for the rational rank of the rows
-it was fed.  Its nullspace is exact all the same: every row that raises
-the rank records the multipliers it took and its normalizing inverse, so
-the echelon solves modulo p, and p-adic lifting (Dixon) gives the null
-vectors modulo p^s, every free column at once.  After each step the
-vectors are reconstructed with one common denominator and checked with
+them as dense lists and keeps them as integers (a row of Fractions scaled
+by the lcm of its denominators, which leaves its row space unchanged), each
+row modulo p is packed into one Python int, so a row update is one
+big-integer multiply-add.  Its rank is a lower bound for the rational rank
+of the rows it was fed.  Its nullspace is exact all the same: every row
+that raises the rank records the multipliers it took and its normalizing
+inverse, so the echelon solves modulo p, and p-adic lifting (Dixon) gives
+the null vectors modulo p^s, every free column at once.  After each step
+the vectors are reconstructed with one common denominator and checked with
 exact dot products against every row kept, all the vectors at once:
 ``kills`` packs them into one integer per column, so one dot product per
 row checks every vector.  The first checked set whose vectors each end on
 their own free column is the canonical basis, as primitive integer vectors
 (the form of ``integer_nullspace``): the ncols - rank_p vectors are
 independent, since rank_p <= rank_Q they span the rational nullspace, and
-their last columns are the rational RREF's free columns.  Whenever a row has
-no residue or lifting reaches its step cap (a Hadamard bound on the
-entries, from the rows themselves), ``certified_nullspace`` eliminates the
-kept rows with ``Eliminator``, the only place where dense rows become
-sparse dicts.
+their last columns are the rational RREF's free columns.  Whenever the
+pivots modulo p are not the rational ones or lifting reaches its step cap
+(a Hadamard bound on the entries, from the rows themselves),
+``certified_nullspace`` eliminates the kept rows with ``Eliminator``, the
+only place where dense rows become sparse dicts.
 
 The kernel follows from how a system is built, never from an option.  On
 sparse rows an exact update touches only the entries present, and the
@@ -278,23 +279,20 @@ class PackedEliminator:
     raised the rank (``_lift``).
 
     Rows come as dense lists, the form of the evaluation rows: the residues
-    are one comprehension and the pack one byte join.  A sparse dict row is
-    spread to a list first.  A row that holds Fractions is scaled to
-    integers by the lcm D of its denominators, and that row is eliminated
-    and recorded; when p divides D the row has no residue and leaves the
-    store unreduced, so only the exact fallback reads it.
+    are one comprehension and the pack one byte join.  A row that holds
+    Fractions is scaled to integers by the lcm of its denominators once, and
+    that integer row is eliminated and kept.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows = []       # the exact rows, as fed
-        self.reduced = True  # every kept row was reduced modulo the prime
+        self.rows = []  # the rows fed, as integers
         self.slot = (2 * WORD_PRIME.bit_length() + (ncols + 1).bit_length() + 7) // 8
         self.echelon = []  # (pivot column, packed shifted row), ascending column
-        # per row that raised the rank, in the order fed: (the row as
-        # integers, its pivot column c, the multiplier p - f it took from
-        # each column before c, 0 off the pivots, the inverse that normalized
-        # it, its pivot row from c on)
+        # per row that raised the rank, in the order fed: (the row, its
+        # pivot column c, the multiplier p - f it took from each column
+        # before c, 0 off the pivots, the inverse that normalized it, its
+        # pivot row from c on)
         self.solver = []
 
     @property
@@ -302,27 +300,21 @@ class PackedEliminator:
         """Rank modulo the prime: at most the rational rank of the kept rows."""
         return len(self.echelon)
 
-    def add_row(self, row) -> None:
-        """Feed one row: a list of ncols entries, or a sparse dict {col: value}.
+    def add_row(self, row: list) -> None:
+        """Feed one row: a dense list of ncols ints or Fractions.
 
-        The row is kept as it came, for ``kills`` and the exact fallback.
+        A row that holds Fractions is scaled to integers by the lcm of its
+        denominators; the integer row is kept, for ``kills``, ``_lift`` and
+        the exact fallback.
         """
-        self.rows.append(row)
         p, ncols, s = WORD_PRIME, self.ncols, self.slot
-        if type(row) is dict:
-            dense = [0] * ncols
-            for j, c in row.items():
-                dense[j] = c
-            row = dense
         try:
             acc = _pack([c % p for c in row], s)
         except AttributeError:  # a Fraction entry: c % p is a Fraction, with no to_bytes
             den = math.lcm(*(c.denominator for c in row))
-            if not den % p:  # a denominator divisible by p: no residue
-                self.reduced = False
-                return
             row = [c.numerator * (den // c.denominator) for c in row]
             acc = _pack([c % p for c in row], s)
+        self.rows.append(row)
         w = 8 * s
         mask = (1 << w) - 1
         taken = []  # (pivot column, multiplier p - f) where f was nonzero
@@ -355,7 +347,7 @@ class PackedEliminator:
             mult[c] = m
         self.solver.append((row, lead, mult, inv, vals))
 
-    def add_rows(self, rows: Iterable) -> "PackedEliminator":
+    def add_rows(self, rows: Iterable[list]) -> "PackedEliminator":
         for row in rows:
             if row:
                 self.add_row(row)
@@ -380,31 +372,13 @@ class PackedEliminator:
         top = max((abs(x) for vec in ints for _, x in vec), default=0)
         if not top:
             return True
-        rows, norm = [], 0
-        for row in self.rows:
-            vals = row.values() if type(row) is dict else row
-            size = sum(map(abs, vals))
-            if type(size) is not int:  # Fraction entries: scale the row to integers
-                den = math.lcm(*(v.denominator for v in vals))
-                size = int(size * den)
-                if type(row) is dict:
-                    row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-                else:
-                    row = [v.numerator * (den // v.denominator) for v in row]
-            rows.append(row)
-            norm = max(norm, size)
+        norm = max((sum(map(abs, row)) for row in self.rows), default=0)
         width = (norm * top).bit_length() + 2
         packed = [0] * self.ncols
         for k, vec in enumerate(ints):
             for j, x in vec:
                 packed[j] += x << width * k
-        for row in rows:
-            if type(row) is dict:
-                if sum(c * packed[j] for j, c in row.items()):
-                    return False
-            elif sum(map(mul, row, packed)):
-                return False
-        return True
+        return not any(sum(map(mul, row, packed)) for row in self.rows)
 
     def nullspace(self) -> Optional[list]:
         """The canonical nullspace basis of the kept rows, or None.
@@ -419,17 +393,14 @@ class PackedEliminator:
         vectors of the kept rows with distinct last columns, and since
         rank_p <= rank_Q they span the rational nullspace, their last columns
         are the free columns of the rational RREF, and they are its canonical
-        basis.  None when a row could not be reduced modulo the prime, when
-        a lifted vector has an entry past its free column (the pivot columns
-        modulo p are not the rational ones, which no further step changes),
-        or when the step cap passes with no accepted set.  A full-rank store
-        answers [] at once: rank_p <= rank_Q <= ncols, so there is no null
-        vector.
+        basis.  None when a lifted vector has an entry past its free column
+        (the pivot columns modulo p are not the rational ones, which no
+        further step changes), or when the step cap passes with no accepted
+        set.  A full-rank store answers [] at once: rank_p <= rank_Q <=
+        ncols, so there is no null vector.
         """
         if self.rank == self.ncols:
             return []
-        if not self.reduced:
-            return None
         pivots = [c for c, _ in self.echelon]
         free = sorted(set(range(self.ncols)).difference(pivots))
         for m, x in self._lift(free):
@@ -530,8 +501,7 @@ def certified_nullspace(elim: PackedEliminator) -> list:
     basis = elim.nullspace()
     if basis is None:
         basis = Eliminator(elim.ncols).add_rows(
-            row if type(row) is dict else {j: v for j, v in enumerate(row) if v}
-            for row in elim.rows).integer_nullspace()
+            {j: v for j, v in enumerate(row) if v} for row in elim.rows).integer_nullspace()
     return basis
 
 

@@ -11,7 +11,6 @@ the coefficients straight into one dict.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -314,15 +313,6 @@ def weight_u(f: Polynomial) -> int:
     return _common_weight(f)
 
 
-def weight_x(f: Polynomial) -> int:
-    """Common x-weight of an isobaric polynomial in the x-ring."""
-    if f.is_zero():
-        raise ZeroPolynomialError("weight of the zero polynomial is undefined")
-    if f.context.kind is not RingKind.X:
-        raise ContextMismatchError("weight_x expects an x-ring polynomial")
-    return _common_weight(f)
-
-
 def is_isobaric_balanced(f: Polynomial, n: int) -> bool:
     """True iff f is isobaric and n*deg(f) = 2*weight(f).
 
@@ -336,32 +326,6 @@ def is_isobaric_balanced(f: Polynomial, n: int) -> bool:
     except NonIsobaricError:
         return False
     return n * degree(f) == 2 * w
-
-
-def normalize(f: Polynomial) -> Polynomial:
-    """Canonical representative of the line through f.
-
-    Scales to integer coefficients of content 1 with a positive coefficient
-    on the greatest monomial; idempotent, and invariant under nonzero
-    rational rescaling of the input.  Ints and Fractions take one path, in
-    integer arithmetic only: each coefficient n/q becomes n * (L // q), L
-    the lcm of the denominators, and the result is divided by the gcd,
-    negated when the greatest monomial's coefficient is negative.
-    """
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot normalize the zero polynomial")
-    terms = f.terms
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    out = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-    g = math.gcd(*out.values())
-    ctx = f.context
-    if out[max(out, key=lambda e: monomial_key(ctx, e))] < 0:
-        g = -g
-    if g != 1:
-        out = {e: v // g for e, v in out.items()}
-    p = Polynomial.__new__(Polynomial)
-    p.context, p.terms = ctx, out
-    return p
 
 
 def substitute(f: Polynomial, images: Mapping[int, Polynomial],

@@ -44,22 +44,23 @@ point costs one Horner step per coefficient.  The bundled systems of rank
 Every row is still the exact value of E at a point, so the certificate and
 every answer are unchanged.
 
-The generator plan (``_Plan``) evaluates many term dicts at one point:
-every exponent tuple is split into a head (the first half of the slots)
-and a tail (the rest).  The bundled octavic set has 1512 terms but 295
-distinct heads and 166 distinct tails.  At a point, one power table per
-coordinate gives every distinct head and tail value, each term is then
-``c * head * tail`` and each polynomial the sum of its terms, in their
-stored order.  The candidate row at a point comes from prefix products
-instead (``_PrefixPlan``, one per degree, over the generator slots with
-the generator values as coordinates): the candidates, read from their last
-slot, form a trie in which every distinct prefix costs one multiply at
-most and one ending in a zero exponent none: 88 multiplies for the 183
-prefixes of the 48 candidates of n = 8 degree 16.  Products pay there
-because candidates are plain monomials that share long prefixes, while
-generator terms carry coefficients and share halves.  All of it is exact
-integer (or rational) arithmetic, so every value is the one the
-term-by-term product and sum give.
+The generator plan (``_LinePlan``) groups each generator's terms by their
+exponent a on the line's slot, so that on the line the generator is the
+sum of P_a(base) * t^a, and splits the rest of each exponent tuple into a
+head (the first half of the other slots) and a tail (the rest).  The
+bundled octavic set has 1512 terms but 77 distinct heads and 166 distinct
+tails.  At a base point, one power table per coordinate gives every
+distinct head and tail value, each term is then ``c * head * tail`` and
+each coefficient P_a(base) the sum of its terms.  The candidate row at a
+point comes from prefix products instead (``_PrefixPlan``, one per degree,
+over the generator slots with the generator values as coordinates): the
+candidates, read from their last slot, form a trie in which every distinct
+prefix costs one multiply at most and one ending in a zero exponent none:
+88 multiplies for the 183 prefixes of the 48 candidates of n = 8 degree
+16.  Products pay there because candidates are plain monomials that share
+long prefixes, while generator terms carry coefficients and share halves.
+All of it is exact integer (or rational) arithmetic, so every value is the
+one the term-by-term product and sum give.
 
 A certified system's basis is read back by ``linalg.certified_nullspace``,
 whose only fallback is the exact kernel on the same rows.  Without the
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from .exponents import powers2
 from .hilbert import MAX_DEGREE, generator_monomial_count, invariant_dimension
@@ -156,55 +157,6 @@ def _candidates(gens: GeneratorSet, d: int) -> list:
     return powers2(gens.degrees(), d) if _count(gens, d) else []
 
 
-class _Plan:
-    """Exact values of a list of term dicts at a point, from shared factors.
-
-    Terms index a table of distinct heads (the first slots // 2 exponents)
-    and one of distinct tails (the rest); see the module docstring.
-    """
-
-    def __init__(self, polys, slots: int):
-        cut = slots // 2
-        heads, tails = {}, {}
-        self.coeffs, self.head_of, self.tail_of, self.ends = [], [], [], []
-        for terms in polys:
-            for e, c in terms.items():
-                self.coeffs.append(c)
-                self.head_of.append(heads.setdefault(e[:cut], len(heads)))
-                self.tail_of.append(tails.setdefault(e[cut:], len(tails)))
-            self.ends.append(len(self.coeffs))
-        self.starts = [0] + self.ends[:-1]
-        self.cut, self.head_count, self.tail_count = cut, len(heads), len(tails)
-        # one exponent column per slot: the head slots, then the tail slots
-        self.head_cols = [list(col) for col in zip(*heads)]
-        self.tail_cols = [list(col) for col in zip(*tails)]
-        self.tops = [max(col) for col in self.head_cols + self.tail_cols]
-
-    def values(self, point) -> list:
-        """One exact value per polynomial; point has one number per slot."""
-        tables = []
-        for x, top in zip(point, self.tops):
-            table = [1]
-            for _ in range(top):
-                table.append(table[-1] * x)
-            tables.append(table)
-        head = _products(tables[:self.cut], self.head_cols, self.head_count)
-        tail = _products(tables[self.cut:], self.tail_cols, self.tail_count)
-        terms = [c * head[a] * tail[b]
-                 for c, a, b in zip(self.coeffs, self.head_of, self.tail_of)]
-        return [sum(terms[s:e]) for s, e in zip(self.starts, self.ends)]
-
-
-def _products(tables, columns, count: int) -> list:
-    """For each of count rows r, the product of tables[i][columns[i][r]] over i."""
-    if not columns:
-        return [1] * count
-    vals = [tables[0][k] for k in columns[0]]
-    for table, col in zip(tables[1:], columns[1:]):
-        vals = [v * table[k] for v, k in zip(vals, col)]
-    return vals
-
-
 class _PrefixPlan:
     """Exact values of exponent vectors (monomials) at a point, by prefix
     products.
@@ -264,29 +216,60 @@ class _PrefixPlan:
 class _LinePlan:
     """Coefficients in t of term dicts on a line that varies one slot.
 
-    Each term dict is split by the exponent a of ``slot`` into parts P_a, so
-    that on the line its value is the sum of P_a(base) * t^a; one evaluation
-    of a ``_Plan`` over all parts, with the slot set to 1, gives every
-    coefficient P_a(base).
+    On the line a term dict is the sum over a of P_a(base) * t^a, P_a its
+    terms with exponent a on ``slot``.  A term's other exponents index a
+    table of distinct heads (the first half of those slots) and one of
+    distinct tails (the rest); see the module docstring.
     """
 
     def __init__(self, polys, slots: int, slot: int):
-        parts, self.ends = [], []
+        cut = (slots - 1) // 2
+        heads, tails = {}, {}
+        self.coeffs, self.head_of, self.tail_of = [], [], []
+        self.sizes, self.lengths = [], []  # terms per P_a; coefficients per term dict
         for terms in polys:
-            split = {}
+            parts = {}
             for e, c in terms.items():
-                split.setdefault(e[slot], {})[e] = c
-            parts += [split.get(a, {}) for a in range(max(split) + 1)]
-            self.ends.append(len(parts))
-        self.starts = [0] + self.ends[:-1]
-        self.slot, self.plan = slot, _Plan(parts, slots)
+                parts.setdefault(e[slot], []).append((e[:slot] + e[slot + 1:], c))
+            self.lengths.append(max(parts) + 1)
+            for a in range(max(parts) + 1):
+                part = parts.get(a, [])
+                self.sizes.append(len(part))
+                for rest, c in part:
+                    self.coeffs.append(c)
+                    self.head_of.append(heads.setdefault(rest[:cut], len(heads)))
+                    self.tail_of.append(tails.setdefault(rest[cut:], len(tails)))
+        self.slot, self.cut = slot, cut
+        # one exponent column per slot but ``slot``: the head slots, then the tail slots
+        self.head_cols = [list(col) for col in zip(*heads)]
+        self.tail_cols = [list(col) for col in zip(*tails)]
+        self.tops = [max(col) for col in self.head_cols + self.tail_cols]
 
     def coefficients(self, base) -> list:
         """Per term dict, its coefficients in t, lowest first."""
-        point = list(base)
-        point[self.slot] = 1
-        flat = self.plan.values(point)
-        return [flat[s:e] for s, e in zip(self.starts, self.ends)]
+        tables = []
+        for x, top in zip(base[:self.slot] + base[self.slot + 1:], self.tops):
+            table = [1]
+            for _ in range(top):
+                table.append(table[-1] * x)
+            tables.append(table)
+        head = _products(tables[:self.cut], self.head_cols)
+        tail = _products(tables[self.cut:], self.tail_cols)
+        terms = iter([c * head[a] * tail[b]
+                      for c, a, b in zip(self.coeffs, self.head_of, self.tail_of)])
+        parts = iter([sum(islice(terms, k)) for k in self.sizes])
+        return [list(islice(parts, k)) for k in self.lengths]
+
+
+def _products(tables, columns) -> list:
+    """Per row r, the product of tables[i][columns[i][r]] over i; with no
+    columns, [1] for the one empty row."""
+    if not columns:
+        return [1]
+    vals = [tables[0][k] for k in columns[0]]
+    for table, col in zip(tables[1:], columns[1:]):
+        vals = [v * table[k] for v, k in zip(vals, col)]
+    return vals
 
 
 def _horner(coeffs, t):

@@ -28,9 +28,11 @@ from invforge.linalg import (
 from invforge.rings import (
     ContextMismatchError,
     Polynomial,
+    RingKind,
+    ZeroPolynomialError,
+    _common_weight,
     gen_ring,
     monomial_key,
-    normalize,
     substitute,
     u_ring,
     weight_u,
@@ -51,8 +53,43 @@ def random_polynomial(rng, ctx, max_terms=4, max_exp=3, zero_ok=True):
     return Polynomial(ctx, terms)
 
 
+def normalize(f: Polynomial) -> Polynomial:
+    """Canonical representative of the line through f.
+
+    Scales to integer coefficients of content 1 with a positive coefficient
+    on the greatest monomial; idempotent, and invariant under nonzero
+    rational rescaling of the input.  Ints and Fractions take one path, in
+    integer arithmetic only: each coefficient n/q becomes n * (L // q), L
+    the lcm of the denominators, and the result is divided by the gcd,
+    negated when the greatest monomial's coefficient is negative.
+    """
+    if f.is_zero():
+        raise ZeroPolynomialError("cannot normalize the zero polynomial")
+    terms = f.terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    out = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    g = math.gcd(*out.values())
+    ctx = f.context
+    if out[max(out, key=lambda e: monomial_key(ctx, e))] < 0:
+        g = -g
+    if g != 1:
+        out = {e: v // g for e, v in out.items()}
+    p = Polynomial.__new__(Polynomial)
+    p.context, p.terms = ctx, out
+    return p
+
+
+def weight_x(f: Polynomial) -> int:
+    """Common x-weight of an isobaric polynomial in the x-ring."""
+    if f.is_zero():
+        raise ZeroPolynomialError("weight of the zero polynomial is undefined")
+    if f.context.kind is not RingKind.X:
+        raise ContextMismatchError("weight_x expects an x-ring polynomial")
+    return _common_weight(f)
+
+
 def normalize_reference(f: Polynomial) -> Polynomial:
-    """rings.normalize in Fraction arithmetic: the line through f scaled to
+    """normalize in Fraction arithmetic: the line through f scaled to
     integer coefficients of content 1, positive on the greatest monomial."""
     den_lcm = 1
     for c in f.terms.values():

@@ -21,12 +21,12 @@ from invforge.invariants import (
     verify_invariant_u,
     verify_invariant_x,
 )
-from invforge.rings import normalize, u_ring, x_ring
+from invforge.rings import u_ring, x_ring
 from invforge.syzygies import check_syzygy, minimal_syzygies, syzygy_basis
 from invforge.textio import parse_poly
 
 import properties
-from properties import invariant_basis_direct, span_equal
+from properties import invariant_basis_direct, normalize, span_equal
 
 F2_QUARTIC = "x0*u4 + 3*u2^2"
 F3_QUARTIC = "u2^3 - x0*u2*u4 + x0*u3^2"

@@ -29,7 +29,6 @@ from invforge.linalg import PackedEliminator, nullspace_sparse, solve_affine_spa
 from invforge.rings import (
     Polynomial,
     monomial_key,
-    normalize,
     u_ring,
     weight_u,
     x_ring,
@@ -42,6 +41,7 @@ from properties import (
     invariant_basis_direct,
     naive_nullspace,
     naive_solve_affine,
+    normalize,
     normalize_reference,
     span_equal,
 )
@@ -345,7 +345,7 @@ NAIVE_DEGREE = {5: 10, 6: 7}
 def _packed_nullspace(ncols, rows):
     """The lifted route's basis, each vector divided by its entry on its
     free column, its last."""
-    basis = PackedEliminator(ncols).add_rows(rows).nullspace()
+    basis = PackedEliminator(ncols).add_rows(_dense(ncols, rows)).nullspace()
     assert basis is not None
     return [[Fraction(vec.get(j, 0), vec[max(vec)]) for j in range(ncols)]
             for vec in basis]

@@ -122,7 +122,7 @@ def test_against_naive_oracle():
 
 
 def modular(rows):
-    return PackedEliminator(len(rows[0])).add_rows(sparse_rows(rows))
+    return PackedEliminator(len(rows[0])).add_rows(rows)
 
 
 def test_modular_nullspace_matches_exact():
@@ -175,8 +175,7 @@ def test_reconstruction_bound_follows_the_modulus(steps):
     # sqrt(WORD_PRIME^2 / 2), and 10^12 within sqrt(WORD_PRIME^3 / 2)
     for entry, count in ((10**3, 1), (10**5, 2), (10**12, 3)):
         steps.clear()
-        rows = [{0: 1, 1: -entry}]
-        assert PackedEliminator(2).add_rows(rows).nullspace() == [{0: entry, 1: 1}]
+        assert modular([[1, -entry]]).nullspace() == [{0: entry, 1: 1}]
         assert steps == [count]
     # one step recovers some other short rational, which kills refuses
     assert linalg._rational(10**5 % WORD_PRIME, WORD_PRIME) not in (None, 10**5)
@@ -190,9 +189,7 @@ def test_reconstruction_bound_follows_the_modulus(steps):
     # rank 2, but 1 modulo p: (-1, 1) fails the second row at every step
     # up to the step cap
     [[1, 1], [1, 1 + WORD_PRIME]],
-    # no residue exists for a denominator divisible by p
-    [[Fraction(1, WORD_PRIME), 1]],
-], ids=["pivot-moves", "past-bound", "denominator-p"])
+], ids=["pivot-moves", "past-bound"])
 def test_modular_nullspace_refuses(rows):
     assert modular(rows).nullspace() is None
     assert modular(rows).rank <= rank(rows)
@@ -254,8 +251,9 @@ def test_modular_route_matches_exact_route(system):
     # Fraction and long entries: the lifted basis, where there is one, and
     # the certified route always give the exact kernel's answer
     data, cols, b = system
-    for ncols, rows in ((cols, sparse_rows(data)), (cols + 1, sparse_rows(data, b))):
-        elim = PackedEliminator(ncols).add_rows(rows)
+    for dense in (data, [row + [v] for row, v in zip(data, b)]):
+        ncols, rows = len(dense[0]), sparse_rows(dense)
+        elim = PackedEliminator(ncols).add_rows(dense)
         exact = integer_nullspace(ncols, rows)
         assert elim.rank == ncols - len(exact)
         assert elim.nullspace() in (None, exact)
@@ -273,26 +271,25 @@ P = WORD_PRIME
     # rank 2, but 1 modulo p, for [A | b] too: lifting reaches the step
     # cap, and the exact kernel finds the solution
     ([[1, 1], [1, 1 + P]], [1, 1], [], [Fraction(1), Fraction(0)]),
-    # no residue exists for a denominator divisible by p
-    ([[Fraction(1, P), 1]], [1], [{0: -P, 1: 1}], [Fraction(P), Fraction(0)]),
     # consistent modulo p only: (-1, 0, 1) fails the second row at every
     # step, and the exact kernel finds b a pivot
     ([[1, 0], [1, 0]], [1, 1 + P], [{1: 1}], None),
-], ids=["pivot-moves", "past-bound", "denominator-p", "consistent-mod-p"])
+], ids=["pivot-moves", "past-bound", "consistent-mod-p"])
 def test_fallback_returns_the_exact_answer(data, b, null, sol):
     cols = len(data[0])
     rows, aug = sparse_rows(data), sparse_rows(data, b)
-    elim = PackedEliminator(cols + 1).add_rows(aug)
+    elim = modular([row + [v] for row, v in zip(data, b)])
     assert elim.nullspace() is None
     assert certified_nullspace(elim) == integer_nullspace(cols + 1, aug)
-    assert certified_nullspace(PackedEliminator(cols).add_rows(rows)) == null
+    assert certified_nullspace(modular(data)) == null
     assert nullspace_sparse(cols, rows) == fractions(cols, null)
     assert solve_affine_sparse(cols, aug) == sol
 
 
 def test_kills_walks_sparse_rows_against_a_dense_vector():
-    # rows x_j - x_(j+1): a vector entry on a column the row lacks reads 0
-    elim = PackedEliminator(6).add_rows({j: 1, j + 1: -1} for j in range(5))
+    # rows x_j - x_(j+1): a vector entry on a column where the row is 0
+    # reads 0
+    elim = modular([[(k == j) - (k == j + 1) for k in range(6)] for j in range(5)])
     assert elim.kills({j: 1 for j in range(6)})
     assert elim.kills({j: Fraction(1, 3) for j in range(6)})
     # only the last row, x4 - x5, sees the change
@@ -306,17 +303,17 @@ def test_kills_walks_a_sparse_vector_against_tall_dense_rows():
     rows = []
     for _ in range(40):
         a = rng.randrange(1, 50)
-        rows.append({0: a, 1: a, **{j: rng.randrange(1, 50) for j in range(2, 8)}})
-    elim = PackedEliminator(8).add_rows(rows)
+        rows.append([a, a] + [rng.randrange(1, 50) for _ in range(2, 8)])
+    elim = modular(rows)
     vec = {0: 1, 1: -1}
     assert all(len(row) > len(vec) for row in elim.rows)
     assert elim.kills(vec)
     assert elim.kills({0: Fraction(-2, 7), 1: Fraction(2, 7)})
     # one row in the middle breaks the balance of columns 0 and 1
-    elim.rows[17] = {**elim.rows[17], 1: elim.rows[17][1] + 1}
+    elim.rows[17] = elim.rows[17][:1] + [elim.rows[17][1] + 1] + elim.rows[17][2:]
     assert not elim.kills(vec)
-    # a column in no row is read as 0
-    assert PackedEliminator(9).add_rows(rows).kills({8: 1, 0: 1, 1: -1})
+    # a column that is 0 in every row is read as 0
+    assert modular([row + [0] for row in rows]).kills({8: 1, 0: 1, 1: -1})
 
 
 # -- the packed modular store against the exact kernel ------------------------
@@ -337,12 +334,12 @@ def dense_systems(draw):
     return cols, data
 
 
-def both_kernels(cols, rows):
-    """The packed store and the exact kernel fed the same rows; the modular
-    rank never exceeds the rational one."""
+def both_kernels(cols, data):
+    """The packed store fed the dense rows and the exact kernel their sparse
+    dicts; the modular rank never exceeds the rational one."""
     exact, packed = Eliminator(cols), PackedEliminator(cols)
-    for row in rows:
-        exact.add_row(row)
+    for row, sparse in zip(data, sparse_rows(data)):
+        exact.add_row(sparse)
         packed.add_row(row)
         assert packed.rank <= exact.rank
     return exact, packed
@@ -355,7 +352,7 @@ def both_kernels(cols, rows):
 @example((2, [[1, -2**120], [-3, 3 * 2**120]]))
 def test_packed_store_matches_exact_kernel(system):
     cols, data = system
-    exact, packed = both_kernels(cols, sparse_rows(data))
+    exact, packed = both_kernels(cols, data)
     # entries of at most 2^5 over rank <= 4 give minors below 2^25 < p, so
     # the pivots modulo p are the rational ones and lifting recovers the
     # basis
@@ -373,8 +370,8 @@ def test_packed_store_worst_carry(last, rank):
     # pivot, so each of its n - 1 reductions adds (p-1)^2 to every later
     # slot, and its last slot ends at last + 499 modulo p
     n = MAX_CANDIDATES
-    rows = [{k: 1, **{j: -1 for j in range(k + 1, n)}} for k in reversed(range(n - 1))]
-    rows.append({**{c: 1 - c for c in range(n - 1) if c != 1}, n - 1: last})
+    rows = [[0] * k + [1] + [-1] * (n - 1 - k) for k in reversed(range(n - 1))]
+    rows.append([0 if c == 1 else 1 - c for c in range(n - 1)] + [last])
     exact, packed = both_kernels(n, rows)
     assert packed.rank == exact.rank == rank
     assert all(linalg._unpack(row, n - c, packed.slot) == [1] + [WORD_PRIME - 1] * (n - 1 - c)
@@ -384,57 +381,71 @@ def test_packed_store_worst_carry(last, rank):
     assert certified_nullspace(packed) == exact.integer_nullspace()
 
 
-def test_packed_store_falls_back_on_unreduced_rows():
-    elim = PackedEliminator(2).add_rows(sparse_rows([[Fraction(3, WORD_PRIME), 1]]))
-    assert not elim.reduced
-    assert elim.nullspace() is None
-    assert certified_nullspace(elim) == [{0: -WORD_PRIME, 1: 3}]
+@pytest.mark.parametrize("data,rows,null", [
+    ([[Fraction(3, P), 1]], [[3, P]], [{0: -P, 1: 3}]),
+    ([[Fraction(1, P), 1]], [[1, P]], [{0: -P, 1: 1}]),
+    # [A | b] of the system A = (1/p, 1), b = 1
+    ([[Fraction(1, P), 1, 1]], [[1, P, P]], [{0: -P, 1: 1}, {0: -P, 2: 1}]),
+], ids=["3-over-p", "1-over-p", "1-over-p-with-b"])
+def test_packed_store_lifts_rows_with_denominator_p(data, rows, null):
+    # a row scaled by the lcm of its denominators has a residue modulo p
+    # even when p divides that lcm: the integer row is kept and lifted
+    elim = modular(data)
+    assert elim.rows == rows
+    assert elim.nullspace() == integer_nullspace(len(rows[0]), sparse_rows(data)) == null
+    assert certified_nullspace(elim) == null
 
 
 # -- dense rows, the packed certificate and integer null vectors --------------
 
 def _feeds(cols, data):
-    """The packed store fed the dense lists and fed their sparse dicts."""
-    dense = PackedEliminator(cols)
+    """The packed store fed the rows with every entry a Fraction, and fed
+    them scaled to integers by the lcm of each row's denominators."""
+    frac = PackedEliminator(cols)
     for row in data:
-        dense.add_row(list(row))
-    return dense, PackedEliminator(cols).add_rows(sparse_rows(data))
+        frac.add_row([Fraction(v) for v in row])
+    scaled = PackedEliminator(cols)
+    for row in data:
+        den = math.lcm(*(Fraction(v).denominator for v in row))
+        scaled.add_row([int(v * den) for v in row])
+    return frac, scaled
 
 
 def _same_feeds(cols, data):
-    dense, sparse = _feeds(cols, data)
-    assert dense.rank == sparse.rank
-    assert dense.reduced == sparse.reduced
-    assert dense.echelon == sparse.echelon
-    assert dense.nullspace() == sparse.nullspace()
+    frac, scaled = _feeds(cols, data)
+    assert frac.rows == scaled.rows
+    assert all(type(v) is int for row in frac.rows for v in row)
+    assert frac.rank == scaled.rank
+    assert frac.echelon == scaled.echelon
+    assert frac.nullspace() == scaled.nullspace()
     exact = integer_nullspace(cols, sparse_rows(data))
-    assert certified_nullspace(dense) == certified_nullspace(sparse) == exact
-    assert dense.kills(*exact) and sparse.kills(*exact)
+    assert certified_nullspace(frac) == certified_nullspace(scaled) == exact
+    assert frac.kills(*exact) and scaled.kills(*exact)
     for vec in exact:
-        assert dense.kills(vec) and sparse.kills(vec)
+        assert frac.kills(vec) and scaled.kills(vec)
     # a vector off the nullspace fails on both, alone or among null vectors
     for j in range(cols):
         e = {j: Fraction(1, 3)}
         hit = any(row[j] for row in data)
-        assert dense.kills(e) == sparse.kills(e) == (not hit)
-        assert dense.kills(*exact, e) == sparse.kills(*exact, e) == (not hit)
+        assert frac.kills(e) == scaled.kills(e) == (not hit)
+        assert frac.kills(*exact, e) == scaled.kills(*exact, e) == (not hit)
 
 
-def test_dense_and_sparse_feeds_agree_on_the_naive_cases():
+def test_fraction_and_scaled_feeds_agree_on_the_naive_cases():
     for data, cols, _ in linalg_naive_cases():
         _same_feeds(cols, data)
 
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_systems())
-def test_dense_and_sparse_feeds_agree(system):
+def test_fraction_and_scaled_feeds_agree(system):
     data, cols, _ = system
     _same_feeds(cols, data)
 
 
 @settings(max_examples=200, deadline=None)
 @given(dense_systems())
-def test_dense_and_sparse_feeds_agree_on_dense_systems(system):
+def test_fraction_and_scaled_feeds_agree_on_dense_systems(system):
     cols, data = system
     _same_feeds(cols, data)
 
@@ -508,7 +519,8 @@ def test_integer_nullspace_is_the_primitive_canonical_basis(system):
 lifted_entries = st.one_of(
     st.just(0), st.integers(-9, 9), st.integers(-2**64, 2**64),
     st.fractions(-6, 6, max_denominator=5),
-    # a denominator divisible by WORD_PRIME leaves its row without a residue
+    # a denominator divisible by WORD_PRIME: the row scaled to integers
+    # holds multiples of p
     st.builds(lambda a, b: Fraction(a, b * WORD_PRIME),
               st.integers(-9, 9).filter(bool), st.integers(1, 3)))
 

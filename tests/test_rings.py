@@ -12,16 +12,14 @@ from invforge.rings import (
     degree,
     gen_ring,
     is_isobaric_balanced,
-    normalize,
     substitute,
     u_ring,
     weight_u,
-    weight_x,
     x_ring,
 )
 from invforge.textio import parse_poly
 
-from properties import mul_termwise, normalize_reference
+from properties import mul_termwise, normalize, normalize_reference, weight_x
 
 X2 = x_ring(2)
 X3 = x_ring(3)

@@ -9,7 +9,7 @@ from invforge.hilbert import generator_monomial_count, invariant_dimension
 from invforge.fixtures import fixture_generator_set, fixture_root, load_generator_dir
 from invforge.invariants import Generator, GeneratorSet, mingenset
 from invforge.invariants import DimensionMismatchError
-from invforge.rings import Polynomial, normalize, u_ring
+from invforge.rings import Polynomial, u_ring
 from invforge.syzygies import (
     check_syzygy,
     expand_in_generators,
@@ -24,6 +24,7 @@ from properties import (
     line_slot_termwise,
     minimal_syzygies_reference,
     monomial_value_termwise,
+    normalize,
     syzygy_basis_by_expansion,
 )
 
@@ -322,21 +323,30 @@ def u_polynomial_sets(draw):
     return slots, polys, point
 
 
+def _plan_values(polys, slots, point, slot):
+    """Values of the term dicts at point, from the line through it on slot."""
+    coeffs = syzygies._LinePlan(polys, slots, slot).coefficients(point)
+    return [syzygies._horner(c, point[slot]) for c in coeffs]
+
+
 @settings(max_examples=200, deadline=None)
 @given(u_polynomial_sets())
 @example((2, [{(0, 0): 3}, {(2, 1): -1, (1, 0): 2}], [0, 0]))
 @example((3, [{(1, 2, 0): 5, (0, 0, 4): -1}], [-3, 0, -1]))
 def test_plan_matches_termwise_evaluation(case):
     slots, polys, point = case
-    got = syzygies._Plan(polys, slots).values(point)
-    assert got == [evaluate_termwise(terms, point) for terms in polys]
+    want = [evaluate_termwise(terms, point) for terms in polys]
+    for slot in range(slots):
+        assert _plan_values(polys, slots, point, slot) == want
 
 
 def test_plan_on_single_slot_and_zero_point():
-    # one generator slot: the head is empty and every tail is the whole tuple
-    plan = syzygies._Plan([{(3,): 1}, {(0,): Fraction(1, 2)}], 1)
-    assert plan.values([-2]) == [-8, Fraction(1, 2)]
-    assert plan.values([0]) == [0, Fraction(1, 2)]
+    # one generator slot, the line's: no head and no tail slot is left
+    polys = [{(3,): 1}, {(0,): Fraction(1, 2)}]
+    assert syzygies._LinePlan(polys, 1, 0).coefficients([7]) == [
+        [0, 0, 0, 1], [Fraction(1, 2)]]
+    assert _plan_values(polys, 1, [-2], 0) == [-8, Fraction(1, 2)]
+    assert _plan_values(polys, 1, [0], 0) == [0, Fraction(1, 2)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -344,6 +354,12 @@ def test_plan_on_single_slot_and_zero_point():
 # a Fraction coefficient at t = 0, on a slot that no term uses
 @example((3, [{(0, 2, 1): Fraction(1, 2), (0, 0, 3): -4}], [2, -1, 3]), 0, 0)
 @example((2, [{(0, 0): 3}, {(2, 1): Fraction(-2, 3), (1, 0): 2}], [1, -3]), 1, -2)
+# one generator slot, the line's: no head and no tail slot is left
+@example((1, [{(3,): 1}, {(0,): Fraction(1, 2)}], [5]), 0, -2)
+@example((1, [{(3,): 1}, {(0,): Fraction(1, 2)}], [5]), 0, 0)
+# the zero point, and a zero base off the line
+@example((2, [{(0, 0): 3}, {(2, 1): -1, (1, 0): 2}], [0, 0]), 0, 0)
+@example((3, [{(1, 2, 0): 5, (0, 0, 4): -1}], [-3, 0, -1]), 2, 0)
 def test_line_values_match_termwise_evaluation(case, slot, t):
     slots, polys, base = case
     slot %= slots
