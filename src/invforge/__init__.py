@@ -24,14 +24,11 @@ from .derivations import (
     project_x_to_u,
     raising_derivation,
     reduced_operator,
-    u_lowering_derivation,
-    u_raising_derivation,
 )
 from .invariants import (
     DegreeMismatchError,
     Generator,
     GeneratorSet,
-    InvariantBasis,
     UnsupportedFormDegreeError,
     invariant_basis,
     is_member,

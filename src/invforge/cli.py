@@ -15,7 +15,12 @@ import functools
 import sys
 from pathlib import Path
 
-from .derivations import ResidualDenominatorError, expand_u_to_x, project_x_to_u
+from .derivations import (
+    ResidualDenominatorError,
+    expand_u_to_x,
+    project_x_to_u,
+    refuse_large_x_form,
+)
 from .fixtures import (
     load_fixtures,
     load_generator_dir,
@@ -25,6 +30,7 @@ from .invariants import (
     _GENERATOR_TABLE,
     DegreeMismatchError,
     UnsupportedFormDegreeError,
+    _refuse_oversized,
     invariant_basis,
     is_member,
     known_degree_table,
@@ -57,10 +63,15 @@ def _parse_degree_list(raw: str) -> list:
 
 
 def _cmd_invariants(args, out) -> int:
-    basis = invariant_basis(args.n, args.degree)
+    n, d = args.n, args.degree
+    if args.coords == "x" and not n * d % 2:
+        # size the x-forms before any basis is computed
+        _refuse_oversized(n, d, "invariants")
+        refuse_large_x_form(n, d, n * d // 2)
+    basis = invariant_basis(n, d)
     for el in basis:
         if args.coords == "x":
-            el = expand_u_to_x(el, args.n)
+            el = expand_u_to_x(el, n)
         _emit(el, args.format, out)
     return 0
 

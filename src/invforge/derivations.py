@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .hilbert import MAX_CANDIDATES, candidate_count
+from .hilbert import MAX_CANDIDATES, _box_partitions, candidate_count
 from .rings import (
     MAX_FORM_DEGREE,
     ContextMismatchError,
@@ -149,43 +149,28 @@ def raising_derivation(n: int) -> Derivation:
     return Derivation(ctx, tuple(images))
 
 
-def u_lowering_derivation(n: int) -> Derivation:
-    """u2 -> 0, ui -> i*u(i-1), x0 -> 0 on the u-ring."""
-    ctx = u_ring(n)
-    images = [Polynomial.zero(ctx), Polynomial.zero(ctx)]
-    for i in range(3, n + 1):
-        images.append(Polynomial.variable(ctx, i - 2).scale(i))
-    return Derivation(ctx, tuple(images))
-
-
-def u_raising_derivation(n: int) -> Derivation:
-    """ui -> (n-i)*u(i+1) with u(n+1) = 0, x0 -> 0 on the u-ring."""
-    ctx = u_ring(n)
-    images = [Polynomial.zero(ctx)]
-    for i in range(2, n + 1):
-        if i < n:
-            images.append(Polynomial.variable(ctx, i).scale(n - i))
-        else:
-            images.append(Polynomial.zero(ctx))
-    return Derivation(ctx, tuple(images))
-
-
 @lru_cache(maxsize=MAX_FORM_DEGREE)
 def reduced_operator(n: int) -> Derivation:
-    """The single operator x0*raise_u - (n-1)*u2*lower_u on the u-ring.
+    """The single operator on the u-ring, in closed form:
 
-    Its kernel, intersected with the balanced isobaric polynomials, is the
+        x0 -> 0,  ui -> (n-i)*x0*u(i+1) - (n-1)*i*u2*u(i-1),  u(n+1) = u1 = 0.
+
+    It is x0*raise_u - (n-1)*u2*lower_u for the u-ring pair ui -> (n-i)*u(i+1)
+    and ui -> i*u(i-1) (the lemma the test suite proves for n = 2..64).  Its
+    kernel, intersected with the balanced isobaric polynomials, is the
     invariant ring; on an isobaric (degree d, weight w) polynomial the image
     is isobaric of (degree d+1, weight w+1) or zero.  Built once per n: a
     Derivation is frozen, and every verifier still runs on every call.
     """
     ctx = u_ring(n)
-    x0 = Polynomial.variable(ctx, 0)
-    u2 = Polynomial.variable(ctx, 1)
-    up, down = u_raising_derivation(n), u_lowering_derivation(n)
-    images = tuple(x0 * up.images[s] - u2.scale(n - 1) * down.images[s]
-                   for s in range(ctx.slot_count))
-    return Derivation(ctx, images)
+    x0, u2 = Polynomial.variable(ctx, 0), Polynomial.variable(ctx, 1)
+
+    def u(i):
+        return Polynomial.variable(ctx, i - 1) if 2 <= i <= n else Polynomial.zero(ctx)
+
+    return Derivation(ctx, (Polynomial.zero(ctx),) + tuple(
+        (x0 * u(i + 1)).scale(n - i) - (u2 * u(i - 1)).scale((n - 1) * i)
+        for i in range(2, n + 1)))
 
 
 # -- coordinate changes ----------------------------------------------------
@@ -209,6 +194,24 @@ def project_x_to_u(f: Polynomial) -> Polynomial:
         elif key in out:
             del out[key]
     return Polynomial(ctx, out)
+
+
+# Most terms an x-form may have: p(d, n; w), the count of x-monomials of
+# degree d and weight w, bounds the x-form of a (d, w) component.  The
+# cubic's invariants pass it up to d = 892 (`invariants --coords x` at
+# d = 800 takes 2 s and writes 17 MB on a 2-vCPU host, peak RSS 59 MB); the
+# generator tables need at most 3788 (n = 8, d = 12).
+MAX_X_TERMS = 100_000
+
+
+def refuse_large_x_form(n: int, d: int, w: int) -> None:
+    """ValueError when an x-form of degree d and weight w for n may have
+    more than MAX_X_TERMS terms."""
+    count = _box_partitions(d, n, w)[w]
+    if count > MAX_X_TERMS:
+        raise ValueError(
+            f"x-forms of degree {d} and weight {w} for n={n} may have {count}"
+            f" terms, above the limit of {MAX_X_TERMS}")
 
 
 @lru_cache(maxsize=64)
@@ -237,9 +240,14 @@ def expand_u_to_x(f: Polynomial, n: int) -> Polynomial:
     reproduces them exactly and stops once two consecutive ones vanish.  A
     division by x0 that is not exact means the x-form keeps an x0^-1 term:
     ResidualDenominatorError, i.e. the input is not a polynomial in the xi.
+    An input with a component too large for its x-form (refuse_large_x_form)
+    is refused with ValueError before the recursion starts.
     """
     if f.context != u_ring(n):
         raise ContextMismatchError("expected a u-ring polynomial")
+    weights = f.context.slot_weights
+    for d, w in {(sum(e), sum(map(mul, e, weights))) for e in f.terms}:
+        refuse_large_x_form(n, d, w)
     keys = _x_keys(n, sum(next(iter(f.terms)))) if f.terms else None
     out = {}
     prev, cur = {}, {(e[0], 0) + e[1:]: c for e, c in f.terms.items()}

@@ -77,22 +77,6 @@ class NonInvariantError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class InvariantBasis:
-    n: int
-    d: int
-    elements: tuple
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, k):
-        return self.elements[k]
-
-
-@dataclass(frozen=True)
 class Generator:
     name: str
     degree: int
@@ -201,8 +185,9 @@ def _basis_rows(n: int, d: int, candidates) -> list:
     return [rows[key] for key in sorted(rows, reverse=True)]
 
 
-def invariant_basis(n: int, d: int) -> InvariantBasis:
-    """All invariants of degree d, via the reduced single-operator system.
+def invariant_basis(n: int, d: int) -> tuple:
+    """All invariants of degree d, via the reduced single-operator system, as
+    a tuple of normalized u-polynomials.
 
     The basis size is checked against the Cayley-Sylvester count on every
     call; a disagreement raises DimensionMismatchError.  A request with more
@@ -218,7 +203,7 @@ def invariant_basis(n: int, d: int) -> InvariantBasis:
         raise DimensionMismatchError(
             f"degree-{d} invariant basis for n={n} has {len(elements)} elements,"
             f" the Cayley-Sylvester count is {expected}")
-    return InvariantBasis(n, d, elements)
+    return elements
 
 
 def verify_invariant_x(n: int, f: Polynomial) -> bool:
@@ -240,14 +225,14 @@ def verify_invariant_u(n: int, f: Polynomial) -> bool:
 
 
 def _generator_power(gens: GeneratorSet, j: int, k: int, powers: dict) -> Polynomial:
-    got = powers.get((j, k))
-    if got is None:
-        if k == 1:
-            got = gens[j].u_poly
-        else:
-            got = _generator_power(gens, j, k - 1, powers) * gens[j].u_poly
-        powers[(j, k)] = got
-    return got
+    """gens[j]^k, memoized in powers as (j, k) -> power; each missing power
+    is the one below times gens[j], from the highest one memoized upwards."""
+    top = k
+    while top and (j, top) not in powers:
+        top -= 1
+    for m in range(top + 1, k + 1):
+        powers[(j, m)] = powers[(j, m - 1)] * gens[j].u_poly if m > 1 else gens[j].u_poly
+    return powers[(j, k)]
 
 
 def expand_candidate(gens: GeneratorSet, exps, powers: dict) -> Polynomial:

@@ -15,8 +15,8 @@ expansion route, and the small basis-coordinate systems of the syzygy
 minimality filter.  ``integer_nullspace`` reads each canonical null vector
 as coprime integers straight off the integer pivot rows, with no Fraction:
 invariant bases and relations take it, since that is already their
-normalized form; ``nullspace_sparse`` gives the same vectors as Fractions,
-1 on their free column.
+normalized form; ``nullspace_sparse`` divides the same vectors by their
+entry on the free column, as Fractions, for callers that want that form.
 An affine system [A | b] is answered from the same form: it is
 inconsistent exactly when b's column is a pivot column.
 
@@ -42,8 +42,8 @@ independent, since rank_p <= rank_Q they span the rational nullspace, and
 their last columns are the rational RREF's free columns.  Whenever the
 pivots modulo p are not the rational ones or lifting reaches its step cap
 (a Hadamard bound on the entries, from the rows themselves),
-``certified_nullspace`` eliminates the kept rows with ``Eliminator``, the
-only place where dense rows become sparse dicts.
+``nullspace`` eliminates the kept rows with ``Eliminator`` instead, the
+only place where dense rows become sparse dicts, so it always answers.
 
 The kernel follows from how a system is built, never from an option.  On
 sparse rows an exact update touches only the entries present, and the
@@ -134,23 +134,6 @@ class Eliminator:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def nullspace(self) -> list:
-        """Canonical nullspace basis of the row space eliminated so far.
-
-        One basis vector per free column, in ascending free-column order; the
-        vector carries 1 on its free column f, -P_c[f] / P_c[c] on each pivot
-        column c and 0 on every other free column: the vector of
-        ``integer_nullspace`` divided by its entry on f.
-        """
-        basis = []
-        for vec in self.integer_nullspace():
-            den = vec[next(reversed(vec))]  # f, the last column
-            row = [Fraction(0)] * self.ncols
-            for j, v in vec.items():
-                row[j] = Fraction(v, den)
-            basis.append(row)
-        return basis
 
     def integer_nullspace(self) -> list:
         """The canonical nullspace basis, each vector scaled to integers.
@@ -380,14 +363,27 @@ class PackedEliminator:
                 packed[j] += x << width * k
         return not any(sum(map(mul, row, packed)) for row in self.rows)
 
-    def nullspace(self) -> Optional[list]:
-        """The canonical nullspace basis of the kept rows, or None.
+    def nullspace(self) -> list:
+        """The canonical nullspace basis of the kept rows.
 
         Same form as ``Eliminator.integer_nullspace``: per free column f,
         ascending, the canonical vector scaled to integers of content 1,
         positive on f, as {column: entry} in ascending column order.  The
-        vectors come from ``_lift``; after each lifting step every vector is
-        reconstructed (``_primitive_vector``), and the first set in which
+        lifted basis when there is one, else that of the kept rows
+        eliminated exactly.
+        """
+        basis = self._lifted_nullspace()
+        if basis is None:
+            exact = Eliminator(self.ncols).add_rows(
+                {j: v for j, v in enumerate(row) if v} for row in self.rows)
+            basis = exact.integer_nullspace()
+        return basis
+
+    def _lifted_nullspace(self) -> Optional[list]:
+        """The canonical nullspace basis by p-adic lifting, or None.
+
+        The vectors come from ``_lift``; after each lifting step every vector
+        is reconstructed (``_primitive_vector``), and the first set in which
         each vector ends on its own free column and which ``kills`` accepts
         is the answer: those ncols - rank_p vectors are independent null
         vectors of the kept rows with distinct last columns, and since
@@ -491,23 +487,14 @@ class PackedEliminator:
             yield scale, x
 
 
-def certified_nullspace(elim: PackedEliminator) -> list:
-    """Canonical nullspace basis of elim's kept rows, as primitive integer
-    vectors ({column: entry}, the form of ``Eliminator.integer_nullspace``).
-
-    The lifted basis when ``elim.nullspace()`` has one, else the basis of
-    the kept rows eliminated exactly.
-    """
-    basis = elim.nullspace()
-    if basis is None:
-        basis = Eliminator(elim.ncols).add_rows(
-            {j: v for j, v in enumerate(row) if v} for row in elim.rows).integer_nullspace()
-    return basis
-
-
 def nullspace_sparse(ncols: int, rows: Iterable[dict]) -> list:
-    """Canonical nullspace basis of the matrix given by sparse rows."""
-    return Eliminator(ncols).add_rows(rows).nullspace()
+    """Canonical nullspace basis of the matrix given by sparse rows, as
+    Fraction vectors: each vector of ``Eliminator.integer_nullspace`` divided
+    by its entry on its free column f, its last, so that it is 1 on f,
+    -P_c[f] / P_c[c] on each pivot column c and 0 on every other column."""
+    basis = Eliminator(ncols).add_rows(rows).integer_nullspace()
+    return [[Fraction(vec.get(j, 0), vec[max(vec)]) for j in range(ncols)]
+            for vec in basis]
 
 
 def solve_affine_sparse(ncols: int, rows: Iterable[dict]) -> Optional[list]:

@@ -62,8 +62,8 @@ long prefixes, while generator terms carry coefficients and share halves.
 All of it is exact integer (or rational) arithmetic, so every value is the
 one the term-by-term product and sum give.
 
-A certified system's basis is read back by ``linalg.certified_nullspace``,
-whose only fallback is the exact kernel on the same rows.  Without the
+A certified system's basis is read back by its ``nullspace``, whose only
+fallback is the exact kernel on the same rows.  Without the
 certificate (a set that does not span I_d, a stalled rank, or a hand-built
 generator that is no invariant of its degree; loaded and computed sets
 arrive verified, see ``GeneratorSet.verified``) the rows are those of the
@@ -93,7 +93,7 @@ from .invariants import (
     monomial_rows,
     primitive_polynomial,
 )
-from .linalg import Eliminator, PackedEliminator, certified_nullspace
+from .linalg import Eliminator, PackedEliminator
 from .rings import ContextMismatchError, Polynomial, u_ring
 
 # The certificate gives up after this many consecutive points that do not
@@ -349,7 +349,7 @@ def _basis(gens: GeneratorSet, d: int, points: _Points) -> list:
         vectors = Eliminator(len(candidates)).add_rows(
             _expansion_rows(gens, candidates)).integer_nullspace()
     else:
-        vectors = certified_nullspace(system)
+        vectors = system.nullspace()
     ctx = gens.gen_context()
     return [Syzygy(primitive_polynomial(ctx, candidates, vec), d) for vec in vectors]
 

@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 from operator import mul
+from unittest import mock
 
 from invforge.derivations import (
     Derivation,
@@ -13,13 +14,12 @@ from invforge.derivations import (
     lowering_derivation,
     raising_derivation,
     reduced_operator,
-    u_lowering_derivation,
-    u_raising_derivation,
 )
 from invforge.exponents import _compositions, powers2
 from invforge.hilbert import invariant_dimension
-from invforge.invariants import InvariantBasis, expand_candidate, monomial_rows
+from invforge.invariants import expand_candidate, monomial_rows
 from invforge.linalg import (
+    Eliminator,
     PackedEliminator,
     nullspace_sparse,
     rank_sparse,
@@ -121,6 +121,38 @@ def check_leibniz(pairs=200, seed=7):
 
 
 # -- the lemmas' own derivations and the mixed presentation -------------------
+
+def u_lowering_derivation(n: int) -> Derivation:
+    """u2 -> 0, ui -> i*u(i-1), x0 -> 0 on the u-ring."""
+    ctx = u_ring(n)
+    images = [Polynomial.zero(ctx), Polynomial.zero(ctx)]
+    for i in range(3, n + 1):
+        images.append(Polynomial.variable(ctx, i - 2).scale(i))
+    return Derivation(ctx, tuple(images))
+
+
+def u_raising_derivation(n: int) -> Derivation:
+    """ui -> (n-i)*u(i+1) with u(n+1) = 0, x0 -> 0 on the u-ring."""
+    ctx = u_ring(n)
+    images = [Polynomial.zero(ctx)]
+    for i in range(2, n + 1):
+        if i < n:
+            images.append(Polynomial.variable(ctx, i).scale(n - i))
+        else:
+            images.append(Polynomial.zero(ctx))
+    return Derivation(ctx, tuple(images))
+
+
+def reduced_operator_from_the_pair(n: int) -> Derivation:
+    """The single operator built by the lemma: x0*raise_u - (n-1)*u2*lower_u,
+    slot by slot."""
+    ctx = u_ring(n)
+    x0 = Polynomial.variable(ctx, 0)
+    u2 = Polynomial.variable(ctx, 1)
+    up, down = u_raising_derivation(n), u_lowering_derivation(n)
+    return Derivation(ctx, tuple(x0 * up.images[s] - u2.scale(n - 1) * down.images[s]
+                                 for s in range(ctx.slot_count)))
+
 
 def grading_derivation(n: int) -> Derivation:
     """ui -> (n-2i)*ui, x0 -> n*x0: the degree/weight grading operator.
@@ -481,18 +513,18 @@ def nullspace_polynomials(ctx, candidates, vectors) -> list:
             for vec in vectors]
 
 
-def invariant_basis_direct(n: int, d: int) -> InvariantBasis:
+def invariant_basis_direct(n: int, d: int) -> tuple:
     """Oracle: solve both derivation equations over the x-ring directly."""
     if (n * d) % 2:
-        return InvariantBasis(n, d, ())
+        return ()
     ctx = x_ring(n)
     candidates = _compositions(ctx, d, n * d // 2)
     rows = []
     for op in (lowering_derivation(n), raising_derivation(n)):
         rows += monomial_rows(ctx, (apply_derivation(op, Polynomial.monomial(ctx, e))
                                     for e in candidates))
-    return InvariantBasis(n, d, tuple(nullspace_polynomials(
-        ctx, candidates, nullspace_sparse(len(candidates), rows))))
+    return tuple(nullspace_polynomials(
+        ctx, candidates, nullspace_sparse(len(candidates), rows)))
 
 
 def span_equal(xs, ys, n):
@@ -611,6 +643,15 @@ def check_pivot_layout(elim):
         assert all(type(v) is int and v for v in row.values())
         assert row[c] > 0 and math.gcd(*row.values()) == 1
         assert not (row.keys() - {c}) & elim.pivots.keys()
+
+
+def read_nullspace(elim, nullspace=PackedEliminator.nullspace):
+    """A PackedEliminator's nullspace, and whether the exact kernel gave it
+    (lifting refused) rather than lifting."""
+    with mock.patch.object(Eliminator, "integer_nullspace", autospec=True,
+                           side_effect=Eliminator.integer_nullspace) as exact:
+        basis = nullspace(elim)
+    return basis, exact.called
 
 
 def sparse_rows(data, rhs=None):

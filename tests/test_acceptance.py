@@ -138,7 +138,7 @@ def test_criterion_8_oracle_equivalence():
                 direct = invariant_basis_direct(n, d)
                 assert len(via_reduction) == len(direct)
                 converted = [normalize(expand_u_to_x(f, n)) for f in via_reduction]
-                assert span_equal(converted, list(direct.elements), n)
+                assert span_equal(converted, list(direct), n)
 
 
 def test_criterion_9_property_batteries():

@@ -251,6 +251,43 @@ def test_oversized_member_request_exits_2_at_once(tmp_path, capsys):
     assert "n=8" in err and "degree 60" in err and "5785827" in err
 
 
+def test_oversized_x_form_request_exits_2_at_once(capsys):
+    # the cubic's degree-7996 x-form could have 7996001 terms: refused
+    # before the basis is computed
+    start = time.perf_counter()
+    code, out = run_cli("invariants", "--n", "3", "--degree", "7996", "--coords", "x")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n=3" in err and "degree 7996" in err and "7996001" in err
+    assert "limit of 100000" in err
+
+
+def test_oversized_convert_request_exits_2(tmp_path, capsys):
+    # a component of degree 1500 and weight 1800 for n = 3 has 248251
+    # x-monomials; a smaller component of the same input does not help it
+    f = tmp_path / "big.poly"
+    f.write_text("x0^900*u3^600 + x0*u2\n")
+    code, out = run_cli("convert", "--n", "3", "--direction", "u2x", str(f))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "248251" in err and "limit of 100000" in err
+
+
+def test_member_of_a_high_generator_power(tmp_path):
+    # the generator power is built one product at a time, with no recursion
+    # per power: f2^998 is found at degree 1996
+    gens_dir = tmp_path / "gens"
+    gens_dir.mkdir()
+    (gens_dir / "f2.poly").write_text("x0*u2\n")
+    target = tmp_path / "t.poly"
+    target.write_text("x0^998*u2^998\n")
+    code, out = run_cli("member", "--n", "2", "--gens", str(gens_dir),
+                        "--target", str(target))
+    assert (code, out) == (0, "f2^998\n")
+
+
 def test_oversized_syzygies_request_exits_2_at_once(capsys):
     start = time.perf_counter()
     code, out = run_cli("syzygies", "--n", "8", "--gens", str(fixture_root() / "n8"),

@@ -11,8 +11,6 @@ from invforge.derivations import (
     project_x_to_u,
     raising_derivation,
     reduced_operator,
-    u_lowering_derivation,
-    u_raising_derivation,
     _x_keys,
 )
 from invforge.exponents import _compositions
@@ -38,7 +36,10 @@ from properties import (
     mixed_ring,
     raising_action_on_lambda,
     raising_action_on_u,
+    reduced_operator_from_the_pair,
     u_in_mixed,
+    u_lowering_derivation,
+    u_raising_derivation,
     u_variable_in_x,
     x0_cleared,
     x_variable_in_u,
@@ -56,6 +57,18 @@ def test_reduced_operator_images_cubic():
     assert apply_derivation(op, p("x0*u2^3", U3)) == p("3*x0^2*u2^2*u3", U3)
     assert apply_derivation(op, p("x0^2*u3^2", U3)) == p("-12*x0^2*u2^2*u3", U3)
     assert apply_derivation(op, Polynomial.one(U3)).is_zero()
+
+
+def test_reduced_operator_closed_form_is_the_lemma():
+    # x0*raise_u - (n-1)*u2*lower_u, built from the u-ring pair, is the
+    # closed form for every form degree, term order and coefficient types
+    # included
+    for n in range(2, MAX_FORM_DEGREE + 1):
+        want = reduced_operator_from_the_pair(n).images
+        got = reduced_operator(n).images
+        assert got == want
+        assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
+        assert all(type(c) is int for g in got for c in g.terms.values())
 
 
 def test_reduced_operator_is_built_once_per_form_degree():
@@ -243,7 +256,7 @@ def test_expand_matches_substitution_on_isobaric(case):
         assert expand_u_to_x(f, n) == want
 
 
-_BASES = {(n, d): invariant_basis(n, d).elements
+_BASES = {(n, d): invariant_basis(n, d)
           for n, ds in ((3, (4,)), (4, (2, 3)), (5, (4,)), (6, (2, 4)))
           for d in ds}
 

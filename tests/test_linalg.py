@@ -10,7 +10,6 @@ from invforge.linalg import (
     WORD_PRIME,
     Eliminator,
     PackedEliminator,
-    certified_nullspace,
     nullspace_sparse,
     rank_sparse,
     solve_affine_sparse,
@@ -24,6 +23,7 @@ from properties import (
     naive_nullspace,
     naive_rref,
     naive_solve_affine,
+    read_nullspace,
     sparse_rows,
 )
 
@@ -126,15 +126,13 @@ def modular(rows):
 
 
 def test_modular_nullspace_matches_exact():
-    read = 0
+    # every one of the 120 bases is lifted, with no exact fallback
     for data, cols, _ in linalg_naive_cases():
         got = modular(data)
         assert got.rank == len(naive_rref(data, cols)[1])
-        basis = got.nullspace()
-        if basis is not None:
-            read += 1
-            assert fractions(cols, basis) == naive_nullspace(data, cols)
-    assert read == 120
+        basis, exact = read_nullspace(got)
+        assert not exact
+        assert fractions(cols, basis) == naive_nullspace(data, cols)
 
 
 def test_modular_nullspace_near_the_bound(steps):
@@ -149,7 +147,8 @@ def test_modular_nullspace_near_the_bound(steps):
             mix = [[rng.randrange(-3, 4) for _ in range(3)] for _ in range(5)]
             data = [[sum(m * r[j] for m, r in zip(mx, base)) for j in range(6)]
                     for mx in mix]
-            got = modular(data).nullspace()
+            got, exact = read_nullspace(modular(data))
+            assert not exact
             assert fractions(6, got) == naive_nullspace(data, 6)
     assert len(steps) == 30
     assert max(steps[:10]) < min(steps[20:])
@@ -175,7 +174,7 @@ def test_reconstruction_bound_follows_the_modulus(steps):
     # sqrt(WORD_PRIME^2 / 2), and 10^12 within sqrt(WORD_PRIME^3 / 2)
     for entry, count in ((10**3, 1), (10**5, 2), (10**12, 3)):
         steps.clear()
-        assert modular([[1, -entry]]).nullspace() == [{0: entry, 1: 1}]
+        assert read_nullspace(modular([[1, -entry]])) == ([{0: entry, 1: 1}], False)
         assert steps == [count]
     # one step recovers some other short rational, which kills refuses
     assert linalg._rational(10**5 % WORD_PRIME, WORD_PRIME) not in (None, 10**5)
@@ -191,7 +190,9 @@ def test_reconstruction_bound_follows_the_modulus(steps):
     [[1, 1], [1, 1 + WORD_PRIME]],
 ], ids=["pivot-moves", "past-bound"])
 def test_modular_nullspace_refuses(rows):
-    assert modular(rows).nullspace() is None
+    # lifting refuses, and the exact kernel answers from the same rows
+    want = integer_nullspace(len(rows[0]), sparse_rows(rows))
+    assert read_nullspace(modular(rows)) == (want, True)
     assert modular(rows).rank <= rank(rows)
 
 
@@ -240,7 +241,7 @@ def test_exact_kernel_matches_naive_oracle(system):
     for r, c in enumerate(pivots):
         row = elim.pivots[c]
         assert [Fraction(row.get(j, 0), row[c]) for j in range(cols)] == m[r]
-    assert elim.nullspace() == naive_nullspace(data, cols)
+    assert fractions(cols, elim.integer_nullspace()) == naive_nullspace(data, cols)
     assert nullspace_sparse(cols, sparse_rows(data)) == naive_nullspace(data, cols)
     assert solve_affine_sparse(cols, sparse_rows(data, b)) == naive_solve_affine(data, b, cols)
 
@@ -248,16 +249,15 @@ def test_exact_kernel_matches_naive_oracle(system):
 @settings(max_examples=300, deadline=None)
 @given(sparse_systems())
 def test_modular_route_matches_exact_route(system):
-    # Fraction and long entries: the lifted basis, where there is one, and
-    # the certified route always give the exact kernel's answer
+    # Fraction and long entries: the lifted basis, or else the exact
+    # fallback, is always the exact kernel's answer
     data, cols, b = system
     for dense in (data, [row + [v] for row, v in zip(data, b)]):
         ncols, rows = len(dense[0]), sparse_rows(dense)
         elim = PackedEliminator(ncols).add_rows(dense)
         exact = integer_nullspace(ncols, rows)
         assert elim.rank == ncols - len(exact)
-        assert elim.nullspace() in (None, exact)
-        assert certified_nullspace(elim) == exact
+        assert elim.nullspace() == exact
         assert fractions(ncols, exact) == nullspace_sparse(ncols, rows)
 
 
@@ -279,9 +279,8 @@ def test_fallback_returns_the_exact_answer(data, b, null, sol):
     cols = len(data[0])
     rows, aug = sparse_rows(data), sparse_rows(data, b)
     elim = modular([row + [v] for row, v in zip(data, b)])
-    assert elim.nullspace() is None
-    assert certified_nullspace(elim) == integer_nullspace(cols + 1, aug)
-    assert certified_nullspace(modular(data)) == null
+    assert read_nullspace(elim) == (integer_nullspace(cols + 1, aug), True)
+    assert modular(data).nullspace() == null
     assert nullspace_sparse(cols, rows) == fractions(cols, null)
     assert solve_affine_sparse(cols, aug) == sol
 
@@ -356,11 +355,11 @@ def test_packed_store_matches_exact_kernel(system):
     # entries of at most 2^5 over rank <= 4 give minors below 2^25 < p, so
     # the pivots modulo p are the rational ones and lifting recovers the
     # basis
+    want = exact.integer_nullspace()
     if all(abs(v) <= 2**5 for row in data for v in row):
-        assert packed.nullspace() == exact.integer_nullspace()
+        assert read_nullspace(packed) == (want, False)
     else:
-        assert packed.nullspace() in (None, exact.integer_nullspace())
-    assert certified_nullspace(packed) == exact.integer_nullspace()
+        assert packed.nullspace() == want
 
 
 @pytest.mark.parametrize("last,rank", [(-498, MAX_CANDIDATES), (-499, MAX_CANDIDATES - 1)])
@@ -377,8 +376,7 @@ def test_packed_store_worst_carry(last, rank):
     assert all(linalg._unpack(row, n - c, packed.slot) == [1] + [WORD_PRIME - 1] * (n - 1 - c)
                for c, row in packed.echelon)
     # at rank n - 1 the null vector has entries of 499 bits, lifted in full
-    assert packed.nullspace() == exact.integer_nullspace()
-    assert certified_nullspace(packed) == exact.integer_nullspace()
+    assert read_nullspace(packed) == (exact.integer_nullspace(), False)
 
 
 @pytest.mark.parametrize("data,rows,null", [
@@ -392,8 +390,8 @@ def test_packed_store_lifts_rows_with_denominator_p(data, rows, null):
     # even when p divides that lcm: the integer row is kept and lifted
     elim = modular(data)
     assert elim.rows == rows
-    assert elim.nullspace() == integer_nullspace(len(rows[0]), sparse_rows(data)) == null
-    assert certified_nullspace(elim) == null
+    assert read_nullspace(elim) == (null, False)
+    assert integer_nullspace(len(rows[0]), sparse_rows(data)) == null
 
 
 # -- dense rows, the packed certificate and integer null vectors --------------
@@ -417,9 +415,10 @@ def _same_feeds(cols, data):
     assert all(type(v) is int for row in frac.rows for v in row)
     assert frac.rank == scaled.rank
     assert frac.echelon == scaled.echelon
-    assert frac.nullspace() == scaled.nullspace()
     exact = integer_nullspace(cols, sparse_rows(data))
-    assert certified_nullspace(frac) == certified_nullspace(scaled) == exact
+    # the same basis, by the same route
+    got = read_nullspace(frac)
+    assert got == read_nullspace(scaled) and got[0] == exact
     assert frac.kills(*exact) and scaled.kills(*exact)
     for vec in exact:
         assert frac.kills(vec) and scaled.kills(vec)
@@ -500,9 +499,8 @@ def test_integer_nullspace_is_the_primitive_canonical_basis(system):
     # entries: integers of content 1, positive on the free column, which is
     # the vector's last nonzero column
     data, cols, _ = system
-    elim = Eliminator(cols).add_rows(sparse_rows(data))
-    canonical = elim.nullspace()
-    got = elim.integer_nullspace()
+    canonical = nullspace_sparse(cols, sparse_rows(data))
+    got = integer_nullspace(cols, sparse_rows(data))
     assert len(got) == len(canonical)
     for vec, want in zip(got, canonical):
         assert list(vec) == sorted(vec)
@@ -549,9 +547,7 @@ def test_lifted_route_matches_the_exact_kernel(system):
     for row in data:
         elim.add_row(list(row))
     exact = integer_nullspace(cols, sparse_rows(data))
-    lifted = elim.nullspace()
-    assert lifted in (None, exact)
-    assert certified_nullspace(elim) == exact
+    assert elim.nullspace() == exact
     assert fractions(cols, exact) == nullspace_sparse(cols, sparse_rows(data))
 
 
@@ -565,21 +561,21 @@ def test_lifted_route_reads_several_free_columns_at_once(steps):
     for row in data:
         elim.add_row(row)
     assert len(elim.rows) == 5 and elim.rank == 3
-    assert elim.nullspace() == integer_nullspace(8, sparse_rows(data))
+    assert read_nullspace(elim) == (integer_nullspace(8, sparse_rows(data)), False)
     assert len(steps) == 1 and 1 < steps[0] < 10
 
 
 def test_lifting_stops_at_the_step_cap(steps):
     # rank 2, but 1 modulo p: the lifted vector (-1, 3^50) is the rational
     # solution of the first row, never a null vector of the second, so
-    # lifting runs to the cap and the exact kernel answers.  The cap is
+    # lifting runs to the cap, once, and the exact kernel answers.  The cap is
     # the first step with p^s > 2 H^2, H the Hadamard bound sqrt(2) * 3^50
     # of the one row that raised the rank, rounded up to whole bits.
     rows = [[3**50, 1], [3**50, 1 + WORD_PRIME]]
     elim = modular(rows)
     assert elim.rank == 1 and rank(rows) == 2
-    assert elim.nullspace() is None
-    assert certified_nullspace(elim) == [] == integer_nullspace(2, sparse_rows(rows))
+    assert read_nullspace(elim) == ([], True)
+    assert integer_nullspace(2, sparse_rows(rows)) == []
     cap = steps[0]
-    assert steps == [cap, cap]
+    assert steps == [cap]
     assert WORD_PRIME**cap > 2 * 2 * 3**100 > WORD_PRIME**(cap - 2)

@@ -25,6 +25,7 @@ from properties import (
     minimal_syzygies_reference,
     monomial_value_termwise,
     normalize,
+    read_nullspace,
     syzygy_basis_by_expansion,
 )
 
@@ -130,19 +131,20 @@ FILTER_DEGREES = {5: [36, 40], 6: [30, 32, 34], 8: [16]}
 @pytest.mark.parametrize("n,d", [(6, 30), (8, 16), (5, 36)])
 def test_exact_rows_fallback(n, d, expansions, monkeypatch):
     # the evaluation bases answer the same from the kept rows eliminated
-    # exactly
+    # exactly, when lifting yields no step at all
     gens, _ = bundled(n)
     want = syzygy_basis(gens, d), minimal_syzygies(gens, FILTER_DEGREES[n])
     refused = []
 
-    def refuse(self):
+    def refuse(self, free):
         refused.append(self.ncols)
+        return iter(())
 
-    monkeypatch.setattr(linalg.PackedEliminator, "nullspace", refuse)
+    monkeypatch.setattr(linalg.PackedEliminator, "_lift", refuse)
     assert (syzygy_basis(gens, d), minimal_syzygies(gens, FILTER_DEGREES[n])) == want
     assert not expansions
     # every certified basis, one per degree, went through the patched
-    # certificate; the minimality filter has none
+    # lifting; the minimality filter has none
     assert len(refused) == 1 + len(FILTER_DEGREES[n])
 
 
@@ -162,10 +164,10 @@ def test_certified_bases_build_no_exact_eliminator(ref5, monkeypatch):
     assert [s.degree for s in minimal_syzygies(ref5, [36, 40])] == [36]
     # d = 36: no consequence; d = 40: one, f4 times the degree-36 relation
     assert built == [1] * 4 + [1] + [1] * 4 + [2]
-    # with the certificate refused, each basis is one more exact system
-    # over its candidates, built before its filter
+    # with lifting refused, each basis is one more exact system over its
+    # candidates, built before its filter
     built.clear()
-    monkeypatch.setattr(linalg.PackedEliminator, "nullspace", lambda self: None)
+    monkeypatch.setattr(linalg.PackedEliminator, "_lift", lambda self, free: iter(()))
     assert [s.degree for s in minimal_syzygies(ref5, [36, 40])] == [36]
     count = [len(powers2(ref5.degrees(), d)) for d in (36, 40)]
     assert built == [count[0]] + [1] * 5 + [count[1]] + [1] * 4 + [2]
@@ -398,7 +400,7 @@ def test_full_rank_certified_system_has_no_back_substitution(n, degrees, monkeyp
         candidates = powers2(gens.degrees(), d)
         system = syzygies._certified_system(gens, d, candidates, points)
         assert system.rank == system.ncols == len(candidates)
-        assert linalg.certified_nullspace(system) == []
+        assert system.nullspace() == []
     assert syzygy_basis(gens, degrees[-1]) == []
 
 
@@ -539,17 +541,18 @@ def test_rational_generators_take_the_certified_route(ref5, expansions, monkeypa
     gens = GeneratorSet(5, tuple(
         Generator(g.name, g.degree, g.weight, g.u_poly.scale(Fraction(1, 3)), None)
         for g in ref5))
-    read = []
+    exact = []
     nullspace = linalg.PackedEliminator.nullspace
 
     def spy(self):
-        read.append(nullspace(self))
-        return read[-1]
+        basis, fell_back = read_nullspace(self, nullspace)
+        exact.append(fell_back)
+        return basis
 
     monkeypatch.setattr(linalg.PackedEliminator, "nullspace", spy)
     got = syzygy_basis(gens, 36)
     assert not expansions
-    assert len(read) == 1 and read[0] is not None
+    assert exact == [False]
     assert len(got) == 1 and got == syzygy_basis_by_expansion(gens, 36)
     assert check_syzygy(gens, got[0].relation)
 
@@ -578,13 +581,14 @@ def test_nullity_zero_degrees_run_on_the_word_prime(expansions, monkeypatch):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The certified systems whose lifted nullspace was refused."""
+    """The certified systems whose nullspace the exact kernel gave, lifting
+    having refused."""
     refused = []
     nullspace = linalg.PackedEliminator.nullspace
 
     def spy(self):
-        basis = nullspace(self)
-        if basis is None:
+        basis, exact = read_nullspace(self, nullspace)
+        if exact:
             refused.append(self.ncols)
         return basis
 
