@@ -5,7 +5,10 @@ Every weighted degree is requested: 1..48 for the quintic, 1..36 for the
 sextic and 1..26 for the octavic (under --all), each filtered from its own
 basis.  The quintic has one minimal relation (weighted degree 36), the
 sextic one (degree 30), the octavic five (degrees 16..20, none in 21..26);
-the script asserts those degrees.  Relations are computed for the freshly
+the script asserts those degrees.  It also checks the number of minimal
+relations in each degree against the Hilbert-series numerator N(t) (see
+``hilbert.relation_numerator``): below r0 + min d_i, and through the top
+degree when N(t) = 1 - t^r0.  Relations are computed for the freshly
 computed generator sets and, where available, the bundled relation is
 checked against the bundled generators as an independent identity check.
 """
@@ -14,6 +17,7 @@ import argparse
 import time
 
 from invforge.fixtures import fixture_generator_set, load_fixtures
+from invforge.hilbert import relation_numerator
 from invforge.invariants import known_degree_table, mingenset
 from invforge.syzygies import check_syzygy, minimal_syzygies
 from invforge.textio import format_poly
@@ -35,6 +39,15 @@ def run(n: int) -> None:
         shown = body if len(body) < 100 else f"{body[:96]}... ({len(syz.relation.terms)} terms)"
         print(f"  degree {syz.degree}: {shown}")
         assert check_syzygy(gens, syz.relation)
+    numerator = relation_numerator(n, degrees, TOP_DEGREE[n])
+    first = next(d for d in range(1, len(numerator)) if numerator[d])
+    one_relation = numerator[1:] == [-(d == first) for d in range(1, len(numerator))]
+    checked = len(numerator) if one_relation else first + min(degrees)
+    for d in range(1, checked):
+        count = sum(syz.degree == d for syz in found)
+        assert count == -numerator[d], (
+            f"degree {d}: {count} minimal relations, the Hilbert numerator asks {-numerator[d]}")
+    print(f"  minimal relation counts agree with the Hilbert numerator below degree {checked}")
     assert [syz.degree for syz in found] == RELATION_DEGREES[n]
     reference = fixture_generator_set(n)
     bundled = [rec for rec in load_fixtures(n) if rec.coordinates == "gen"]

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .hilbert import MAX_CANDIDATES, _box_partitions, candidate_count
+from .hilbert import MAX_CANDIDATES, box_partition_count, candidate_count
 from .rings import (
     MAX_FORM_DEGREE,
     ContextMismatchError,
@@ -206,12 +206,12 @@ MAX_X_TERMS = 100_000
 
 def refuse_large_x_form(n: int, d: int, w: int) -> None:
     """ValueError when an x-form of degree d and weight w for n may have
-    more than MAX_X_TERMS terms."""
-    count = _box_partitions(d, n, w)[w]
+    more than MAX_X_TERMS terms; sized by ``hilbert.box_partition_count``."""
+    count = box_partition_count(d, n, w, MAX_X_TERMS)
     if count > MAX_X_TERMS:
         raise ValueError(
             f"x-forms of degree {d} and weight {w} for n={n} may have {count}"
-            f" terms, above the limit of {MAX_X_TERMS}")
+            f" terms or more, above the limit of {MAX_X_TERMS}")
 
 
 @lru_cache(maxsize=64)

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .invariants import Generator, GeneratorSet, _verified, verify_invariant_u, verify_invariant_x
 from .rings import Polynomial, degree, u_ring, weight_u, x_ring
-from .syzygies import _check, _Points
+from .syzygies import _check
 from .textio import PolyParseError, parse_poly
 
 VALIDATED = "validated"
@@ -99,7 +99,6 @@ def load_fixtures(n: int, base: Path = None) -> list:
 
     gens = generator_set_from_records(n, records)
     gctx = gens.gen_context() if len(gens) else None
-    points = _Points(gens)  # generator values, shared by every relation's check
     for path in sorted(folder.glob("syzygy-*.gen"), key=lambda p: _name_key(p.stem.split("-")[-1])):
         body = path.read_text().strip()
         name = path.stem
@@ -114,7 +113,7 @@ def load_fixtures(n: int, base: Path = None) -> list:
         except PolyParseError as exc:
             records.append(FixtureRecord(n, name, "gen", body, SUSPECT, None, str(exc)))
             continue
-        if _check(gens, rel, points):
+        if _check(gens, rel):
             records.append(FixtureRecord(n, name, "gen", body, VALIDATED, rel))
         else:
             records.append(FixtureRecord(n, name, "gen", body, SUSPECT, rel,

@@ -49,14 +49,14 @@ from .rings import (
 def _refuse_oversized(n: int, d: int, what: str) -> None:
     """ValueError when degree d for n is above MAX_DEGREE or has more than
     MAX_CANDIDATES candidates."""
-    u_ring(n)  # refuses n above MAX_FORM_DEGREE before the O(n^2 d) count
+    u_ring(n)  # refuses n above MAX_FORM_DEGREE before any count
     if d > MAX_DEGREE:
         raise ValueError(f"{what} of degree {d} for n={n}: the degree is above"
                          f" the limit of {MAX_DEGREE}")
     count = candidate_count(n, d)
     if count > MAX_CANDIDATES:
         raise ValueError(
-            f"{what} of degree {d} for n={n} need {count} candidate"
+            f"{what} of degree {d} for n={n} need {count} or more candidate"
             f" monomials, above the limit of {MAX_CANDIDATES}")
 
 
@@ -87,14 +87,28 @@ class Generator:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """``verified``: every generator is a nonzero invariant of its degree.
+    """Generators of the invariants of the binary form of degree n.
 
-    That is the syzygy certificate's precondition.  It is checked on first
-    use, once per set, and is no field (not in ``__init__``, ``==``, ``hash``
-    or ``repr``).  ``load_generator_dir``, ``generator_set_from_records`` and
-    ``mingenset`` fill it in ahead of time, having just verified every
-    generator.  Point values and certified systems last one public call:
-    kept on a set, they would grow with every caller that holds it.
+    Three things are kept on a set for its lifetime, each built on first
+    use and none a field (not in ``__init__``, ``==``, ``hash`` or
+    ``repr``).  ``with_generator`` and every load give a new set, which
+    starts with none of them.
+
+    * ``verified``: every generator is a nonzero invariant of its degree,
+      the syzygy certificate's precondition.  ``load_generator_dir``,
+      ``generator_set_from_records`` and ``mingenset`` fill it in ahead of
+      time, having just verified every generator.
+    * ``gen_context()``: one generator ring, shared by every relation found
+      on the set.
+    * ``evaluation``: the generators on the syzygy engine's lines
+      (``syzygies._Points``), built by the first syzygy call that evaluates:
+      the line plan, and each line's coefficients in t once that line has
+      been asked for.  The lines asked grow with the highest degree asked,
+      which ``syzygies.MAX_CANDIDATES`` bounds.  For the bundled octavic
+      set, plan and lines hold 49 KB after degree 16 (5 lines) and 129 KB
+      after degree 28 (34 lines), against 251 KB of generator terms
+      (``sys.getsizeof`` summed over the objects held).  Certified systems
+      and bases are per-degree results and last one call.
     """
 
     n: int
@@ -110,6 +124,10 @@ class GeneratorSet:
         return self.generators[k]
 
     def gen_context(self) -> VarContext:
+        return self._gen_context
+
+    @cached_property
+    def _gen_context(self) -> VarContext:
         return gen_ring((g.name, g.degree, g.weight) for g in self.generators)
 
     def degrees(self) -> tuple:
@@ -125,6 +143,11 @@ class GeneratorSet:
     def verified(self) -> bool:
         return all(not g.u_poly.is_zero() and degree(g.u_poly) == g.degree
                    and verify_invariant_u(self.n, g.u_poly) for g in self)
+
+    @cached_property
+    def evaluation(self):
+        from .syzygies import _Points  # syzygies builds on this module
+        return _Points(self)
 
 
 def _verified(gens: GeneratorSet) -> GeneratorSet:

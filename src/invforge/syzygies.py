@@ -42,7 +42,11 @@ in t, so one plan evaluation per line gives all its coefficients and a
 point costs one Horner step per coefficient.  The bundled systems of rank
 47 (n = 6 degree 30, n = 8 degree 16) take 5 lines and no idle point.
 Every row is still the exact value of E at a point, so the certificate and
-every answer are unchanged.
+every answer are unchanged.  The evaluation belongs to the generator set
+(``GeneratorSet.evaluation``): the first call that evaluates builds the
+plan, each line is evaluated the first time any call asks for it, and
+every later call on the set reads both, so a set gives the same rows
+whichever calls came before.
 
 The generator plan (``_LinePlan``) groups each generator's terms by their
 exponent a on the line's slot, so that on the line the generator is the
@@ -280,34 +284,35 @@ def _horner(coeffs, t):
 
 
 class _Points:
-    """Generator values on a fixed sequence of lines, kept for one public call.
+    """Generator values on a fixed sequence of lines, one per generator set.
 
-    Line k draws a base point from ``random.Random(k)`` and varies one slot:
-    the one with the largest exponent among the generator terms (the first
-    such).  A ``_LinePlan``, built on first use, gives each generator's
-    coefficients in t once per line; each point of the line then costs one
-    Horner step per coefficient.
+    A set builds its own on the first call that evaluates (see
+    ``GeneratorSet.evaluation``) and keeps it for its lifetime.  Line k
+    draws a base point from ``random.Random(k)`` and varies one slot: the
+    one with the largest exponent among the generator terms (the first
+    such).  The ``_LinePlan`` gives each generator's coefficients in t once
+    per line, the first time the line is asked for; each point of the line
+    then costs one Horner step per coefficient.  Every value is the same on
+    a set first asked now and on one asked before.
     """
 
     def __init__(self, gens: GeneratorSet):
-        self.gens = gens
-        self.plan = None
+        polys = [g.u_poly.terms for g in gens]
+        tops = [max(col) for col in zip(*chain.from_iterable(polys))]
+        self.plan = _LinePlan(polys, len(tops), tops.index(max(tops)))
+        self.n = gens.n
         self.lines = []
 
     def values(self, k: int, t: int) -> list:
         """The generator values at the point t of line k."""
-        if self.plan is None:
-            polys = [g.u_poly.terms for g in self.gens]
-            tops = [max(col) for col in zip(*chain.from_iterable(polys))]
-            self.plan = _LinePlan(polys, len(tops), tops.index(max(tops)))
         while len(self.lines) <= k:
             rng = random.Random(len(self.lines))
             self.lines.append(self.plan.coefficients(
-                [rng.randint(-POINT_RANGE, POINT_RANGE) for _ in range(self.gens.n)]))
+                [rng.randint(-POINT_RANGE, POINT_RANGE) for _ in range(self.n)]))
         return [_horner(coeffs, t) for coeffs in self.lines[k]]
 
 
-def _certified_system(gens: GeneratorSet, d: int, candidates: list, points: _Points):
+def _certified_system(gens: GeneratorSet, d: int, candidates: list):
     """PackedEliminator over evaluation rows with rank dim I_d, or None.
 
     The rows come from the points t in LINE_STEPS of lines 0, 1, ...; a
@@ -316,7 +321,7 @@ def _certified_system(gens: GeneratorSet, d: int, candidates: list, points: _Poi
     target = invariant_dimension(gens.n, d)
     if len(candidates) < target or not gens.verified:
         return None
-    monomials = _PrefixPlan(candidates, len(gens))
+    points, monomials = gens.evaluation, _PrefixPlan(candidates, len(gens))
     elim = PackedEliminator(len(candidates))
     k = idle = 0
     while elim.rank < target and idle < IDLE_POINTS:
@@ -340,11 +345,11 @@ def _expansion_rows(gens: GeneratorSet, candidates: list) -> list:
     return monomial_rows(u_ring(gens.n), columns)
 
 
-def _basis(gens: GeneratorSet, d: int, points: _Points) -> list:
+def _basis(gens: GeneratorSet, d: int) -> list:
     candidates = _candidates(gens, d)
     if not candidates:
         return []
-    system = _certified_system(gens, d, candidates, points)
+    system = _certified_system(gens, d, candidates)
     if system is None:
         vectors = Eliminator(len(candidates)).add_rows(
             _expansion_rows(gens, candidates)).integer_nullspace()
@@ -356,10 +361,10 @@ def _basis(gens: GeneratorSet, d: int, points: _Points) -> list:
 
 def syzygy_basis(gens: GeneratorSet, d: int) -> list:
     """Canonical basis of all relations of weighted degree d."""
-    return _basis(gens, d, _Points(gens))
+    return _basis(gens, d)
 
 
-def _check(gens: GeneratorSet, relation: Polynomial, points: _Points) -> bool:
+def _check(gens: GeneratorSet, relation: Polynomial) -> bool:
     if relation.is_zero():
         return True
     if relation.context != gens.gen_context():
@@ -370,7 +375,7 @@ def _check(gens: GeneratorSet, relation: Polynomial, points: _Points) -> bool:
         parts.setdefault(sum(a * k for a, k in zip(e, degs)), {})[e] = c
     for d, terms in parts.items():
         candidates = _candidates(gens, d)
-        system = _certified_system(gens, d, candidates, points)
+        system = _certified_system(gens, d, candidates)
         if system is None:
             part = Polynomial(relation.context, terms)
             if not expand_in_generators(gens, part).is_zero():
@@ -389,7 +394,7 @@ def check_syzygy(gens: GeneratorSet, relation: Polynomial) -> bool:
     of its degree's certified evaluation system; a component without a
     certificate is expanded instead.
     """
-    return _check(gens, relation, _Points(gens))
+    return _check(gens, relation)
 
 
 def minimal_syzygies(gens: GeneratorSet, degrees) -> list:
@@ -416,10 +421,9 @@ def minimal_syzygies(gens: GeneratorSet, degrees) -> list:
     degrees = sorted(set(degrees))
     for d in degrees:
         _count(gens, d)
-    points = _Points(gens)
     minimal = []
     for d in degrees:
-        basis = _basis(gens, d, points)
+        basis = _basis(gens, d)
         if basis:
             minimal += _minimal(gens, d, basis)
     return minimal

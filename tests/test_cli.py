@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from invforge import cli
+from invforge import cli, hilbert
 from invforge.cli import main
 from invforge.fixtures import fixture_root, load_generator_dir
 from invforge.invariants import mingenset
@@ -273,6 +273,39 @@ def test_oversized_convert_request_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "248251" in err and "limit of 100000" in err
+
+
+HEAVY_REQUESTS = [
+    # (argv, weight of the input, exit code)
+    (["invariants", "--n", "64", "--degree", "7998"], 64 * 7998 // 2, 2),
+    (["invariants", "--n", "64", "--degree", "2000"], 64 * 2000 // 2, 2),
+    (["convert", "--n", "64", "--direction", "u2x", "u33^8000"], 33 * 8000, 2),
+    (["convert", "--n", "64", "--direction", "u2x", "u64^4000"], 64 * 4000, 1),
+]
+
+
+@pytest.mark.parametrize("argv,weight,code", HEAVY_REQUESTS,
+                         ids=[" ".join(argv) for argv, _, _ in HEAVY_REQUESTS])
+def test_heavy_requests_are_sized_in_small_tables(tmp_path, monkeypatch, argv, weight, code):
+    # sizing builds no partition table of the input's full weight: symmetry,
+    # unimodality and the candidate pair bound answer first; u64^4000 is
+    # sized, then fails its x-form (exit 1)
+    tops = []
+    box = hilbert._box_partitions
+
+    def spy(d, n, top, limit=None):
+        tops.append(top)
+        return box(d, n, top, limit)
+
+    monkeypatch.setattr(hilbert, "_box_partitions", spy)
+    if argv[0] == "convert":
+        poly = tmp_path / "heavy.poly"
+        poly.write_text(argv[-1] + "\n")
+        argv = argv[:-1] + [str(poly)]
+    start = time.perf_counter()
+    assert run_cli(*argv)[0] == code
+    assert time.perf_counter() - start < 1
+    assert max(tops, default=0) <= weight // 30
 
 
 def test_member_of_a_high_generator_power(tmp_path):

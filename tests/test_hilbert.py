@@ -1,8 +1,18 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invforge import hilbert
 from invforge.exponents import powers, powers2
-from invforge.hilbert import candidate_count, generator_monomial_count, invariant_dimension
+from invforge.hilbert import (
+    _box_partitions,
+    box_partition_count,
+    candidate_count,
+    generator_monomial_count,
+    invariant_dimension,
+    relation_numerator,
+)
 from invforge.invariants import invariant_basis
 
 
@@ -46,3 +56,40 @@ def test_generator_monomial_count_past_the_bound_is_immediate():
     assert generator_monomial_count((4, 8, 12, 18), 10**12 + 1, 500) == 0
     assert generator_monomial_count((4,), 10**12, 500) == 1
     assert generator_monomial_count((2, 2), 2 * 500, 500) == 501
+
+
+@pytest.mark.parametrize("n,top", [(3, 16), (4, 14), (5, 14), (6, 12), (7, 10), (8, 10)])
+def test_candidate_pair_bound_is_a_lower_bound(n, top, monkeypatch):
+    # C(d // 2 + t, t), t = (n - 2) // 2, never exceeds the count; with the
+    # bound tried on every request, a count above the limit reads as some
+    # number above it, and any other count is exact
+    t = (n - 2) // 2
+    monkeypatch.setattr(hilbert, "EXACT_WORK", 0)
+    monkeypatch.setattr(hilbert, "MAX_CANDIDATES", 20)
+    for d in range(1 + n % 2, top + 1, 1 + n % 2):  # nd even
+        exact = len(powers(n, d))
+        assert comb(d // 2 + t, t) <= exact
+        count = candidate_count(n, d)
+        assert count == exact if exact <= 20 else count > 20
+
+
+@pytest.mark.parametrize("exact_work", [0, hilbert.EXACT_WORK])
+@pytest.mark.parametrize("d,n", [(1, 5), (4, 4), (7, 3), (6, 9), (12, 7), (2, 30)])
+def test_box_partition_count_is_exact_up_to_the_limit(d, n, exact_work, monkeypatch):
+    monkeypatch.setattr(hilbert, "EXACT_WORK", exact_work)
+    table = _box_partitions(d, n, n * d)
+    for w in range(-1, n * d + 2):
+        want = table[w] if 0 <= w <= n * d else 0
+        for limit in (0, 1, 5, 50, 10**6):
+            got = box_partition_count(d, n, w, limit)
+            assert got == want if want <= limit else got > limit
+
+
+def test_hilbert_numerators_of_the_bundled_degrees():
+    def terms(n, degrees, top):
+        return {d: c for d, c in enumerate(relation_numerator(n, degrees, top)) if c}
+
+    assert terms(5, (4, 8, 12, 18), 80) == {0: 1, 36: -1}
+    assert terms(6, (2, 4, 6, 10, 15), 60) == {0: 1, 30: -1}
+    assert terms(8, range(2, 11), 40) == {0: 1, **{d: -1 for d in range(16, 21)},
+                                          **{d: 1 for d in range(25, 30)}}

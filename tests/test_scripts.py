@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from invforge import syzygies
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -47,6 +49,21 @@ def test_reproduce_syzygies_requests_every_degree(monkeypatch, capsys):
     monkeypatch.setitem(script.RELATION_DEGREES, 5, [36, 40])
     with pytest.raises(AssertionError):
         script.run(5)
+
+
+WRONG_FILTERS = {"keeps every basis relation": lambda gens, d, basis: basis,
+                 "keeps none": lambda gens, d, basis: []}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("wrong", sorted(WRONG_FILTERS))
+def test_reproduce_syzygies_checks_the_hilbert_numerator(n, wrong, monkeypatch):
+    # a filter that keeps the products of the one relation, or drops the
+    # relation itself, disagrees with N(t) = 1 - t^r0 in some degree
+    script = load("reproduce_syzygies")
+    monkeypatch.setattr(syzygies, "_minimal", WRONG_FILTERS[wrong])
+    with pytest.raises(AssertionError, match="the Hilbert numerator asks"):
+        script.run(n)
 
 
 END_TO_END = [{"name": "wall_ref_s", "better": "lower", "bound": 0.15},

@@ -9,7 +9,7 @@ from invforge.hilbert import generator_monomial_count, invariant_dimension
 from invforge.fixtures import fixture_generator_set, fixture_root, load_generator_dir
 from invforge.invariants import Generator, GeneratorSet, mingenset
 from invforge.invariants import DimensionMismatchError
-from invforge.rings import Polynomial, u_ring
+from invforge.rings import Polynomial, gen_ring, u_ring
 from invforge.syzygies import (
     check_syzygy,
     expand_in_generators,
@@ -112,6 +112,70 @@ def bundled(n):
     gens = load_generator_dir(n, folder)
     body = (folder / "syzygy-1.gen").read_text().strip()
     return gens, parse_poly(body, gens.gen_context())
+
+
+def test_one_line_plan_per_generator_set(monkeypatch):
+    # every syzygy call on one set reads the evaluation it built first
+    built = []
+    line_plan = syzygies._LinePlan
+
+    def spy(polys, slots, slot):
+        built.append(len(polys))
+        return line_plan(polys, slots, slot)
+
+    monkeypatch.setattr(syzygies, "_LinePlan", spy)
+    gens, rel = bundled(6)
+    assert minimal_syzygies(gens, [30])
+    assert syzygy_basis(gens, 32)
+    assert check_syzygy(gens, rel)
+    assert minimal_syzygies(gens, [15, 30])
+    assert built == [len(gens)]
+    assert check_syzygy(bundled(6)[0], rel)
+    assert built == [len(gens)] * 2
+
+
+def test_warm_set_answers_as_a_cold_one():
+    # a fresh set draws the lines that an earlier call drew on a warm one,
+    # and the relations read from them print the same
+    warm, _ = bundled(8)
+    minimal_syzygies(warm, [24])
+    lines = list(warm.evaluation.lines)
+    cold, _ = bundled(8)
+    want = [format_poly(s.relation) for s in minimal_syzygies(cold, range(1, 25))]
+    assert cold.evaluation.lines == lines
+    assert [format_poly(s.relation) for s in minimal_syzygies(warm, range(1, 25))] == want
+    assert len(want) == 5
+
+
+def test_new_sets_start_cold():
+    gens, _ = bundled(5)
+    syzygy_basis(gens, 36)
+    assert "evaluation" in vars(gens)
+    assert "evaluation" not in vars(bundled(5)[0])
+    grown = gens.with_generator(gens[0])
+    assert "evaluation" not in vars(grown) and "verified" not in vars(grown)
+
+
+def test_warm_set_compares_hashes_and_prints_as_a_cold_one():
+    warm, cold = bundled(5)[0], bundled(5)[0]
+    text = repr(cold)
+    syzygy_basis(warm, 36)
+    assert "evaluation" in vars(warm)
+    assert warm == cold and repr(warm) == text
+    # generators hold polynomials, so neither set hashes
+    for gens in (warm, cold):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(gens)
+
+
+def test_one_generator_context_per_set():
+    gens, rel = bundled(5)
+    ctx = gens.gen_context()
+    assert gens.gen_context() is ctx
+    assert ctx == gen_ring((g.name, g.degree, g.weight) for g in gens)
+    assert rel.context is ctx
+    assert all(s.relation.context is ctx for s in minimal_syzygies(gens, [36, 40]))
+    assert bundled(5)[0].gen_context() is not ctx
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -375,14 +439,13 @@ def test_line_values_match_termwise_evaluation(case, slot, t):
 def test_certified_rows_match_termwise_reference(n, d):
     gens, _ = bundled(n)
     candidates = powers2(gens.degrees(), d)
-    points = syzygies._Points(gens)
-    system = syzygies._certified_system(gens, d, candidates, points)
+    system = syzygies._certified_system(gens, d, candidates)
     assert system is not None
     assert system.rows == certified_rows_termwise(
         gens, d, candidates, syzygies.POINT_RANGE, syzygies.IDLE_POINTS)
     # each line gives several rows from one plan evaluation
-    assert 2 * len(points.lines) <= len(system.rows)
-    assert points.plan.slot == line_slot_termwise(gens)
+    assert 2 * len(gens.evaluation.lines) <= len(system.rows)
+    assert gens.evaluation.plan.slot == line_slot_termwise(gens)
 
 
 @pytest.mark.parametrize("n,degrees", [(6, [10, 15, 29]), (8, [12, 15])])
@@ -395,10 +458,9 @@ def test_full_rank_certified_system_has_no_back_substitution(n, degrees, monkeyp
     monkeypatch.setattr(linalg.PackedEliminator, "_lift", refuse)
     monkeypatch.setattr(linalg.Eliminator, "__init__", refuse)
     gens, _ = bundled(n)
-    points = syzygies._Points(gens)
     for d in degrees:
         candidates = powers2(gens.degrees(), d)
-        system = syzygies._certified_system(gens, d, candidates, points)
+        system = syzygies._certified_system(gens, d, candidates)
         assert system.rank == system.ncols == len(candidates)
         assert system.nullspace() == []
     assert syzygy_basis(gens, degrees[-1]) == []
@@ -429,8 +491,7 @@ def test_check_systems_run_on_the_word_prime(expansions, monkeypatch):
     assert not check_syzygy(gens, bad)
     assert built == ["packed"] * 2
     built.clear()
-    system = syzygies._certified_system(
-        gens, 16, powers2(gens.degrees(), 16), syzygies._Points(gens))
+    system = syzygies._certified_system(gens, 16, powers2(gens.degrees(), 16))
     assert system.slot == (2 * 30 + (system.ncols + 1).bit_length() + 7) // 8
     assert len(syzygy_basis(gens, 16)) == 1
     assert built == ["packed"] * 2
