@@ -5,10 +5,12 @@ holds a generator in u-coordinates (``{name}_x.poly`` in x-coordinates) and
 ``syzygy-{k}.gen`` a relation in generator symbols.  Nothing is trusted on
 faith: every record is classified at load time as ``validated`` or
 ``transcription-suspect`` by running it through the invariance verifiers
-(generators) or ``check_syzygy`` against the validated generators
+(generators) or ``syzygies.check_syzygy`` against the validated generators
 (relations), which tests it exactly against the certified relation space
 of its degree.  Suspect records stay available but must not feed golden
-comparisons.
+comparisons.  ``load_fixtures``, ``generator_set_from_records`` and
+``load_generator_dir`` (a ``--gens`` directory) build their verified sets
+with ``invariants.verified_set``.
 """
 
 from __future__ import annotations
@@ -18,10 +20,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .invariants import Generator, GeneratorSet, _verified, verify_invariant_u, verify_invariant_x
-from .rings import Polynomial, degree, u_ring, weight_u, x_ring
-from .syzygies import _check
-from .textio import PolyParseError, parse_poly
+from .invariants import (
+    Generator,
+    GeneratorSet,
+    verified_set,
+    verify_invariant_u,
+    verify_invariant_x,
+)
+from .rings import Polynomial, degree, u_ring, x_ring
+from .syzygies import check_syzygy
+from .textio import PolyParseError, format_poly, parse_poly
 
 VALIDATED = "validated"
 SUSPECT = "transcription-suspect"
@@ -71,14 +79,14 @@ def _validate_generator(n: int, name: str, coords: str, body: str) -> FixtureRec
 
 
 def generator_set_from_records(n: int, records) -> GeneratorSet:
-    """Verified generator set over the validated u-coordinate records, by degree."""
+    """Verified generator set over the validated u-coordinate records, by
+    degree; a balanced invariant of degree d has weight n*d/2."""
     gens = []
     for rec in records:
         if rec.coordinates == "u" and rec.status == VALIDATED:
             d = degree(rec.poly)
-            gens.append(Generator(rec.name, d, weight_u(rec.poly), rec.poly, None))
-    gens.sort(key=lambda g: (g.degree, g.name))
-    return _verified(GeneratorSet(n, tuple(gens)))
+            gens.append(Generator(rec.name, d, n * d // 2, rec.poly, None))
+    return verified_set(n, gens)
 
 
 def load_fixtures(n: int, base: Path = None) -> list:
@@ -113,7 +121,7 @@ def load_fixtures(n: int, base: Path = None) -> list:
         except PolyParseError as exc:
             records.append(FixtureRecord(n, name, "gen", body, SUSPECT, None, str(exc)))
             continue
-        if _check(gens, rel):
+        if check_syzygy(gens, rel):
             records.append(FixtureRecord(n, name, "gen", body, VALIDATED, rel))
         else:
             records.append(FixtureRecord(n, name, "gen", body, SUSPECT, rel,
@@ -149,16 +157,14 @@ def load_generator_dir(n: int, path) -> GeneratorSet:
         d = degree(poly)
         if d == 0:
             raise ValueError(f"{p.name} is a constant, not a generator")
-        gens.append(Generator(p.stem, d, weight_u(poly), poly, None))
+        gens.append(Generator(p.stem, d, n * d // 2, poly, None))
     if not gens:
         raise ValueError(f"no generator files in {folder}")
-    gens.sort(key=lambda g: (g.degree, g.name))
-    return _verified(GeneratorSet(n, tuple(gens)))
+    return verified_set(n, gens)
 
 
 def write_generator_dir(gens: GeneratorSet, path) -> None:
     """Write a generator set in the fixture directory layout."""
-    from .textio import format_poly
     folder = Path(path)
     folder.mkdir(parents=True, exist_ok=True)
     for g in gens:

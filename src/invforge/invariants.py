@@ -95,9 +95,10 @@ class GeneratorSet:
     starts with none of them.
 
     * ``verified``: every generator is a nonzero invariant of its degree,
-      the syzygy certificate's precondition.  ``load_generator_dir``,
-      ``generator_set_from_records`` and ``mingenset`` fill it in ahead of
-      time, having just verified every generator.
+      the syzygy certificate's precondition.  ``verified_set`` fills it in
+      ahead of time for ``load_generator_dir``,
+      ``generator_set_from_records`` and ``mingenset``, which have just
+      verified every generator.
     * ``gen_context()``: one generator ring, shared by every relation found
       on the set.
     * ``evaluation``: the generators on the syzygy engine's lines
@@ -150,8 +151,10 @@ class GeneratorSet:
         return _Points(self)
 
 
-def _verified(gens: GeneratorSet) -> GeneratorSet:
-    """gens, marked verified by a caller that has just verified every generator."""
+def verified_set(n: int, generators) -> GeneratorSet:
+    """The set of these generators by (degree, name), marked verified by a
+    caller that has just verified every generator."""
+    gens = GeneratorSet(n, tuple(sorted(generators, key=lambda g: (g.degree, g.name))))
     gens.__dict__["verified"] = True
     return gens
 
@@ -367,4 +370,4 @@ def mingenset(n: int, r: int, degrees) -> GeneratorSet:
         if found != expected:
             raise DegreeMismatchError(
                 f"expected {expected} new generators at degree {d}, found {found}")
-    return _verified(gens)
+    return verified_set(n, gens)

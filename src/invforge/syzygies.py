@@ -15,17 +15,17 @@ p reaches the Cayley-Sylvester count dim I_d.  Since rank_p E <= rank_Q E,
 that certifies rank E = rank A = dim I_d over Q, so null(E) = null(A)
 exactly and E answers both questions:
 
-* the basis is the eliminator's lifted nullspace: the null vectors modulo
-  p^s by p-adic lifting, reconstructed after each step and checked by
-  exact dot products.  Every checked vector is in null(E), there are
-  ncols - rank_p = ncols - rank_Q of them, and each one's last nonzero
-  entry is its own free column, so they are the canonical (RREF) basis of
-  null(A), the same one the expansion route gives, as primitive integer
-  vectors, which are the normalized relations.  A degree whose candidates
-  number dim I_d has no free column: rank = ncols proves its basis empty,
-  with nothing to lift;
-* a relation checks iff each weighted-degree component v has E*v = 0 on the
-  kept rows, by exact dot products alone.
+* the basis (``syzygy_basis``) is the eliminator's lifted nullspace: the
+  null vectors modulo p^s by p-adic lifting, reconstructed after each step
+  and checked by exact dot products.  Every checked vector is in null(E),
+  there are ncols - rank_p = ncols - rank_Q of them, and each one's last
+  nonzero entry is its own free column, so they are the canonical (RREF)
+  basis of null(A), the same one the expansion route gives, as primitive
+  integer vectors, which are the normalized relations.  A degree whose
+  candidates number dim I_d has no free column: rank = ncols proves its
+  basis empty, with nothing to lift;
+* a relation checks (``check_syzygy``) iff each weighted-degree component
+  v has E*v = 0 on the kept rows, by exact dot products alone.
 
 A relation is minimal when no lower-degree relations give it: the
 consequences in degree d are the sum over the generators f_j of f_j times
@@ -70,7 +70,7 @@ A certified system's basis is read back by its ``nullspace``, whose only
 fallback is the exact kernel on the same rows.  Without the
 certificate (a set that does not span I_d, a stalled rank, or a hand-built
 generator that is no invariant of its degree; loaded and computed sets
-arrive verified, see ``GeneratorSet.verified``) the rows are those of the
+arrive verified from ``invariants.verified_set``) the rows are those of the
 expanded A instead, sparse, and they go to ``linalg.Eliminator``, the exact
 kernel of invariant bases and membership.  The expanded A alone is the
 test suite's reference route.
@@ -345,7 +345,8 @@ def _expansion_rows(gens: GeneratorSet, candidates: list) -> list:
     return monomial_rows(u_ring(gens.n), columns)
 
 
-def _basis(gens: GeneratorSet, d: int) -> list:
+def syzygy_basis(gens: GeneratorSet, d: int) -> list:
+    """Canonical basis of all relations of weighted degree d."""
     candidates = _candidates(gens, d)
     if not candidates:
         return []
@@ -359,12 +360,13 @@ def _basis(gens: GeneratorSet, d: int) -> list:
     return [Syzygy(primitive_polynomial(ctx, candidates, vec), d) for vec in vectors]
 
 
-def syzygy_basis(gens: GeneratorSet, d: int) -> list:
-    """Canonical basis of all relations of weighted degree d."""
-    return _basis(gens, d)
+def check_syzygy(gens: GeneratorSet, relation: Polynomial) -> bool:
+    """True iff the relation expands to the exact zero polynomial.
 
-
-def _check(gens: GeneratorSet, relation: Polynomial) -> bool:
+    Each weighted-degree component must be exactly orthogonal to every row
+    of its degree's certified evaluation system; a component without a
+    certificate is expanded instead.
+    """
     if relation.is_zero():
         return True
     if relation.context != gens.gen_context():
@@ -385,16 +387,6 @@ def _check(gens: GeneratorSet, relation: Polynomial) -> bool:
         if not system.kills({index[e]: c for e, c in terms.items()}):
             return False
     return True
-
-
-def check_syzygy(gens: GeneratorSet, relation: Polynomial) -> bool:
-    """True iff the relation expands to the exact zero polynomial.
-
-    Each weighted-degree component must be exactly orthogonal to every row
-    of its degree's certified evaluation system; a component without a
-    certificate is expanded instead.
-    """
-    return _check(gens, relation)
 
 
 def minimal_syzygies(gens: GeneratorSet, degrees) -> list:
@@ -423,7 +415,7 @@ def minimal_syzygies(gens: GeneratorSet, degrees) -> list:
         _count(gens, d)
     minimal = []
     for d in degrees:
-        basis = _basis(gens, d)
+        basis = syzygy_basis(gens, d)
         if basis:
             minimal += _minimal(gens, d, basis)
     return minimal

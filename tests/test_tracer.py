@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import invforge
+from invforge import fixtures, syzygies
 from invforge.exponents import powers
 from invforge.invariants import invariant_basis
 from invforge.rings import Polynomial
@@ -49,3 +50,20 @@ def test_tracer_counts_the_sparse_systems():
     assert got["linalg.rows"] > 0
     assert got["linalg.rank"] == ncols - len(basis)
     assert got["linalg.max_pivot_bits"] > 0
+
+
+def test_tracer_counts_every_relation_basis_and_check():
+    # minimal_syzygies reads its basis through syzygy_basis, and
+    # load_fixtures checks each bundled relation through check_syzygy, so
+    # the traced counts include the calls the library makes itself
+    ref5 = fixtures.fixture_generator_set(5)
+    tracer = load_tracer()
+    for call, metric in ((lambda: syzygies.minimal_syzygies(ref5, [36]), "syzygies.basis_calls"),
+                         (lambda: fixtures.load_fixtures(5), "syzygies.check_calls")):
+        t = tracer.Tracer()
+        try:
+            t.install()
+            call()
+        finally:
+            t.uninstall()
+        assert t.metrics()[metric] == 1, metric
