@@ -3,14 +3,16 @@
 The reference data ships verbatim under ``fixtures/n{N}/``: ``{name}.poly``
 holds a generator in u-coordinates (``{name}_x.poly`` in x-coordinates) and
 ``syzygy-{k}.gen`` a relation in generator symbols.  Nothing is trusted on
-faith: every record is classified at load time as ``validated`` or
-``transcription-suspect`` by running it through the invariance verifiers
-(generators) or ``syzygies.check_syzygy`` against the validated generators
-(relations), which tests it exactly against the certified relation space
-of its degree.  Suspect records stay available but must not feed golden
-comparisons.  ``load_fixtures``, ``generator_set_from_records`` and
-``load_generator_dir`` (a ``--gens`` directory) build their verified sets
-with ``invariants.verified_set``.
+faith: every generator file goes through one check (parse, zero, constant,
+then the invariance verifier of its coordinates).  ``load_fixtures``
+classifies every record as ``validated`` or ``transcription-suspect``, then
+checks each relation with ``syzygies.check_syzygy`` against the validated
+u-form generators, exactly against the certified relation space of its
+degree; suspect records stay available but must not feed golden
+comparisons.  ``load_generator_dir`` (a ``--gens`` directory, or a bundled
+one through ``fixture_generator_set``) reads only the u-forms, raises on the
+first file that fails and checks no relation.  Both build their verified
+sets with ``invariants.verified_set``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .textio import PolyParseError, format_poly, parse_poly
 
 VALIDATED = "validated"
 SUSPECT = "transcription-suspect"
+_CONSTANT = "constant, not a generator"
 
 _DATA_ROOT = Path(__file__).parent / "fixtures"
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
@@ -40,10 +43,8 @@ _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 @dataclass
 class FixtureRecord:
-    n: int
     name: str
     coordinates: str  # "u", "x" or "gen"
-    body: str
     status: str
     poly: Optional[Polynomial]
     note: str = ""
@@ -54,38 +55,46 @@ def fixture_root() -> Path:
 
 
 def _name_key(name: str):
+    # f2 before f10; a tie (f2, g2) goes by the name, not the listing order
     m = re.match(r"[a-z]+(\d+)(.*)", name)
     if m:
-        return (int(m.group(1)), m.group(2))
-    return (0, name)
+        return (int(m.group(1)), m.group(2), name)
+    return (0, name, name)
 
 
-def _validate_generator(n: int, name: str, coords: str, body: str) -> FixtureRecord:
+def _generator_files(folder: Path):
+    """(name, coordinates, path) of every ``*.poly`` in folder, in name order."""
+    for path in sorted(folder.glob("*.poly"), key=lambda p: _name_key(p.stem)):
+        stem = path.stem
+        if stem.endswith("_x"):
+            yield stem[:-2], "x", path
+        else:
+            yield stem, "u", path
+
+
+def _check_generator(n: int, name: str, coords: str, path: Path) -> FixtureRecord:
     ctx = u_ring(n) if coords == "u" else x_ring(n)
     try:
-        poly = parse_poly(body, ctx)
+        poly = parse_poly(path.read_text().strip(), ctx)
     except PolyParseError as exc:
-        return FixtureRecord(n, name, coords, body, SUSPECT, None, str(exc))
+        return FixtureRecord(name, coords, SUSPECT, None, str(exc))
     if poly.is_zero():
-        return FixtureRecord(n, name, coords, body, SUSPECT, poly, "parsed to zero")
-    if degree(poly) == 0:
-        return FixtureRecord(n, name, coords, body, SUSPECT, poly,
-                             "constant, not a generator")
+        return FixtureRecord(name, coords, SUSPECT, poly, "parsed to zero")
+    if not any(map(any, poly.terms)):  # no term holds a variable
+        return FixtureRecord(name, coords, SUSPECT, poly, _CONSTANT)
     verify = verify_invariant_u if coords == "u" else verify_invariant_x
     if verify(n, poly):
-        return FixtureRecord(n, name, coords, body, VALIDATED, poly)
-    return FixtureRecord(n, name, coords, body, SUSPECT, poly,
-                         "fails the invariance verifier")
+        return FixtureRecord(name, coords, VALIDATED, poly)
+    return FixtureRecord(name, coords, SUSPECT, poly, "fails the invariance verifier")
 
 
-def generator_set_from_records(n: int, records) -> GeneratorSet:
-    """Verified generator set over the validated u-coordinate records, by
-    degree; a balanced invariant of degree d has weight n*d/2."""
+def _generator_set(n: int, records) -> GeneratorSet:
+    """Verified set over validated u-form records, by degree; a balanced
+    invariant of degree d has weight n*d/2."""
     gens = []
     for rec in records:
-        if rec.coordinates == "u" and rec.status == VALIDATED:
-            d = degree(rec.poly)
-            gens.append(Generator(rec.name, d, n * d // 2, rec.poly, None))
+        d = degree(rec.poly)
+        gens.append(Generator(rec.name, d, n * d // 2, rec.poly, None))
     return verified_set(n, gens)
 
 
@@ -96,41 +105,32 @@ def load_fixtures(n: int, base: Path = None) -> list:
     if not folder.is_dir():
         raise FileNotFoundError(f"no fixtures for n={n} under {root}")
 
-    records = []
-    for path in sorted(folder.glob("*.poly"), key=lambda p: _name_key(p.stem)):
-        stem = path.stem
-        if stem.endswith("_x"):
-            name, coords = stem[:-2], "x"
-        else:
-            name, coords = stem, "u"
-        records.append(_validate_generator(n, name, coords, path.read_text().strip()))
-
-    gens = generator_set_from_records(n, records)
-    gctx = gens.gen_context() if len(gens) else None
-    for path in sorted(folder.glob("syzygy-*.gen"), key=lambda p: _name_key(p.stem.split("-")[-1])):
-        body = path.read_text().strip()
-        name = path.stem
-        if gctx is None:
-            records.append(FixtureRecord(n, name, "gen", body, SUSPECT, None,
-                                         "no validated generators to expand against"))
-            continue
-        try:
-            # a reference to a suspect generator is an unknown variable here,
-            # so it lands in the parse-error branch
-            rel = parse_poly(body, gctx)
-        except PolyParseError as exc:
-            records.append(FixtureRecord(n, name, "gen", body, SUSPECT, None, str(exc)))
-            continue
-        if check_syzygy(gens, rel):
-            records.append(FixtureRecord(n, name, "gen", body, VALIDATED, rel))
-        else:
-            records.append(FixtureRecord(n, name, "gen", body, SUSPECT, rel,
-                                         "expansion through the generators is nonzero"))
+    records = [_check_generator(n, *file) for file in _generator_files(folder)]
+    gens = _generator_set(n, [r for r in records
+                              if r.coordinates == "u" and r.status == VALIDATED])
+    # by the number after the dash: syzygy-2 before syzygy-10
+    for path in sorted(folder.glob("syzygy-*.gen"),
+                       key=lambda p: _name_key(p.stem.replace("-", ""))):
+        body, rel = path.read_text().strip(), None
+        note = "no validated generators to expand against"
+        if gens:
+            try:
+                # a reference to a suspect generator is an unknown variable
+                # here, so it lands in the parse-error branch
+                rel = parse_poly(body, gens.gen_context())
+            except PolyParseError as exc:
+                note = str(exc)
+            else:
+                note = ("" if check_syzygy(gens, rel)
+                        else "expansion through the generators is nonzero")
+        records.append(FixtureRecord(path.stem, "gen", SUSPECT if note else VALIDATED,
+                                     rel, note))
     return records
 
 
-def fixture_generator_set(n: int, base: Path = None) -> GeneratorSet:
-    return generator_set_from_records(n, load_fixtures(n, base))
+def fixture_generator_set(n: int) -> GeneratorSet:
+    """The bundled generators for n, read as a ``--gens`` directory."""
+    return load_generator_dir(n, _DATA_ROOT / f"n{n}")
 
 
 def load_generator_dir(n: int, path) -> GeneratorSet:
@@ -139,28 +139,28 @@ def load_generator_dir(n: int, path) -> GeneratorSet:
     Files with an ``_x`` suffix are skipped (they are the optional x-forms
     written next to the u-forms).  Every file stem must be an identifier of
     the text grammar that is not a u-ring variable name, so relations print
-    with names that parse back, and every generator must be a nonconstant
-    polynomial that passes the u-ring verifier; anything else is a usage
-    error.
+    with names that parse back, and every file must pass the generator
+    check; the first one that fails is a usage error that names the file.
     """
     folder = Path(path)
     reserved = set(u_ring(n).names()) | {"t"}
-    gens = []
-    for p in sorted(folder.glob("*.poly"), key=lambda p: _name_key(p.stem)):
-        if p.stem.endswith("_x"):
+    records = []
+    for name, coords, p in _generator_files(folder):
+        if coords == "x":
             continue
-        if not _IDENTIFIER.fullmatch(p.stem) or p.stem in reserved:
-            raise ValueError(f"{p.name}: {p.stem!r} cannot name a generator")
-        poly = parse_poly(p.read_text().strip(), u_ring(n))
-        if poly.is_zero() or not verify_invariant_u(n, poly):
-            raise ValueError(f"{p.name} is not a verified invariant")
-        d = degree(poly)
-        if d == 0:
+        if not _IDENTIFIER.fullmatch(name) or name in reserved:
+            raise ValueError(f"{p.name}: {name!r} cannot name a generator")
+        rec = _check_generator(n, name, coords, p)
+        if rec.poly is None:  # a parse error
+            raise ValueError(f"{p.name}: {rec.note}")
+        if rec.note == _CONSTANT:
             raise ValueError(f"{p.name} is a constant, not a generator")
-        gens.append(Generator(p.stem, d, n * d // 2, poly, None))
-    if not gens:
+        if rec.status != VALIDATED:
+            raise ValueError(f"{p.name} is not a verified invariant")
+        records.append(rec)
+    if not records:
         raise ValueError(f"no generator files in {folder}")
-    return verified_set(n, gens)
+    return _generator_set(n, records)
 
 
 def write_generator_dir(gens: GeneratorSet, path) -> None:

@@ -96,9 +96,8 @@ class GeneratorSet:
 
     * ``verified``: every generator is a nonzero invariant of its degree,
       the syzygy certificate's precondition.  ``verified_set`` fills it in
-      ahead of time for ``load_generator_dir``,
-      ``generator_set_from_records`` and ``mingenset``, which have just
-      verified every generator.
+      ahead of time for the loaders in ``fixtures`` and for ``mingenset``,
+      which have just verified every generator.
     * ``gen_context()``: one generator ring, shared by every relation found
       on the set.
     * ``evaluation``: the generators on the syzygy engine's lines

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from invforge import cli, hilbert
+from invforge import cli, fixtures, hilbert
 from invforge.cli import main
 from invforge.fixtures import fixture_root, load_generator_dir
 from invforge.invariants import mingenset
@@ -184,6 +185,17 @@ def test_fixtures_subcommand():
     assert lines == ["f2 [u] validated", "f3 [u] validated"]
 
 
+def test_fixtures_subcommand_prints_notes(tmp_path, monkeypatch):
+    shutil.copytree(fixture_root() / "n4", tmp_path / "n4")
+    (tmp_path / "n4" / "f3.poly").write_text("u2\n")
+    monkeypatch.setattr(fixtures, "_DATA_ROOT", tmp_path)
+    code, out = run_cli("fixtures", "--n", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "f2 [u] validated",
+        "f3 [u] transcription-suspect (fails the invariance verifier)"]
+
+
 def test_directory_target_exits_2(tmp_path, capsys):
     gens_dir = tmp_path / "gens4"
     run_cli("mingenset", "--n", "4", "--out", str(gens_dir))
@@ -216,6 +228,17 @@ def test_constant_generator_file_exits_2(tmp_path, capsys, command):
     code, _ = run_cli(command, "--n", "5", "--gens", str(gens_dir), *extra)
     assert code == 2
     assert capsys.readouterr().err == "error: c.poly is a constant, not a generator\n"
+
+
+def test_unparseable_generator_file_is_named(tmp_path, capsys):
+    gens_dir = tmp_path / "gens"
+    gens_dir.mkdir()
+    n4 = fixture_root() / "n4"
+    (gens_dir / "f2.poly").write_text("4*x0*u9 + ??\n")
+    code, _ = run_cli("member", "--n", "4", "--gens", str(gens_dir),
+                      "--target", str(n4 / "f3.poly"))
+    assert code == 2
+    assert capsys.readouterr().err == "error: f2.poly: unexpected character '?' (at position 10)\n"
 
 
 def test_oversized_invariants_request_exits_2_at_once(capsys):

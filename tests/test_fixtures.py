@@ -3,7 +3,7 @@ from operator import mul
 
 import pytest
 
-from invforge import syzygies
+from invforge import fixtures, syzygies
 from invforge.fixtures import (
     SUSPECT,
     VALIDATED,
@@ -76,9 +76,8 @@ def test_constant_record_goes_suspect(tmp_path):
     assert by_name["c0"].status == SUSPECT
     assert by_name["c0"].note == "constant, not a generator"
     assert by_name["syzygy-1"].status == VALIDATED
-    gens = fixture_generator_set(5, tmp_path)
-    assert gens.degrees() == (4, 8, 12, 18)
-    assert gens.verified
+    with pytest.raises(ValueError, match="c0.poly is a constant, not a generator"):
+        load_generator_dir(5, tmp_path / "n5")
 
 
 def test_write_and_reload_generator_dir(tmp_path):
@@ -133,3 +132,99 @@ def test_load_fixtures_builds_one_generator_plan(monkeypatch):
     degrees = [sum(map(mul, next(iter(r.poly.terms)), gens.degrees())) for r in relations]
     assert sorted(degrees) == list(range(16, 21))
     assert evaluators == [(d, len(gens)) for d in degrees]
+
+
+def bundled_copy(tmp_path, n=5):
+    shutil.copytree(fixture_root() / f"n{n}", tmp_path / f"n{n}")
+    return tmp_path / f"n{n}"
+
+
+def test_zero_record_goes_suspect(tmp_path):
+    (bundled_copy(tmp_path) / "z0.poly").write_text("0\n")
+    by_name = {r.name: r for r in load_fixtures(5, tmp_path)}
+    assert by_name["z0"].status == SUSPECT
+    assert by_name["z0"].note == "parsed to zero"
+    assert by_name["syzygy-1"].status == VALIDATED
+
+
+def test_relation_without_validated_generators_goes_suspect(tmp_path):
+    folder = tmp_path / "n3"
+    folder.mkdir()
+    (folder / "bogus.poly").write_text("x0*u2^3\n")
+    (folder / "syzygy-1.gen").write_text("bogus^2\n")
+    rel = load_fixtures(3, tmp_path)[-1]
+    assert (rel.name, rel.coordinates, rel.status) == ("syzygy-1", "gen", SUSPECT)
+    assert rel.note == "no validated generators to expand against"
+    assert rel.poly is None
+
+
+def test_relation_naming_a_suspect_generator_goes_suspect(tmp_path):
+    # f8 fails the verifier, so the relation's f8 is an unknown variable
+    (bundled_copy(tmp_path) / "f8.poly").write_text("u2\n")
+    by_name = {r.name: r for r in load_fixtures(5, tmp_path)}
+    assert by_name["f8"].note == "fails the invariance verifier"
+    rel = by_name["syzygy-1"]
+    assert rel.status == SUSPECT
+    assert rel.poly is None
+    assert rel.note.startswith("unknown variable 'f8'")
+
+
+def test_nonvanishing_relation_goes_suspect(tmp_path):
+    (bundled_copy(tmp_path) / "syzygy-2.gen").write_text("f4*f8\n")
+    by_name = {r.name: r for r in load_fixtures(5, tmp_path)}
+    assert by_name["syzygy-1"].status == VALIDATED
+    assert by_name["syzygy-2"].status == SUSPECT
+    assert by_name["syzygy-2"].note == "expansion through the generators is nonzero"
+    assert by_name["syzygy-2"].poly is not None
+
+
+def test_missing_fixture_folder_raises(tmp_path):
+    with pytest.raises(FileNotFoundError, match="no fixtures for n=7"):
+        load_fixtures(7, tmp_path)
+
+
+def test_load_generator_dir_rejects_empty_folder(tmp_path):
+    with pytest.raises(ValueError, match="no generator files in"):
+        load_generator_dir(4, tmp_path)
+
+
+def test_relations_load_in_number_order(tmp_path):
+    folder = bundled_copy(tmp_path)
+    for k in (2, 10):
+        shutil.copy(folder / "syzygy-1.gen", folder / f"syzygy-{k}.gen")
+    records = load_fixtures(5, tmp_path)
+    assert [r.name for r in records if r.coordinates == "gen"] == [
+        "syzygy-1", "syzygy-2", "syzygy-10"]
+    assert all(r.status == VALIDATED for r in records)
+
+
+def test_generator_files_load_in_name_order(tmp_path):
+    folder = tmp_path / "n4"
+    folder.mkdir()
+    body = (fixture_root() / "n4" / "f2.poly").read_text()
+    names = ["g2", "b2", "h2", "a2", "f10", "f2", "z2"]
+    for name in names:
+        (folder / f"{name}.poly").write_text(body)
+    assert [r.name for r in load_fixtures(4, tmp_path)] == [
+        "a2", "b2", "f2", "g2", "h2", "z2", "f10"]
+
+def test_bundled_set_runs_no_relation_or_x_form_check(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(fixtures, name)
+        monkeypatch.setattr(fixtures, name, lambda *a: calls.append(name) or real(*a))
+
+    spy("check_syzygy")
+    spy("verify_invariant_x")
+    gens = fixture_generator_set(8)
+    assert gens.degrees() == tuple(range(2, 11))
+    assert gens.verified
+    assert calls == []
+
+
+def test_suspect_bundled_generator_fails_loudly(tmp_path, monkeypatch):
+    (bundled_copy(tmp_path, 4) / "f3.poly").write_text("u2\n")
+    monkeypatch.setattr(fixtures, "_DATA_ROOT", tmp_path)
+    with pytest.raises(ValueError, match="f3.poly is not a verified invariant"):
+        fixture_generator_set(4)

@@ -55,15 +55,20 @@ def test_tracer_counts_the_sparse_systems():
 def test_tracer_counts_every_relation_basis_and_check():
     # minimal_syzygies reads its basis through syzygy_basis, and
     # load_fixtures checks each bundled relation through check_syzygy, so
-    # the traced counts include the calls the library makes itself
+    # the traced counts include the calls the library makes itself; a
+    # bundled reference set is one strict generator-dir load, with no check
     ref5 = fixtures.fixture_generator_set(5)
     tracer = load_tracer()
-    for call, metric in ((lambda: syzygies.minimal_syzygies(ref5, [36]), "syzygies.basis_calls"),
-                         (lambda: fixtures.load_fixtures(5), "syzygies.check_calls")):
+    for call, expected in (
+            (lambda: syzygies.minimal_syzygies(ref5, [36]), {"syzygies.basis_calls": 1}),
+            (lambda: fixtures.load_fixtures(5), {"syzygies.check_calls": 1}),
+            (lambda: fixtures.fixture_generator_set(5),
+             {"syzygies.check_calls": 0, "fixtures.gen_dir_loads": 1})):
         t = tracer.Tracer()
         try:
             t.install()
             call()
         finally:
             t.uninstall()
-        assert t.metrics()[metric] == 1, metric
+        got = t.metrics()
+        assert {metric: got[metric] for metric in expected} == expected
