@@ -159,9 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generators and syzygies of the invariant ring of a binary form.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, coords_default="u"):
+    def add_common(p):
         p.add_argument("--n", type=int, required=True, help="binary form degree")
-        p.add_argument("--coords", choices=("u", "x"), default=coords_default)
+        p.add_argument("--coords", choices=("u", "x"), default="u")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("invariants", help="per-degree invariant basis")

@@ -219,9 +219,10 @@ def _x_keys(n: int, d: int) -> dict | None:
     """Interning table for the x-ring keys expand_u_to_x hands out in degree d.
 
     Each key goes in the first time it is produced, so x-forms of the same
-    (n, d) held at once share their exponent tuples.  None, and nothing is
-    kept, for a degree whose candidate count is above MAX_CANDIDATES: those
-    are the requests invariant_basis refuses.
+    (n, d) held at once share their exponent tuples.  Only a homogeneous
+    input is interned, so a table holds keys of its own degree.  None, and
+    nothing is kept, for a degree whose candidate count is above
+    MAX_CANDIDATES: those are the requests invariant_basis refuses.
     """
     return {} if candidate_count(n, d) <= MAX_CANDIDATES else None
 
@@ -246,9 +247,11 @@ def expand_u_to_x(f: Polynomial, n: int) -> Polynomial:
     if f.context != u_ring(n):
         raise ContextMismatchError("expected a u-ring polynomial")
     weights = f.context.slot_weights
-    for d, w in {(sum(e), sum(map(mul, e, weights))) for e in f.terms}:
+    components = {(sum(e), sum(map(mul, e, weights))) for e in f.terms}
+    for d, w in components:
         refuse_large_x_form(n, d, w)
-    keys = _x_keys(n, sum(next(iter(f.terms)))) if f.terms else None
+    degrees = {d for d, _ in components}
+    keys = _x_keys(n, degrees.pop()) if len(degrees) == 1 else None
     out = {}
     prev, cur = {}, {(e[0], 0) + e[1:]: c for e, c in f.terms.items()}
     m = 0

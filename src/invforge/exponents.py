@@ -1,53 +1,55 @@
 """Enumeration of the exponent vectors indexing unknown coefficients.
 
-Every candidate set is one weighted-composition problem over the slots of
-a variable context: exponent vectors a >= 0 with sum(a_j * deg_j) = d and,
-when a weight target is given, sum(a_j * wt_j) = w, where deg_j and wt_j
-are the slot degrees and weights of the context.  One depth-first search
-with remaining-budget pruning solves it and returns the solutions sorted
-in the context's canonical monomial order, so downstream matrices get a
-reproducible column order.
+Every candidate set is one weighted-composition problem over a slot table:
+exponent vectors a >= 0 with sum(a_j * deg_j) = d and, when a weight
+target is given, sum(a_j * wt_j) = w.  ``powers`` reads the u-ring's table;
+``powers2`` and ``grad`` pass the generator degrees (and weights) they are
+given.  One depth-first search with remaining-budget pruning solves it and
+returns the solutions sorted in the canonical monomial order (every one
+has graded degree d, so that is the order of the reversed tuples), so
+downstream matrices get a reproducible column order.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .rings import VarContext, gen_ring, monomial_key, u_ring
+from .rings import u_ring
 
 
-def _compositions(ctx: VarContext, d: int, w: int = None) -> list:
-    """Exponent vectors over ctx's slots of graded degree d (and weight w).
+def _compositions(degrees: tuple, weights: tuple, d: int, w: int = None) -> list:
+    """Exponent vectors of graded degree d (and weight w, when given) over
+    the slots of degrees and weights; weights is read only when w is given.
 
     Slots are searched from the last to the first; slot 0 takes whatever
     degree is left, so the weight-0 x0 slot of the u- and x-rings is never
     branched on.
     """
-    m = ctx.slot_count
-    degs, wts = ctx.slot_degrees, ctx.slot_weights
-    if min(degs) < 1:
-        raise ValueError("every slot needs degree >= 1")
+    if not degrees or min(degrees) < 1:
+        raise ValueError("need at least one slot, each of degree >= 1")
+    if w is None:
+        weights, w = (0,) * len(degrees), 0
     out = []
-    exps = [0] * m
+    exps = [0] * len(degrees)
 
     def walk(j, rem_d, rem_w):
         if j == 0:
-            a, r = divmod(rem_d, degs[0])
-            if a >= 0 and not r and (w is None or rem_w == a * wts[0]):
+            a, r = divmod(rem_d, degrees[0])
+            if a >= 0 and not r and rem_w == a * weights[0]:
                 exps[0] = a
                 out.append(tuple(exps))
             return
-        dj, wj = degs[j], wts[j]
+        dj, wj = degrees[j], weights[j]
         top = rem_d // dj
-        if w is not None and wj > 0:
+        if wj > 0:
             top = min(top, rem_w // wj)
         for a in range(top + 1):
             exps[j] = a
             walk(j - 1, rem_d - a * dj, rem_w - a * wj)
         exps[j] = 0
 
-    walk(m - 1, d, w or 0)
-    out.sort(key=lambda e: monomial_key(ctx, e))
+    walk(len(degrees) - 1, d, w)
+    out.sort(key=lambda e: e[::-1])
     return out
 
 
@@ -67,7 +69,8 @@ def powers(n: int, d: int) -> list:
 
 @lru_cache(maxsize=64)
 def _u_powers(n: int, d: int) -> tuple:
-    return tuple(_compositions(u_ring(n), d, n * d // 2))
+    ctx = u_ring(n)
+    return tuple(_compositions(ctx.slot_degrees, ctx.slot_weights, d, n * d // 2))
 
 
 def powers2(gen_degrees, d: int) -> list:
@@ -81,8 +84,7 @@ def powers2(gen_degrees, d: int) -> list:
 
 @lru_cache(maxsize=64)
 def _gen_powers(gen_degrees: tuple, d: int) -> tuple:
-    return tuple(_compositions(
-        gen_ring((f"g{j}", k, 1) for j, k in enumerate(gen_degrees)), d))
+    return tuple(_compositions(gen_degrees, (), d))
 
 
 def grad(gen_profile, target) -> list:
@@ -91,7 +93,6 @@ def grad(gen_profile, target) -> list:
     gen_profile lists (degree, weight) per generator; for genuine invariants
     the weight row is redundant but it is enforced anyway.
     """
-    td, tw = target
-    return _compositions(
-        gen_ring((f"g{j}", dj, wj) for j, (dj, wj) in enumerate(gen_profile)),
-        td, tw)
+    degrees = tuple(dj for dj, _ in gen_profile)
+    weights = tuple(wj for _, wj in gen_profile)
+    return _compositions(degrees, weights, *target)

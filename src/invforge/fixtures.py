@@ -143,7 +143,7 @@ def load_generator_dir(n: int, path) -> GeneratorSet:
     check; the first one that fails is a usage error that names the file.
     """
     folder = Path(path)
-    reserved = set(u_ring(n).names()) | {"t"}
+    reserved = set(u_ring(n).names) | {"t"}
     records = []
     for name, coords, p in _generator_files(folder):
         if coords == "x":

@@ -35,6 +35,7 @@ from .exponents import grad, powers
 from .hilbert import MAX_CANDIDATES, MAX_DEGREE, candidate_count, invariant_dimension
 from .linalg import Eliminator, solve_affine_sparse
 from .rings import (
+    ContextMismatchError,
     Polynomial,
     VarContext,
     degree,
@@ -280,10 +281,13 @@ def is_member(gens: GeneratorSet, f: Polynomial) -> Optional[Polynomial]:
     """Express f in the subring generated by gens, if possible.
 
     Returns the echelon particular representation as a generator-ring
-    polynomial, or None when f is not a member.  f must be nonzero,
-    homogeneous and isobaric.  A degree with more than MAX_CANDIDATES
-    candidate monomials raises ValueError, before any work.
+    polynomial, or None when f is not a member.  f must be a nonzero,
+    homogeneous and isobaric polynomial of u_ring(gens.n), else
+    ContextMismatchError or ValueError.  A degree with more than
+    MAX_CANDIDATES candidate monomials raises ValueError, before any work.
     """
+    if f.context != u_ring(gens.n):
+        raise ContextMismatchError("target is not in the u-ring of the generator set")
     if f.is_zero():
         raise ValueError("membership of the zero polynomial is not asked")
     degs = {sum(e) for e in f.terms}

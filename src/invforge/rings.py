@@ -2,18 +2,21 @@
 
 Every polynomial is tagged with a variable context (one of the ring kinds
 below) and stores its terms as a map from exponent tuples to nonzero
-coefficients.  Coefficients are plain ints while no division has occurred
-and ``fractions.Fraction`` afterwards; both compare and hash consistently,
-so mixed dicts are safe.  A product adds the exponent tuples of each term
-pair with ``tuple(map(add, e1, e2))``, one pass in C per pair, and sums
-the coefficients straight into one dict.
+coefficients.  A context carries its slot table (each slot's name, degree
+and weight), built once; ``x_ring`` and ``u_ring`` hand out one context
+per n, so every polynomial of a ring shares it.  Coefficients are plain
+ints while no division has occurred and ``fractions.Fraction`` afterwards;
+both compare and hash consistently, so mixed dicts are safe.  A product
+adds the exponent tuples of each term pair with
+``tuple(map(add, e1, e2))``, one pass in C per pair, and sums the
+coefficients straight into one dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import lru_cache
 from operator import add, mul
 from typing import Iterable, Mapping
 
@@ -50,66 +53,52 @@ class VarContext:
       X   : slots 0..n hold x0..xn, slot i has weight i
       U   : slot 0 holds x0 (weight 0), slots 1..n-1 hold u2..un
       GEN : slot j holds generators[j] = (name, degree, weight)
+
+    The slot table (``names``, ``slot_degrees``, ``slot_weights``) is built
+    once, here; it is not a field of ``==``, ``hash`` or ``repr``, which
+    see only kind, n and generators.
     """
 
     kind: RingKind
     n: int = 0
     generators: tuple = ()
+    names: tuple = field(init=False, compare=False, repr=False)
+    slot_degrees: tuple = field(init=False, compare=False, repr=False)
+    slot_weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind is RingKind.GEN:
             if not self.generators:
                 raise ValueError("GEN context needs at least one generator")
+            names, degrees, weights = zip(*self.generators)
+            if len(set(names)) < len(names):
+                raise ValueError(f"generator names {names} are not distinct")
         elif self.n < 2:
             raise ValueError("form degree must be >= 2")
         elif self.n > MAX_FORM_DEGREE:
             raise ValueError(f"form degree {self.n} is above the limit of"
                              f" {MAX_FORM_DEGREE}")
+        elif self.kind is RingKind.X:
+            names = tuple(f"x{i}" for i in range(self.n + 1))
+            degrees, weights = (1,) * (self.n + 1), tuple(range(self.n + 1))
+        else:
+            names = ("x0",) + tuple(f"u{i}" for i in range(2, self.n + 1))
+            degrees, weights = (1,) * self.n, (0,) + tuple(range(2, self.n + 1))
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "slot_degrees", degrees)
+        object.__setattr__(self, "slot_weights", weights)
 
     @property
     def slot_count(self) -> int:
-        if self.kind is RingKind.X:
-            return self.n + 1
-        if self.kind is RingKind.U:
-            return self.n
-        return len(self.generators)
-
-    def slot_name(self, i: int) -> str:
-        if self.kind is RingKind.X:
-            return f"x{i}"
-        if self.kind is RingKind.U:
-            return "x0" if i == 0 else f"u{i + 1}"
-        return self.generators[i][0]
-
-    def slot_degree(self, i: int) -> int:
-        """Degree contributed by one power of slot i (1 except for GEN)."""
-        if self.kind is RingKind.GEN:
-            return self.generators[i][1]
-        return 1
-
-    def slot_weight(self, i: int) -> int:
-        if self.kind is RingKind.X:
-            return i
-        if self.kind is RingKind.U:
-            return 0 if i == 0 else i + 1
-        return self.generators[i][2]
-
-    @cached_property
-    def slot_degrees(self) -> tuple:
-        return tuple(map(self.slot_degree, range(self.slot_count)))
-
-    @cached_property
-    def slot_weights(self) -> tuple:
-        return tuple(map(self.slot_weight, range(self.slot_count)))
-
-    def names(self) -> tuple:
-        return tuple(self.slot_name(i) for i in range(self.slot_count))
+        return len(self.names)
 
 
+@lru_cache(maxsize=MAX_FORM_DEGREE)
 def x_ring(n: int) -> VarContext:
     return VarContext(RingKind.X, n)
 
 
+@lru_cache(maxsize=MAX_FORM_DEGREE)
 def u_ring(n: int) -> VarContext:
     return VarContext(RingKind.U, n)
 
@@ -121,16 +110,12 @@ def gen_ring(generators: Iterable[tuple]) -> VarContext:
 def monomial_key(ctx: VarContext, expts: tuple):
     """Sort key of the canonical monomial order (ascending).
 
-    Graded first (GEN ring grades by the generator degrees), ties broken by
-    reading the exponent tuple from the last slot backwards, the larger
-    exponent winning.  This is the one total order used everywhere:
-    normalization, echelon forms, printing, enumeration.
+    Graded first by the slot degrees, ties broken by reading the exponent
+    tuple from the last slot backwards, the larger exponent winning.  This
+    is the one total order used everywhere: normalization, echelon forms,
+    printing, enumeration.
     """
-    if ctx.kind is RingKind.GEN:
-        grade = sum(e * g[1] for e, g in zip(expts, ctx.generators))
-    else:
-        grade = sum(expts)
-    return (grade, tuple(reversed(expts)))
+    return (sum(map(mul, expts, ctx.slot_degrees)), tuple(reversed(expts)))
 
 
 class Polynomial:
@@ -169,7 +154,7 @@ class Polynomial:
             raise ValueError("exponent tuple length does not match context")
         for i, k in enumerate(e):
             if k < 0:
-                raise ValueError(f"negative exponent on {ctx.slot_name(i)}")
+                raise ValueError(f"negative exponent on {ctx.names[i]}")
         if not coeff:
             return cls.zero(ctx)
         return cls(ctx, {e: coeff})
@@ -354,7 +339,7 @@ def substitute(f: Polynomial, images: Mapping[int, Polynomial],
             return got
         if slot not in images:
             raise ValueError(
-                f"no image for occurring variable {f.context.slot_name(slot)}")
+                f"no image for occurring variable {f.context.names[slot]}")
         val = images[slot] ** k
         power_cache[key] = val
         return val

@@ -55,7 +55,7 @@ def _tokenize(text: str):
 
 
 def _slot_table(ctx: VarContext) -> dict:
-    table = {ctx.slot_name(i): i for i in range(ctx.slot_count)}
+    table = {name: i for i, name in enumerate(ctx.names)}
     if "x0" in table:
         table.setdefault("t", table["x0"])
     return table
@@ -169,7 +169,7 @@ def iter_format_text(f: Polynomial) -> Iterator[str]:
     if f.is_zero():
         yield "0"
         return
-    ctx = f.context
+    names = f.context.names
     first = True
     for e, c in f.sorted_terms():
         neg = c < 0
@@ -179,12 +179,7 @@ def iter_format_text(f: Polynomial) -> Iterator[str]:
             first = False
         else:
             prefix = " - " if neg else " + "
-        factors = []
-        for i, k in enumerate(e):
-            if k == 0:
-                continue
-            name = ctx.slot_name(i)
-            factors.append(name if k == 1 else f"{name}^{k}")
+        factors = [name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k]
         if not factors:
             yield f"{prefix}{_coeff_str(mag)}"
         elif mag == 1:
@@ -220,20 +215,25 @@ def format_poly(f: Polynomial, style: str = "text") -> str:
 def parse_poly_json(data, ctx: VarContext) -> Polynomial:
     """Inverse of the JSON rendering, given the matching context.
 
-    Repeated exponent lists are summed, as in the text format; a ring
-    header of another kind or n and a misfit exponent list are ValueErrors.
+    Repeated exponent lists are summed, as in the text format.  Every
+    malformed document is a ValueError: text that is not JSON, a ring
+    header of another kind or n, a missing key, a value of the wrong type,
+    a misfit exponent list or a coefficient that is not a rational string.
     """
     import json as _json
-    if isinstance(data, str):
-        data = _json.loads(data)
-    ring = data.get("ring")
-    if ring is not None and (ring.get("kind"), ring.get("n")) != (ctx.kind.value, ctx.n):
-        raise ValueError(f"JSON ring {ring} is not the {ctx.kind.value} ring with n={ctx.n}")
-    terms = {}
-    for t in data["terms"]:
-        e = tuple(t["e"])
-        if len(e) != ctx.slot_count or any(type(k) is not int or k < 0 for k in e):
-            raise ValueError(f"exponent list {list(e)} does not fit {ctx.slot_count} slots")
-        c = t["c"]
-        terms[e] = terms.get(e, 0) + (Fraction(c) if "/" in c else int(c))
+    try:
+        if isinstance(data, str):
+            data = _json.loads(data)
+        ring = data.get("ring")
+        if ring is not None and (ring.get("kind"), ring.get("n")) != (ctx.kind.value, ctx.n):
+            raise ValueError(f"JSON ring {ring} is not the {ctx.kind.value} ring with n={ctx.n}")
+        terms = {}
+        for t in data["terms"]:
+            e = tuple(t["e"])
+            if len(e) != ctx.slot_count or any(type(k) is not int or k < 0 for k in e):
+                raise ValueError(f"exponent list {list(e)} does not fit {ctx.slot_count} slots")
+            c = t["c"]
+            terms[e] = terms.get(e, 0) + (Fraction(c) if "/" in c else int(c))
+    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed polynomial JSON: {type(exc).__name__}: {exc}") from exc
     return Polynomial(ctx, terms)

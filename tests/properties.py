@@ -311,7 +311,7 @@ def x0_cleared(f: Polynomial, n: int):
     ctx = x_ring(n)
     named = {"x0": Polynomial.one(ctx), "lam": -Polynomial.variable(ctx, 1)}
     named.update((f"u{i}", u_variable_in_x(i, n)) for i in range(2, n + 1))
-    images = {slot: named[name] for slot, name in enumerate(f.context.names())}
+    images = {slot: named[name] for slot, name in enumerate(f.context.names)}
     degs, wts = f.context.slot_degrees, f.context.slot_weights
     groups = {}
     for e, c in f.terms.items():
@@ -472,7 +472,7 @@ def check_reduced_operator_grading(seed=11, cases=60):
         d = rng.randrange(1, 5)
         w = rng.randrange(0, 2 * n)
         terms = {}
-        for e in _compositions(u_ring(n), d, w):
+        for e in _compositions(ctx.slot_degrees, ctx.slot_weights, d, w):
             if rng.random() < 0.5:
                 terms[e] = rng.randrange(-5, 6) or 1
         f = Polynomial(ctx, terms)
@@ -495,10 +495,11 @@ def check_full_operator_agreement(n_max=6, seed=3, cases=40):
         if (n * d) % 2:
             continue
         terms = {}
-        for e in _compositions(u_ring(n), d, n * d // 2):
+        ctx = u_ring(n)
+        for e in _compositions(ctx.slot_degrees, ctx.slot_weights, d, n * d // 2):
             if rng.random() < 0.6:
                 terms[e] = rng.randrange(-4, 5) or 2
-        f = Polynomial(u_ring(n), terms)
+        f = Polynomial(ctx, terms)
         if f.is_zero():
             continue
         lhs = apply_derivation(full_operator(n), u_in_mixed(f))
@@ -518,7 +519,7 @@ def invariant_basis_direct(n: int, d: int) -> tuple:
     if (n * d) % 2:
         return ()
     ctx = x_ring(n)
-    candidates = _compositions(ctx, d, n * d // 2)
+    candidates = _compositions(ctx.slot_degrees, ctx.slot_weights, d, n * d // 2)
     rows = []
     for op in (lowering_derivation(n), raising_derivation(n)):
         rows += monomial_rows(ctx, (apply_derivation(op, Polynomial.monomial(ctx, e))

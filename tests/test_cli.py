@@ -538,3 +538,22 @@ def test_golden_output(argv, code, digest):
     got, out = run_cli(*map(_golden_path, argv))
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_canonical_order_pins_generator_and_x_ring_output():
+    # the one monomial_key orders a generator-ring relation (text and JSON)
+    # and the x-forms of mingenset; digests of the output before it was one
+    gens5 = str(fixture_root() / "n5")
+    code, out = run_cli("syzygies", "--n", "5", "--gens", gens5, "--degrees", "36")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9b787ab520503e8bea3eb34dfdabcc863d0ac70f3bdf56bb0903bd69b12537b7")
+    code, js = run_cli("syzygies", "--n", "5", "--gens", gens5, "--degrees", "36",
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(js.encode()).hexdigest() == (
+        "2d483bb141a01e62c17c46f043fbd93bd663cd44090467aa63778b4475242b71")
+    code, js = run_cli("mingenset", "--n", "4", "--coords", "x", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(js.encode()).hexdigest() == (
+        "19e0b5f31650ecbad4428082e42708b4b75f27cf98f6621f7f2b629e2710e695")

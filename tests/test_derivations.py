@@ -193,6 +193,18 @@ def test_expand_u_to_x_shares_keys():
     assert _x_keys.cache_info().maxsize is not None
 
 
+def test_mixed_degree_input_interns_nothing():
+    # a degree-1 term ahead of degree-14 ones: the degree-1 table must not
+    # file the degree-14 keys of the x-form
+    U8 = u_ring(8)
+    low = p("x0", U8)
+    high = p("x0^14 + " + " + ".join(f"x0^13*u{i}" for i in range(2, 9)), U8)
+    g = expand_u_to_x(low + high, 8)
+    assert g == expand_u_to_x(low, 8) + expand_u_to_x(high, 8)
+    assert len(g.terms) > 8
+    assert all(sum(e) == 1 for e in _x_keys(8, 1))
+
+
 def test_oversized_classes_are_not_interned():
     # n = 8, d = 60 is far past what invariant_basis accepts
     assert candidate_count(8, 60) > MAX_CANDIDATES
@@ -236,11 +248,12 @@ def isobaric_u_polys(draw):
     n = draw(st.integers(2, 6))
     d = draw(st.integers(1, 4))
     w = draw(st.integers(0, n * d))
-    monos = _compositions(u_ring(n), d, w)
+    ctx = u_ring(n)
+    monos = _compositions(ctx.slot_degrees, ctx.slot_weights, d, w)
     coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(monos), max_size=len(monos)))
-    f = Polynomial(u_ring(n), dict(zip(monos, coeffs)))
+    f = Polynomial(ctx, dict(zip(monos, coeffs)))
     k = draw(st.integers(0, w))
-    return n, f * Polynomial.monomial(u_ring(n), (k,) + (0,) * (n - 1))
+    return n, f * Polynomial.monomial(ctx, (k,) + (0,) * (n - 1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,7 +429,8 @@ def test_packed_order_is_the_row_order_within_a_degree():
     # descending keys of one degree are monomial_rows' order
     ctx = u_ring(5)
     packed = PackedDerivation(reduced_operator(5), 300)
-    monos = _compositions(ctx, 7, 14) + [(300, 0, 0, 0, 0), (0, 0, 0, 0, 300)]
+    monos = (_compositions(ctx.slot_degrees, ctx.slot_weights, 7, 14)
+             + [(300, 0, 0, 0, 0), (0, 0, 0, 0, 300)])
     for d in (7, 300):
         same = [e for e in monos if sum(e) == d]
         keys = {sum(k * w for k, w in zip(e, packed.weights)): e for e in same}

@@ -85,7 +85,8 @@ def test_entries_sorted_and_distinct():
     profile = [(2, 5), (3, 1), (1, 0), (4, 10)]
     got = grad(profile, (12, 20))
     assert len(set(got)) == len(got) > 1
-    assert got == canonical(gen_ring(("g", d, w) for d, w in profile), got)
+    assert got == canonical(gen_ring((f"g{j}", d, w) for j, (d, w) in enumerate(profile)),
+                            got)
 
 
 def test_validation_errors():
@@ -134,11 +135,11 @@ def test_grad_matches_brute_force(profile, td, tw):
 def test_ring_search_matches_brute_force(ring, n, d, w):
     # degree d and weight w over the ring's slots; slot 0 has weight 0
     ctx = ring(n)
-    weights = [ctx.slot_weight(i) for i in range(1, ctx.slot_count)]
+    weights = ctx.slot_weights[1:]
     brute = {(d - sum(a),) + a
              for a in itertools.product(range(d + 1), repeat=len(weights))
              if sum(a) <= d and sum(x * k for x, k in zip(a, weights)) == w}
-    got = _compositions(ctx, d, w)
+    got = _compositions(ctx.slot_degrees, ctx.slot_weights, d, w)
     assert set(got) == brute
     assert got == canonical(ctx, got)
 

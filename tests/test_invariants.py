@@ -27,6 +27,7 @@ from invforge.invariants import (
 )
 from invforge.linalg import PackedEliminator, nullspace_sparse, solve_affine_sparse
 from invforge.rings import (
+    ContextMismatchError,
     Polynomial,
     monomial_key,
     u_ring,
@@ -115,6 +116,18 @@ def test_membership_rejects_bad_input():
         is_member(gens, Polynomial.zero(U4))
     with pytest.raises(ValueError):
         is_member(gens, p("u2 + u2^2", U4))
+
+
+def test_membership_target_outside_the_sets_ring_raises():
+    # as expand_in_generators does: a u5 or x4 target on the bundled n = 4
+    # set is an error, not "not a member"
+    gens = load_generator_dir(4, fixture_root() / "n4")
+    u5_invariant = parse_poly((fixture_root() / "n5" / "f4.poly").read_text(), U5)
+    with pytest.raises(ContextMismatchError):
+        is_member(gens, u5_invariant)
+    with pytest.raises(ContextMismatchError):
+        is_member(gens, p("x0*x4 - 4*x1*x3 + 3*x2^2", x_ring(4)))
+    assert is_member(gens, gens[0].u_poly) is not None
 
 
 def test_mingenset_small_cases():
@@ -228,7 +241,7 @@ def test_monomial_rows_descending():
     # one column whose coefficient names its monomial, so every row says
     # which monomial it belongs to.  Rows come by x0 exponent first,
     # descending, ties in descending canonical order
-    monos = [e for d in (3, 4, 5, 6) for e in _compositions(U5, d)]
+    monos = [e for d in (3, 4, 5, 6) for e in _compositions(U5.slot_degrees, U5.slot_weights, d)]
     random.Random(5).shuffle(monos)
     col = Polynomial(U5, {e: k + 1 for k, e in enumerate(monos)})
     rows = monomial_rows(U5, [col, col.scale(2)])

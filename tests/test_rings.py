@@ -4,14 +4,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from invforge.rings import (
+    MAX_FORM_DEGREE,
     ContextMismatchError,
     NonIsobaricError,
     Polynomial,
+    RingKind,
+    VarContext,
     ZeroPolynomialError,
     _common_weight,
     degree,
     gen_ring,
     is_isobaric_balanced,
+    monomial_key,
     substitute,
     u_ring,
     weight_u,
@@ -283,8 +287,8 @@ def test_degree_and_weight_read_slot_by_slot(profile, data):
     f = data.draw(polys(G))
     if f.is_zero():
         return
-    graded = [(sum(e * G.slot_degree(i) for i, e in enumerate(exp)),
-               sum(e * G.slot_weight(i) for i, e in enumerate(exp))) for exp in f.terms]
+    graded = [(sum(e * G.slot_degrees[i] for i, e in enumerate(exp)),
+               sum(e * G.slot_weights[i] for i, e in enumerate(exp))) for exp in f.terms]
     assert degree(f) == max(d for d, _ in graded)
     weights = {w for _, w in graded}
     if len(weights) == 1:
@@ -292,3 +296,38 @@ def test_degree_and_weight_read_slot_by_slot(profile, data):
     else:
         with pytest.raises(NonIsobaricError):
             _common_weight(f)
+
+
+def test_slot_table_matches_the_per_kind_formulas():
+    # X: slot i is xi of weight i; U: slot 0 is x0 of weight 0, slot i >= 1
+    # is u(i+1) of weight i+1; every slot of both has degree 1
+    for n in range(2, MAX_FORM_DEGREE + 1):
+        X, U = x_ring(n), u_ring(n)
+        assert X.slot_count == n + 1 and U.slot_count == n
+        assert X.names == tuple(f"x{i}" for i in range(n + 1))
+        assert X.slot_degrees == (1,) * (n + 1)
+        assert X.slot_weights == tuple(range(n + 1))
+        assert U.names == tuple("x0" if i == 0 else f"u{i + 1}" for i in range(n))
+        assert U.slot_degrees == (1,) * n
+        assert U.slot_weights == tuple(0 if i == 0 else i + 1 for i in range(n))
+    G = gen_ring([("f4", 4, 10), ("f8", 8, 20), ("g3", 3, 9)])
+    assert G.slot_count == 3 and G.names == ("f4", "f8", "g3")
+    assert G.slot_degrees == (4, 8, 3) and G.slot_weights == (10, 20, 9)
+    # graded by degree for X and U, by the generator degrees for GEN
+    for ctx, e in ((x_ring(3), (2, 0, 1, 5)), (u_ring(4), (1, 0, 3)), (G, (2, 1, 3))):
+        grade = sum(k * d for k, d in zip(e, ctx.slot_degrees))
+        assert monomial_key(ctx, e) == (grade, e[::-1])
+    assert monomial_key(G, (2, 1, 3)) == (25, (3, 1, 2))
+
+
+def test_slot_table_is_not_compared_hashed_or_printed():
+    U5 = VarContext(RingKind.U, 5)
+    assert U5 == u_ring(5) and hash(U5) == hash(u_ring(5))
+    assert repr(U5) == "VarContext(kind=<RingKind.U: 'u'>, n=5, generators=())"
+    assert u_ring(5) is u_ring(5) and x_ring(5) is x_ring(5)
+
+
+def test_duplicate_generator_names_are_refused():
+    # a1 + 2*a2 would print as "2*a + a", which parses back as 3*a
+    with pytest.raises(ValueError, match="not distinct"):
+        gen_ring([("a", 2, 2), ("a", 3, 3)])

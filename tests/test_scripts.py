@@ -195,3 +195,10 @@ def test_bench_pairs_rss_gain_ceiling():
         bench.rss_gain_ceiling(11, 0.25, parent_rss, 0.1))
     level = [dict(r, passes=12) for r in runs]
     assert bench.summarize(level, END_TO_END)["queries"]["rss_gain_ceiling"] is None
+
+
+def test_code_lines_leave_out_docstrings_and_comments():
+    text = ('"""Module.\n\nMore."""\n\n# a comment\nimport os  # kept\n\n\n'
+            'class A:\n    """One line."""\n\n    def f(self):\n'
+            '        """Two\n        lines."""\n        return "not a docstring"\n')
+    assert load("code_lines").code_lines(text) == 4

@@ -112,6 +112,24 @@ def test_json_rejects_what_the_ring_cannot_hold(doc):
         parse_poly_json(json.dumps(doc), X2)
 
 
+@pytest.mark.parametrize("doc", [
+    '{"terms":[{"c":"1/0","e":[0,0,0]}]}',
+    '{"terms":[{"c":1,"e":[0,0,0]}]}',
+    '{"ring":{"kind":"u","n":3}}',
+    '{"terms":[{"e":[0,0,0]}]}',
+    '{"terms":[{"c":"1"}]}',
+    '[{"c":"1","e":[0,0,0]}]',
+    '{"ring":"u","terms":[]}',
+    '{"terms":[{"c":"1","e":3}]}',
+    '{"terms":[{"c":"x","e":[0,0,0]}]}',
+    '{"terms":[',
+], ids=["zero-denominator", "int-coefficient", "no-terms", "no-c", "no-e",
+        "top-level-list", "ring-not-object", "e-not-list", "bad-coefficient", "not-json"])
+def test_malformed_json_is_a_value_error(doc):
+    with pytest.raises(ValueError):
+        parse_poly_json(doc, U3)
+
+
 def test_gen_ring_symbols_parse():
     gctx = gen_ring([("f4", 4, 10), ("f8", 8, 20)])
     rel = parse_poly("f4^2 - 3*f8", gctx)
