@@ -141,8 +141,12 @@ def load_generator_dir(n: int, path) -> GeneratorSet:
     the text grammar that is not a u-ring variable name, so relations print
     with names that parse back, and every file must pass the generator
     check; the first one that fails is a usage error that names the file.
+    A path that is not a directory, or a directory with no generator file,
+    is a usage error too.
     """
     folder = Path(path)
+    if not folder.is_dir():
+        raise ValueError(f"{folder} is not a directory")
     reserved = set(u_ring(n).names) | {"t"}
     records = []
     for name, coords, p in _generator_files(folder):

@@ -11,9 +11,14 @@ the expanded generator products and the target, keyed by tuples.  Both
 systems are sparse and go to ``linalg``'s exact kernel, an incremental
 reduced echelon form over integer rows, so the answer is the exact
 canonical one by construction; the basis size is still checked against the
-Cayley-Sylvester count.  The brute-force solver over the original
-two-derivation system in x-coordinates, the independent oracle, lives with
-the test suite's property batteries.
+Cayley-Sylvester count.  A membership system has far more rows (monomials)
+than columns (products): ``solve_affine_sparse`` stops eliminating once the
+products are independent on the rows fed, and checks the one candidate
+representation on every row left by an exact dot product, so a target that
+differs from a member only on its last rows is still refused.  The
+brute-force solver over the original two-derivation system in
+x-coordinates, the independent oracle, lives with the test suite's
+property batteries.
 """
 
 from __future__ import annotations
@@ -281,10 +286,13 @@ def is_member(gens: GeneratorSet, f: Polynomial) -> Optional[Polynomial]:
     """Express f in the subring generated by gens, if possible.
 
     Returns the echelon particular representation as a generator-ring
-    polynomial, or None when f is not a member.  f must be a nonzero,
-    homogeneous and isobaric polynomial of u_ring(gens.n), else
-    ContextMismatchError or ValueError.  A degree with more than
-    MAX_CANDIDATES candidate monomials raises ValueError, before any work.
+    polynomial, or None when f is not a member.  When the products are
+    independent, as in every degree below the first relation, the
+    representation is unique, and it is checked exactly on every monomial
+    row the elimination did not need.  f must be a nonzero, homogeneous and
+    isobaric polynomial of u_ring(gens.n), else ContextMismatchError or
+    ValueError.  A degree with more than MAX_CANDIDATES candidate monomials
+    raises ValueError, before any work.
     """
     if f.context != u_ring(gens.n):
         raise ContextMismatchError("target is not in the u-ring of the generator set")

@@ -18,7 +18,12 @@ invariant bases and relations take it, since that is already their
 normalized form; ``nullspace_sparse`` divides the same vectors by their
 entry on the free column, as Fractions, for callers that want that form.
 An affine system [A | b] is answered from the same form: it is
-inconsistent exactly when b's column is a pivot column.
+inconsistent exactly when b's column is a pivot column.  Its rows are
+eliminated only until the answer is fixed: when b's column becomes a pivot
+(None), or when every column of A is one.  A system of full column rank
+has one solution, which is then certified exactly on the rows left, one
+exact dot product each; membership systems, many times taller than
+wide, reach full rank after a small share of their rows.
 
 ``PackedEliminator`` eliminates modulo ``WORD_PRIME``, the largest prime
 below 2^30, whose residues are one-digit CPython ints.  It is the store of
@@ -505,14 +510,41 @@ def solve_affine_sparse(ncols: int, rows: Iterable[dict]) -> Optional[list]:
     solution is the one the reduced echelon form of [A | b] gives,
     x_c = P_c[ncols] / P_c[c] on each pivot column c.  The system is
     inconsistent exactly when column ``ncols`` is a pivot column.
+
+    The rows are eliminated in the order given, and elimination stops as
+    soon as the answer is fixed.  Once column ``ncols`` is a pivot, the
+    rows fed so far are inconsistent, so the whole system is: None.  Once
+    every one of the ncols columns is a pivot (and ``ncols`` is not), the
+    rows fed have the unique solution x_c = P_c[ncols] / P_c[c], which is
+    the reduced echelon one whenever the system is consistent.  It is then
+    scaled to integers X over the common denominator D of its entries, and
+    each remaining row r is checked by one exact dot product,
+    sum r[j] X_j == r[ncols] D: the answer is x if every row holds, else
+    None.  A system that never reaches full column rank is eliminated
+    whole.
     """
-    pivots = Eliminator(ncols + 1).add_rows(rows).pivots
-    if ncols in pivots:
-        return None
+    elim = Eliminator(ncols + 1)
+    pivots = elim.pivots
+    rows = iter(rows)
+    while len(pivots) < ncols:
+        row = next(rows, None)
+        if row is None:
+            break
+        if row:
+            elim.add_row(row)
+            if ncols in pivots:
+                return None
     sol = [Fraction(0)] * ncols
     for c, p in pivots.items():
         if v := p.get(ncols):
             sol[c] = Fraction(v, p[c])
+    if len(pivots) == ncols:
+        # full column rank: one exact dot product per row not eliminated
+        den = math.lcm(*(p[c] for c, p in pivots.items()))
+        scaled = [x.numerator * (den // x.denominator) for x in sol] + [-den]
+        for row in rows:
+            if sum([v * scaled[j] for j, v in row.items()]):
+                return None
     return sol
 
 

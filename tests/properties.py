@@ -679,6 +679,66 @@ def linalg_naive_cases(seed=23, cases=120):
         yield data, cols, b
 
 
+TALL_KINDS = ("consistent", "late-inconsistent", "rhs-only", "rank-deficient",
+              "fraction-rhs", "no-columns")
+
+
+def linalg_tall_cases(seed=29, cases=40):
+    """Seeded tall affine systems, up to 4 rows per column, as (kind, dense
+    rows, column count, rhs), cases of each of TALL_KINDS in turn:
+
+    - consistent: cols independent rows first, then combinations of them,
+      and b = A x for an integer x, so full column rank comes early;
+    - late-inconsistent: the same, with b off by one on a single row that
+      comes after full rank;
+    - rhs-only: the same, with a row after full rank replaced by zero
+      coefficients and a nonzero b;
+    - rank-deficient: combinations of fewer rows than columns, b = A x or
+      drawn freely;
+    - fraction-rhs: full column rank with Fraction entries and b = A x for
+      a Fraction x;
+    - no-columns: no column at all, b all 0 or not.
+    """
+    rng = random.Random(seed)
+
+    def entry(fractions):
+        return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4) if fractions else 1)
+
+    for k in range(cases):
+        kind = TALL_KINDS[k % len(TALL_KINDS)]
+        cols = 0 if kind == "no-columns" else rng.randrange(1, 6)
+        nrows = rng.randrange(max(cols, 1) + 1, 4 * max(cols, 1) + 1)
+        fractions = kind == "fraction-rhs"
+        if kind == "no-columns":
+            data = [[] for _ in range(nrows)]
+            b = [rng.randrange(-2, 3) if rng.random() < 0.3 else 0 for _ in range(nrows)]
+            yield kind, data, cols, b
+            continue
+        # cols base rows, lower triangular with a nonzero diagonal, so
+        # independent and each one a new pivot
+        base = [[entry(fractions) if j < i else 0 for j in range(cols)]
+                for i in range(cols)]
+        for i, row in enumerate(base):
+            row[i] = rng.choice((1, 2, -3))
+        if kind == "rank-deficient":
+            base = base[:rng.randrange(max(cols - 2, 0), cols)] or [[0] * cols]
+        data = list(base) if kind != "rank-deficient" else []
+        while len(data) < nrows:
+            mix = [rng.randrange(-2, 3) for _ in base]
+            data.append([sum(m * r[j] for m, r in zip(mix, base)) for j in range(cols)])
+        x = [entry(True) if fractions else Fraction(rng.randrange(-3, 4))
+             for _ in range(cols)]
+        b = [sum(a * v for a, v in zip(row, x)) for row in data]
+        if kind == "rank-deficient" and rng.random() < 0.5:
+            b = [rng.randrange(-3, 4) for _ in data]
+        elif kind == "late-inconsistent":
+            b[rng.randrange(cols, nrows)] += 1
+        elif kind == "rhs-only":
+            i = rng.randrange(cols, nrows)
+            data[i], b[i] = [0] * cols, rng.choice((1, -2, Fraction(1, 3)))
+        yield kind, data, cols, b
+
+
 def check_linalg_against_naive(seed=23, cases=120):
     for data, cols, b in linalg_naive_cases(seed, cases):
         _, pivots = naive_rref(data, cols)

@@ -230,6 +230,19 @@ def test_constant_generator_file_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: c.poly is a constant, not a generator\n"
 
 
+@pytest.mark.parametrize("command", ["syzygies", "member"])
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_gens_path_that_is_not_a_directory_exits_2(tmp_path, capsys, command, kind):
+    gens = tmp_path / "nodir"
+    if kind == "file":
+        gens.write_text((fixture_root() / "n5" / "f4.poly").read_text())
+    extra = (["--degrees", "8"] if command == "syzygies"
+             else ["--target", str(fixture_root() / "n5" / "f8.poly")])
+    code, out = run_cli(command, "--n", "5", "--gens", str(gens), *extra)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {gens} is not a directory\n"
+
+
 def test_unparseable_generator_file_is_named(tmp_path, capsys):
     gens_dir = tmp_path / "gens"
     gens_dir.mkdir()

@@ -1,3 +1,4 @@
+import re
 import shutil
 from operator import mul
 
@@ -186,6 +187,12 @@ def test_missing_fixture_folder_raises(tmp_path):
 def test_load_generator_dir_rejects_empty_folder(tmp_path):
     with pytest.raises(ValueError, match="no generator files in"):
         load_generator_dir(4, tmp_path)
+
+
+def test_load_generator_dir_rejects_a_path_that_is_not_a_directory(tmp_path):
+    for path in (tmp_path / "nodir", fixture_root() / "n4" / "f2.poly"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not a directory$"):
+            load_generator_dir(4, path)
 
 
 def test_relations_load_in_number_order(tmp_path):

@@ -25,7 +25,7 @@ from invforge.invariants import (
     verify_invariant_u,
     verify_invariant_x,
 )
-from invforge.linalg import PackedEliminator, nullspace_sparse, solve_affine_sparse
+from invforge.linalg import Eliminator, PackedEliminator, nullspace_sparse, solve_affine_sparse
 from invforge.rings import (
     ContextMismatchError,
     Polynomial,
@@ -317,6 +317,46 @@ def _member_system(gens, f):
     powers = {}
     columns = [expand_candidate(gens, e, powers) for e in candidates] + [f]
     return len(candidates), monomial_rows(u_ring(gens.n), columns)
+
+
+def test_membership_checks_the_rows_after_full_rank():
+    # the product columns reach full rank before the last row, the row of
+    # the least degree-d monomial; only the exact check of the rows left
+    # after full rank sees a change there
+    n, d = 6, 12
+    gens = load_generator_dir(n, fixture_root() / f"n{n}")
+    f = invariant_basis(n, d)[-1]
+    ctx = u_ring(n)
+    last = min(powers(n, d), key=lambda e: (e[0], monomial_key(ctx, e)))
+    assert last in f.terms
+    ncols, rows = _member_system(gens, f)
+    elim = Eliminator(ncols + 1).add_rows(rows[:-1])
+    assert elim.rank == ncols and ncols not in elim.pivots
+    assert is_member(gens, f) is not None
+    assert is_member(gens, f + Polynomial.monomial(ctx, last).scale(Fraction(1, 5))) is None
+
+
+def test_membership_eliminates_a_fraction_of_its_rows(monkeypatch):
+    # every membership system of the octavic walk reaches full column rank
+    # early, so most of its rows take a dot product, not an elimination
+    fed, built, eliminated = [0], [], []
+    add_row, solve = Eliminator.add_row, invariants.solve_affine_sparse
+
+    def counting(self, row):
+        fed[0] += 1
+        add_row(self, row)
+
+    def spy(ncols, rows):
+        start = fed[0]
+        sol = solve(ncols, rows)
+        built.append(len(rows))
+        eliminated.append(fed[0] - start)
+        return sol
+
+    monkeypatch.setattr(Eliminator, "add_row", counting)
+    monkeypatch.setattr(invariants, "solve_affine_sparse", spy)
+    mingenset(8, *known_degree_table(8))
+    assert built and 3 * sum(eliminated) < sum(built)
 
 
 def test_row_order_does_not_change_solutions():

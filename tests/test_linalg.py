@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +21,7 @@ from properties import (
     check_linalg_against_naive,
     check_pivot_layout,
     linalg_naive_cases,
+    linalg_tall_cases,
     naive_nullspace,
     naive_rref,
     naive_solve_affine,
@@ -119,6 +121,27 @@ def test_deterministic_bits():
 
 def test_against_naive_oracle():
     check_linalg_against_naive()
+
+
+def test_tall_systems_match_naive_oracle():
+    # a system of full column rank is eliminated only until its columns are
+    # all pivots; the rows after that are checked against the unique
+    # solution, and every answer is still the naive RREF's
+    kinds = {}
+    for kind, data, cols, b in linalg_tall_cases():
+        with mock.patch.object(Eliminator, "add_row", autospec=True,
+                               side_effect=Eliminator.add_row) as fed:
+            sol = solve_affine_sparse(cols, sparse_rows(data, b))
+        want = naive_solve_affine(data, b, cols)
+        assert sol == want, (kind, data, b)
+        kinds.setdefault(kind, set()).add(want is None)
+        if kind == "rank-deficient":
+            assert len(naive_rref(data, cols)[1]) < cols
+        else:
+            assert fed.call_count == cols < len(data)
+    assert kinds == {"consistent": {False}, "fraction-rhs": {False},
+                     "late-inconsistent": {True}, "rhs-only": {True},
+                     "rank-deficient": {False, True}, "no-columns": {False, True}}
 
 
 def modular(rows):
@@ -259,6 +282,29 @@ def test_modular_route_matches_exact_route(system):
         assert elim.rank == ncols - len(exact)
         assert elim.nullspace() == exact
         assert fractions(ncols, exact) == nullspace_sparse(ncols, rows)
+
+
+@st.composite
+def tall_systems(draw):
+    """Up to 4 rows per column of drawn entries (so often of full column
+    rank long before the last row), and b = A x for a drawn x, off by a
+    drawn amount on one drawn row when the flag is set."""
+    cols = draw(st.integers(1, 5))
+    data = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=cols, max_size=4 * cols))
+    x = draw(st.lists(entries, min_size=cols, max_size=cols))
+    b = [sum(a * v for a, v in zip(row, x)) for row in data]
+    if draw(st.booleans()):
+        b[draw(st.integers(0, len(data) - 1))] += draw(
+            st.sampled_from([1, -2**70, Fraction(1, 3)]))
+    return data, cols, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_systems())
+def test_tall_drawn_systems_match_naive_oracle(system):
+    data, cols, b = system
+    assert solve_affine_sparse(cols, sparse_rows(data, b)) == naive_solve_affine(data, b, cols)
 
 
 P = WORD_PRIME
