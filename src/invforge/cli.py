@@ -15,22 +15,12 @@ import functools
 import sys
 from pathlib import Path
 
-from .derivations import (
-    ResidualDenominatorError,
-    expand_u_to_x,
-    project_x_to_u,
-    refuse_large_x_form,
-)
-from .fixtures import (
-    load_fixtures,
-    load_generator_dir,
-    write_generator_dir,
-)
+from .derivations import ResidualDenominatorError, expand_u_to_x, project_x_to_u
+from .fixtures import load_fixtures, load_generator_dir, write_generator_dir
+from .hilbert import refuse_large_invariants, refuse_large_x_form
 from .invariants import (
-    _GENERATOR_TABLE,
     DegreeMismatchError,
     UnsupportedFormDegreeError,
-    _refuse_oversized,
     invariant_basis,
     is_member,
     known_degree_table,
@@ -66,7 +56,7 @@ def _cmd_invariants(args, out) -> int:
     n, d = args.n, args.degree
     if args.coords == "x" and not n * d % 2:
         # size the x-forms before any basis is computed
-        _refuse_oversized(n, d, "invariants")
+        refuse_large_invariants(n, d, "invariants")
         refuse_large_x_form(n, d, n * d // 2)
     basis = invariant_basis(n, d)
     for el in basis:
@@ -79,7 +69,11 @@ def _cmd_invariants(args, out) -> int:
 def _cmd_mingenset(args, out) -> int:
     if args.degrees:
         degrees = _parse_degree_list(args.degrees)
-        missing = sorted(set(_GENERATOR_TABLE.get(args.n, (0, ()))[1]) - set(degrees))
+        try:
+            table = known_degree_table(args.n)[1]
+        except UnsupportedFormDegreeError:
+            table = ()  # no table, no note
+        missing = sorted(set(table) - set(degrees))
         if missing:
             print(f"note: --degrees omits the n={args.n} table degrees "
                   f"{','.join(map(str, missing))}", file=sys.stderr)

@@ -18,7 +18,8 @@ f; writing that x-form as sum_k x1^k * g_k (no g_k containing x1), L = 0
 becomes a two-term recursion for g_(k+1) in g_k and g_(k-1), starting from
 g_0 = f with ui -> xi.  The g_k are unique, so the recursion is exact, and
 its one division by x0 per step is exact precisely when the x-form is a
-polynomial (see expand_u_to_x).  x -> u is the projection x1 -> 0.
+polynomial (see expand_u_to_x).  x -> u is the projection x1 -> 0.  Each
+input component is sized by ``hilbert.refuse_large_x_form`` first.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .hilbert import MAX_CANDIDATES, box_partition_count, candidate_count
-from .rings import (
+from .hilbert import (
+    MAX_CANDIDATES,
+    MAX_DEGREE,
     MAX_FORM_DEGREE,
-    ContextMismatchError,
-    Polynomial,
-    VarContext,
-    u_ring,
-    x_ring,
+    candidate_count,
+    refuse_large_x_form,
 )
+from .rings import ContextMismatchError, Polynomial, VarContext, u_ring, x_ring
 
 
 class ResidualDenominatorError(ValueError):
@@ -179,39 +179,11 @@ def project_x_to_u(f: Polynomial) -> Polynomial:
     """Multiplicative projection x0 -> x0, x1 -> 0, xi -> ui.
 
     Acts as the identity on polynomials that already lie in the u-subring,
-    so it recovers the u-form of an invariant from its x-form.
+    so it recovers the u-form of an invariant from its x-form.  Dropping the
+    zero x1 exponent maps the terms kept one to one, so nothing cancels.
     """
-    n = f.context.n
-    ctx = u_ring(n)
-    out = {}
-    for e, c in f.terms.items():
-        if e[1]:
-            continue
-        key = (e[0],) + e[2:]
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return Polynomial(ctx, out)
-
-
-# Most terms an x-form may have: p(d, n; w), the count of x-monomials of
-# degree d and weight w, bounds the x-form of a (d, w) component.  The
-# cubic's invariants pass it up to d = 892 (`invariants --coords x` at
-# d = 800 takes 2 s and writes 17 MB on a 2-vCPU host, peak RSS 59 MB); the
-# generator tables need at most 3788 (n = 8, d = 12).
-MAX_X_TERMS = 100_000
-
-
-def refuse_large_x_form(n: int, d: int, w: int) -> None:
-    """ValueError when an x-form of degree d and weight w for n may have
-    more than MAX_X_TERMS terms; sized by ``hilbert.box_partition_count``."""
-    count = box_partition_count(d, n, w, MAX_X_TERMS)
-    if count > MAX_X_TERMS:
-        raise ValueError(
-            f"x-forms of degree {d} and weight {w} for n={n} may have {count}"
-            f" terms or more, above the limit of {MAX_X_TERMS}")
+    return Polynomial(u_ring(f.context.n), {(e[0],) + e[2:]: c
+                                            for e, c in f.terms.items() if not e[1]})
 
 
 @lru_cache(maxsize=64)
@@ -221,10 +193,10 @@ def _x_keys(n: int, d: int) -> dict | None:
     Each key goes in the first time it is produced, so x-forms of the same
     (n, d) held at once share their exponent tuples.  Only a homogeneous
     input is interned, so a table holds keys of its own degree.  None, and
-    nothing is kept, for a degree whose candidate count is above
-    MAX_CANDIDATES: those are the requests invariant_basis refuses.
+    nothing is kept, for a degree above MAX_DEGREE or whose candidate count
+    is above MAX_CANDIDATES: those are the requests invariant_basis refuses.
     """
-    return {} if candidate_count(n, d) <= MAX_CANDIDATES else None
+    return {} if d <= MAX_DEGREE and candidate_count(n, d) <= MAX_CANDIDATES else None
 
 
 def expand_u_to_x(f: Polynomial, n: int) -> Polynomial:
@@ -241,8 +213,8 @@ def expand_u_to_x(f: Polynomial, n: int) -> Polynomial:
     reproduces them exactly and stops once two consecutive ones vanish.  A
     division by x0 that is not exact means the x-form keeps an x0^-1 term:
     ResidualDenominatorError, i.e. the input is not a polynomial in the xi.
-    An input with a component too large for its x-form (refuse_large_x_form)
-    is refused with ValueError before the recursion starts.
+    An input with a component too large for its x-form is refused with
+    ValueError by hilbert.refuse_large_x_form before the recursion starts.
     """
     if f.context != u_ring(n):
         raise ContextMismatchError("expected a u-ring polynomial")

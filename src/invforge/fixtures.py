@@ -5,8 +5,9 @@ holds a generator in u-coordinates (``{name}_x.poly`` in x-coordinates) and
 ``syzygy-{k}.gen`` a relation in generator symbols.  Nothing is trusted on
 faith: every generator file goes through one check (parse, zero, constant,
 then the invariance verifier of its coordinates).  ``load_fixtures``
-classifies every record as ``validated`` or ``transcription-suspect``, then
-checks each relation with ``syzygies.check_syzygy`` against the validated
+classifies every record as ``validated`` or ``transcription-suspect`` (an
+x-form is suspect too when it does not project onto its validated u-form),
+then checks each relation with ``syzygies.check_syzygy`` against the validated
 u-form generators, exactly against the certified relation space of its
 degree; suspect records stay available but must not feed golden
 comparisons.  ``load_generator_dir`` (a ``--gens`` directory, or a bundled
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .derivations import project_x_to_u
 from .invariants import (
     Generator,
     GeneratorSet,
@@ -106,8 +108,12 @@ def load_fixtures(n: int, base: Path = None) -> list:
         raise FileNotFoundError(f"no fixtures for n={n} under {root}")
 
     records = [_check_generator(n, *file) for file in _generator_files(folder)]
-    gens = _generator_set(n, [r for r in records
-                              if r.coordinates == "u" and r.status == VALIDATED])
+    u_forms = {r.name: r for r in records if r.coordinates == "u" and r.status == VALIDATED}
+    for rec in records:
+        if (rec.coordinates == "x" and rec.status == VALIDATED and rec.name in u_forms
+                and project_x_to_u(rec.poly) != u_forms[rec.name].poly):
+            rec.status, rec.note = SUSPECT, f"does not project onto {rec.name}.poly"
+    gens = _generator_set(n, u_forms.values())
     # by the number after the dash: syzygy-2 before syzygy-10
     for path in sorted(folder.glob("syzygy-*.gen"),
                        key=lambda p: _name_key(p.stem.replace("-", ""))):

@@ -18,7 +18,8 @@ representation on every row left by an exact dot product, so a target that
 differs from a member only on its last rows is still refused.  The
 brute-force solver over the original two-derivation system in
 x-coordinates, the independent oracle, lives with the test suite's
-property batteries.
+property batteries.  Every request is sized first, by
+``hilbert.refuse_large_invariants``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .derivations import (
     reduced_operator,
 )
 from .exponents import grad, powers
-from .hilbert import MAX_CANDIDATES, MAX_DEGREE, candidate_count, invariant_dimension
+from .hilbert import invariant_dimension, refuse_large_invariants
 from .linalg import Eliminator, solve_affine_sparse
 from .rings import (
     ContextMismatchError,
@@ -50,20 +51,6 @@ from .rings import (
     u_ring,
     weight_u,
 )
-
-
-def _refuse_oversized(n: int, d: int, what: str) -> None:
-    """ValueError when degree d for n is above MAX_DEGREE or has more than
-    MAX_CANDIDATES candidates."""
-    u_ring(n)  # refuses n above MAX_FORM_DEGREE before any count
-    if d > MAX_DEGREE:
-        raise ValueError(f"{what} of degree {d} for n={n}: the degree is above"
-                         f" the limit of {MAX_DEGREE}")
-    count = candidate_count(n, d)
-    if count > MAX_CANDIDATES:
-        raise ValueError(
-            f"{what} of degree {d} for n={n} need {count} or more candidate"
-            f" monomials, above the limit of {MAX_CANDIDATES}")
 
 
 class DegreeMismatchError(RuntimeError):
@@ -110,9 +97,9 @@ class GeneratorSet:
       (``syzygies._Points``), built by the first syzygy call that evaluates:
       the line plan, and each line's coefficients in t once that line has
       been asked for.  The lines asked grow with the highest degree asked,
-      which ``syzygies.MAX_CANDIDATES`` bounds.  For the bundled octavic
-      set, plan and lines hold 49 KB after degree 16 (5 lines) and 129 KB
-      after degree 28 (34 lines), against 251 KB of generator terms
+      which ``hilbert.MAX_RELATION_CANDIDATES`` bounds.  For the bundled
+      octavic set, plan and lines hold 49 KB after degree 16 (5 lines) and
+      129 KB after degree 28 (34 lines), against 251 KB of generator terms
       (``sys.getsizeof`` summed over the objects held).  Certified systems
       and bases are per-degree results and last one call.
     """
@@ -221,10 +208,10 @@ def invariant_basis(n: int, d: int) -> tuple:
     a tuple of normalized u-polynomials.
 
     The basis size is checked against the Cayley-Sylvester count on every
-    call; a disagreement raises DimensionMismatchError.  A request with more
-    than MAX_CANDIDATES candidates raises ValueError, before any work.
+    call; a disagreement raises DimensionMismatchError.  A request that
+    hilbert.refuse_large_invariants refuses raises ValueError, before any work.
     """
-    _refuse_oversized(n, d, "invariants")
+    refuse_large_invariants(n, d, "invariants")
     candidates = powers(n, d)
     elim = Eliminator(len(candidates)).add_rows(_basis_rows(n, d, candidates))
     elements = tuple(primitive_polynomial(u_ring(n), candidates, vec)
@@ -291,8 +278,8 @@ def is_member(gens: GeneratorSet, f: Polynomial) -> Optional[Polynomial]:
     representation is unique, and it is checked exactly on every monomial
     row the elimination did not need.  f must be a nonzero, homogeneous and
     isobaric polynomial of u_ring(gens.n), else ContextMismatchError or
-    ValueError.  A degree with more than MAX_CANDIDATES candidate monomials
-    raises ValueError, before any work.
+    ValueError.  A degree that hilbert.refuse_large_invariants refuses raises
+    ValueError, before any work.
     """
     if f.context != u_ring(gens.n):
         raise ContextMismatchError("target is not in the u-ring of the generator set")
@@ -302,7 +289,7 @@ def is_member(gens: GeneratorSet, f: Polynomial) -> Optional[Polynomial]:
     if len(degs) != 1:
         raise ValueError("membership needs a homogeneous polynomial")
     target = (degs.pop(), weight_u(f))
-    _refuse_oversized(gens.n, target[0], "members")
+    refuse_large_invariants(gens.n, target[0], "members")
     if not len(gens):
         return None
     candidates = grad(gens.profile(), target)
@@ -360,7 +347,7 @@ def mingenset(n: int, r: int, degrees) -> GeneratorSet:
         raise DegreeMismatchError(
             f"expected {r} generator degrees, got {len(degrees)}")
     for d in set(degrees):
-        _refuse_oversized(n, d, "invariants")
+        refuse_large_invariants(n, d, "invariants")
     gens = GeneratorSet(n, ())
     for d in sorted(set(degrees)):
         expected = degrees.count(d)

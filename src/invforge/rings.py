@@ -20,6 +20,8 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Iterable, Mapping
 
+from .hilbert import MAX_FORM_DEGREE, refuse_form_degree
+
 
 class RingKind(Enum):
     X = "x"      # k[x0..xn]
@@ -37,12 +39,6 @@ class ZeroPolynomialError(ValueError):
 
 class NonIsobaricError(ValueError):
     """Weight requested for a polynomial whose terms have unequal weights."""
-
-
-# Largest form degree of a u- or x-ring.  At n = 64 the slowest request the
-# candidate limit admits (degree 3) takes 1.5 s on a 2-vCPU Xeon host; at
-# n = 100 it takes 7 s.  A larger n is refused before any work of size n.
-MAX_FORM_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -67,17 +63,14 @@ class VarContext:
     slot_weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.kind is not RingKind.GEN:
+            refuse_form_degree(self.n)
         if self.kind is RingKind.GEN:
             if not self.generators:
                 raise ValueError("GEN context needs at least one generator")
             names, degrees, weights = zip(*self.generators)
             if len(set(names)) < len(names):
                 raise ValueError(f"generator names {names} are not distinct")
-        elif self.n < 2:
-            raise ValueError("form degree must be >= 2")
-        elif self.n > MAX_FORM_DEGREE:
-            raise ValueError(f"form degree {self.n} is above the limit of"
-                             f" {MAX_FORM_DEGREE}")
         elif self.kind is RingKind.X:
             names = tuple(f"x{i}" for i in range(self.n + 1))
             degrees, weights = (1,) * (self.n + 1), tuple(range(self.n + 1))

@@ -75,11 +75,12 @@ expanded A instead, sparse, and they go to ``linalg.Eliminator``, the exact
 kernel of invariant bases and membership.  The expanded A alone is the
 test suite's reference route.
 
-A degree above ``hilbert.MAX_DEGREE`` or with more than MAX_CANDIDATES
-generator monomials is refused with ValueError, counted by
-``hilbert.generator_monomial_count`` before anything is enumerated or
-evaluated; ``minimal_syzygies`` sizes every requested degree before it works
-on the first.
+Every degree is sized by ``hilbert.relation_candidate_count`` before
+anything is enumerated or evaluated: a degree above ``hilbert.MAX_DEGREE``
+is refused with ValueError before it is counted, and one with more than
+``hilbert.MAX_RELATION_CANDIDATES`` generator monomials after.
+``minimal_syzygies`` sizes every requested degree before it works on the
+first.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 
 from .exponents import powers2
-from .hilbert import MAX_DEGREE, generator_monomial_count, invariant_dimension
+from .hilbert import generator_monomial_count, invariant_dimension, relation_candidate_count
 from .invariants import (
     DimensionMismatchError,
     GeneratorSet,
@@ -110,15 +111,6 @@ from .rings import ContextMismatchError, Polynomial, u_ring
 IDLE_POINTS = 8
 POINT_RANGE = 5
 LINE_STEPS = (0,) + tuple(s * t for t in range(1, POINT_RANGE + 1) for s in (1, -1))
-
-# Largest number of generator monomials a syzygy degree may have.  The
-# bundled octavic set needs at most 107 (d = 20, 0.05 s on a 2-vCPU Xeon
-# host); d = 24 has 220 and takes 0.3 s, d = 28 has 422 and takes 1.5 to
-# 2.2 s: a sixth of it the word-size elimination, two fifths the p-adic
-# lifting of its 57 null vectors and a quarter their exact check.  The time
-# grows about 2.3-fold per two degrees.  Larger requests are refused before
-# any point is evaluated.
-MAX_CANDIDATES = 500
 
 
 @dataclass(frozen=True)
@@ -142,19 +134,11 @@ def expand_in_generators(gens: GeneratorSet, g: Polynomial) -> Polynomial:
 
 
 def _count(gens: GeneratorSet, d: int) -> int:
-    """Number of degree-d generator monomials; ValueError above MAX_CANDIDATES
-    or a degree above MAX_DEGREE."""
+    """Number of degree-d generator monomials, sized by
+    ``hilbert.relation_candidate_count``."""
     if not len(gens):
         raise ValueError("need a nonempty generator set")
-    count = generator_monomial_count(gens.degrees(), d, MAX_CANDIDATES)
-    if count > MAX_CANDIDATES:
-        raise ValueError(
-            f"relations of degree {d} for n={gens.n} need at least {count}"
-            f" generator monomials, above the limit of {MAX_CANDIDATES}")
-    if d > MAX_DEGREE:
-        raise ValueError(f"relations of degree {d} for n={gens.n}: the degree"
-                         f" is above the limit of {MAX_DEGREE}")
-    return count
+    return relation_candidate_count(gens.n, gens.degrees(), d)
 
 
 def _candidates(gens: GeneratorSet, d: int) -> list:
@@ -438,8 +422,7 @@ def _minimal(gens: GeneratorSet, d: int, basis: list) -> list:
         vectors = elim.integer_nullspace()
         low = d - deg
         if low >= 0 and gens.verified:
-            least = (generator_monomial_count(degs, low, MAX_CANDIDATES)
-                     - invariant_dimension(gens.n, low))
+            least = generator_monomial_count(degs, low) - invariant_dimension(gens.n, low)
             if len(vectors) < least:
                 raise DimensionMismatchError(
                     f"degree-{d} relations for n={gens.n} hold {len(vectors)}"

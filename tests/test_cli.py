@@ -418,6 +418,76 @@ def test_huge_degree_exits_2_at_once(tmp_path, capsys, argv):
     assert last.startswith("error: ") and "the degree is above the limit of 7999" in last
 
 
+REFUSALS = [
+    # (argv, message); "@dir" names a bundled folder, "=text" a file of text
+    (["convert", "--n", "64", "--direction", "u2x", "=u33^8000"],
+     "x-forms of degree 8000 and weight 264000 for n=64 may have 5337334 terms"
+     " or more, above the limit of 100000"),
+    (["syzygies", "--n", "8", "--gens", "@n8", "--degrees", "40"],
+     "relations of degree 40 for n=8 need at least 2265 generator monomials,"
+     " above the limit of 500"),
+    (["syzygies", "--n", "8", "--gens", "@n8", "--degrees", "7999"],
+     "relations of degree 7999 for n=8 need at least 117680267263486929157"
+     " generator monomials, above the limit of 500"),
+    (["syzygies", "--n", "8", "--gens", "@n8", "--degrees", "100000000000"],
+     "relations of degree 100000000000 for n=8: the degree is above the limit"
+     " of 7999"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_refusal_exits_2_at_once(tmp_path, capsys, argv, message):
+    # the degree cap is checked before any count, and a count under the cap
+    # is exact: degree 7999 reports its full number of generator monomials
+    poly = tmp_path / "request.poly"
+    args = []
+    for a in argv:
+        if a.startswith("="):
+            poly.write_text(a[1:] + "\n")
+            a = str(poly)
+        args.append(str(fixture_root() / a[1:]) if a.startswith("@") else a)
+    start = time.perf_counter()
+    code, out = run_cli(*args)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_x_forms_take_no_degree_cap(tmp_path):
+    poly = tmp_path / "huge.poly"
+    poly.write_text("x0^1000000000\n")
+    start = time.perf_counter()
+    code, out = run_cli("convert", "--n", "3", "--direction", "u2x", str(poly))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "x0^1000000000\n")
+
+
+def test_member_of_a_constant_is_the_empty_product(tmp_path):
+    target = tmp_path / "seven.poly"
+    target.write_text("7\n")
+    code, out = run_cli("member", "--n", "4", "--gens", str(fixture_root() / "n4"),
+                        "--target", str(target))
+    assert (code, out) == (0, "7\n")
+
+
+def test_balanced_target_of_no_generator_degree_is_no_member(tmp_path):
+    # degree 6, weight 15 = 5*6/2, but the quintic's generator degrees
+    # 4, 8, 12, 18 give no product of degree 6
+    target = tmp_path / "t.poly"
+    target.write_text("x0^3*u5^3\n")
+    code, out = run_cli("member", "--n", "5", "--gens", str(fixture_root() / "n5"),
+                        "--target", str(target))
+    assert (code, out) == (1, "not a member\n")
+
+
+def test_mingenset_refuses_more_new_generators_than_asked(capsys):
+    # the sextic has ten new degree-14 invariants without the lower degrees
+    code, out = run_cli("mingenset", "--n", "6", "--degrees", "14")
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: more than 1 new generators at degree 14"
+
+
 def test_largest_degree_is_answered():
     # the quadratic answers every even degree up to the limit
     code, out = run_cli("invariants", "--n", "2", "--degree", "7998")

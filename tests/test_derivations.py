@@ -15,10 +15,9 @@ from invforge.derivations import (
 )
 from invforge.exponents import _compositions
 from invforge.fixtures import fixture_root, load_generator_dir
-from invforge.hilbert import MAX_CANDIDATES, candidate_count
+from invforge.hilbert import MAX_CANDIDATES, MAX_FORM_DEGREE, candidate_count
 from invforge.invariants import invariant_basis
 from invforge.rings import (
-    MAX_FORM_DEGREE,
     ContextMismatchError,
     Polynomial,
     monomial_key,

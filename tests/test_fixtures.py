@@ -15,7 +15,8 @@ from invforge.fixtures import (
     write_generator_dir,
 )
 from invforge.invariants import mingenset, verify_invariant_u
-from invforge.rings import degree, weight_u
+from invforge.rings import degree, weight_u, x_ring
+from invforge.textio import format_poly, parse_poly
 
 
 @pytest.mark.parametrize("n,names", [
@@ -79,6 +80,18 @@ def test_constant_record_goes_suspect(tmp_path):
     assert by_name["syzygy-1"].status == VALIDATED
     with pytest.raises(ValueError, match="c0.poly is a constant, not a generator"):
         load_generator_dir(5, tmp_path / "n5")
+
+
+def test_x_form_that_does_not_project_onto_its_u_form_goes_suspect(tmp_path):
+    # twice the true x-form is still an invariant, so only the projection
+    # onto f4.poly tells that it is not f4's x-form
+    folder = shutil.copytree(fixture_root() / "n3", tmp_path / "n3")
+    x_form = parse_poly((folder / "f4_x.poly").read_text().strip(), x_ring(3))
+    (folder / "f4_x.poly").write_text(format_poly(x_form.scale(2)) + "\n")
+    by_coords = {r.coordinates: r for r in load_fixtures(3, tmp_path)}
+    assert by_coords["u"].status == VALIDATED
+    assert (by_coords["x"].status, by_coords["x"].note) == (
+        SUSPECT, "does not project onto f4.poly")
 
 
 def test_write_and_reload_generator_dir(tmp_path):

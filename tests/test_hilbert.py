@@ -41,21 +41,26 @@ def test_candidate_count_matches_enumeration(n, top):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 9), min_size=1, max_size=5), st.integers(0, 40),
-       st.integers(-2, 60))
-def test_generator_monomial_count_matches_enumeration(degrees, limit, d):
-    count = generator_monomial_count(degrees, d, limit)
-    exact = len(powers2(degrees, d))
-    assert count == exact if count <= limit else exact > limit
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=5), st.integers(-2, 60))
+def test_generator_monomial_count_matches_enumeration(degrees, d):
+    assert generator_monomial_count(degrees, d) == len(powers2(degrees, d))
 
 
-def test_generator_monomial_count_past_the_bound_is_immediate():
-    # the octavic degrees 2..10: no table of 10^12 entries is built
-    assert generator_monomial_count(range(2, 11), 10**12, 500) == 501
-    # every quintic generator degree is even
-    assert generator_monomial_count((4, 8, 12, 18), 10**12 + 1, 500) == 0
-    assert generator_monomial_count((4,), 10**12, 500) == 1
-    assert generator_monomial_count((2, 2), 2 * 500, 500) == 501
+def test_counts_refuse_a_degree_above_the_limit():
+    # every request checks MAX_DEGREE before it counts, so no count builds
+    # a table past it: the coin-change table stops at MAX_DEGREE + 1 entries
+    top = hilbert.MAX_DEGREE
+    assert generator_monomial_count((4,), top) == 0
+    assert generator_monomial_count((1,), top) == 1
+    # the cubic has d // 4 + 1 candidates, so the cap is the first degree
+    # past MAX_CANDIDATES of them
+    assert candidate_count(3, top - 1) == hilbert.MAX_CANDIDATES
+    for count, args in ((generator_monomial_count, (range(2, 11), top + 1)),
+                        (generator_monomial_count, ((4,), 10**12)),
+                        (candidate_count, (3, top + 1)),
+                        (candidate_count, (2, 10**20))):
+        with pytest.raises(ValueError, match="above the limit of 7999"):
+            count(*args)
 
 
 @pytest.mark.parametrize("n,top", [(3, 16), (4, 14), (5, 14), (6, 12), (7, 10), (8, 10)])

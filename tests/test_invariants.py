@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from invforge import cli, invariants
+from invforge import cli, hilbert, invariants
 from invforge.derivations import apply_derivation, expand_u_to_x, reduced_operator
 from invforge.exponents import _compositions, grad, powers
 from invforge.fixtures import fixture_root, load_generator_dir
-from invforge.hilbert import candidate_count
+from invforge.hilbert import MAX_CANDIDATES, candidate_count
 from invforge.invariants import (
     _GENERATOR_TABLE,
-    MAX_CANDIDATES,
     DegreeMismatchError,
     GeneratorSet,
     NonInvariantError,
@@ -455,7 +454,7 @@ def test_oversized_membership_is_refused_before_enumeration(monkeypatch):
 def test_oversized_form_degree_is_refused_before_counting(monkeypatch):
     def count_nothing(n, d):
         raise AssertionError("counted candidates of an oversized form degree")
-    monkeypatch.setattr(invariants, "candidate_count", count_nothing)
+    monkeypatch.setattr(hilbert, "candidate_count", count_nothing)
     with pytest.raises(ValueError, match="form degree 990 is above the limit of 64"):
         invariant_basis(990, 2)
 

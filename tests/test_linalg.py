@@ -15,7 +15,7 @@ from invforge.linalg import (
     rank_sparse,
     solve_affine_sparse,
 )
-from invforge.syzygies import MAX_CANDIDATES
+from invforge.hilbert import MAX_RELATION_CANDIDATES
 
 from properties import (
     check_linalg_against_naive,
@@ -408,13 +408,14 @@ def test_packed_store_matches_exact_kernel(system):
         assert packed.nullspace() == want
 
 
-@pytest.mark.parametrize("last,rank", [(-498, MAX_CANDIDATES), (-499, MAX_CANDIDATES - 1)])
+@pytest.mark.parametrize("last,rank", [(-498, MAX_RELATION_CANDIDATES),
+                                       (-499, MAX_RELATION_CANDIDATES - 1)])
 def test_packed_store_worst_carry(last, rank):
     # rows e_k - (e_(k+1) + ... + e_(n-1)), fed last first, are the packed
     # pivot rows 1, p-1, ..., p-1; the final row reads f = 1 at every
     # pivot, so each of its n - 1 reductions adds (p-1)^2 to every later
     # slot, and its last slot ends at last + 499 modulo p
-    n = MAX_CANDIDATES
+    n = MAX_RELATION_CANDIDATES
     rows = [[0] * k + [1] + [-1] * (n - 1 - k) for k in reversed(range(n - 1))]
     rows.append([0 if c == 1 else 1 - c for c in range(n - 1)] + [last])
     exact, packed = both_kernels(n, rows)

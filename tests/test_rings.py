@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from invforge.hilbert import MAX_FORM_DEGREE
 from invforge.rings import (
-    MAX_FORM_DEGREE,
     ContextMismatchError,
     NonIsobaricError,
     Polynomial,

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from invforge import invariants, linalg, syzygies
+from invforge import hilbert, invariants, linalg, syzygies
 from invforge.exponents import powers2
 from invforge.hilbert import generator_monomial_count, invariant_dimension
 from invforge.fixtures import fixture_generator_set, fixture_root, load_generator_dir
@@ -528,11 +528,11 @@ SYZYGY_CASES = [(5, d) for d in (24, 28, 36, 40)] + [(6, d) for d in (30, 32, 34
 
 
 def test_syzygy_limit_covers_every_case_in_use():
-    counts = {(n, d): generator_monomial_count(bundled(n)[0].degrees(), d, 10**6)
+    counts = {(n, d): generator_monomial_count(bundled(n)[0].degrees(), d)
               for n, d in SYZYGY_CASES}
     assert max(counts, key=counts.get) == (8, 20) and counts[8, 20] == 107
-    assert counts[8, 20] <= syzygies.MAX_CANDIDATES
-    assert generator_monomial_count(range(2, 11), 40, 10**6) == 2265
+    assert counts[8, 20] <= hilbert.MAX_RELATION_CANDIDATES
+    assert generator_monomial_count(range(2, 11), 40) == 2265
 
 
 def test_oversized_syzygy_request_is_refused_before_any_work(monkeypatch):
@@ -549,6 +549,11 @@ def test_oversized_syzygy_request_is_refused_before_any_work(monkeypatch):
         check_syzygy(gens, big)
     with pytest.raises(ValueError, match="above the limit"):
         syzygy_basis(gens, 10**12)
+
+
+def test_empty_generator_set_is_refused():
+    with pytest.raises(ValueError, match="need a nonempty generator set"):
+        minimal_syzygies(GeneratorSet(5, ()), [4])
 
 
 @st.composite
