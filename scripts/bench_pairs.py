@@ -25,8 +25,12 @@ least 9 of 10 pairs (ties count for neither side), its median is better
 than the parent's by more than the parent's interquartile range, and it
 fails no larger share of its operations than the parent.  A metric
 regresses when the change's median is worse than the parent's by more than
-the metric's relative bound.  Every metric's verdict is "more failed
-operations" when the change fails a larger share of its operations.
+the metric's relative bound.  A metric within its bound is "unresolved"
+when the parent's interquartile range is wider than the bound (relative to
+the parent's median) and not every change run is better than every parent
+run: the runs spread too widely to call it unchanged.  Every metric's
+verdict is "more failed operations" when the change fails a larger share
+of its operations.
 """
 
 from __future__ import annotations
@@ -81,12 +85,15 @@ def compare(parent: list, change: list, better: str, bound: float,
     gain_met = (change_wins >= math.ceil(WIN_SHARE * len(parent))
                 and gain > q3 - q1 and not more_failed)
     within = -gain <= bound * abs(med_p)
+    # every change run better than every parent run
+    separated = max(sign * c for c in change) < min(sign * p for p in parent)
+    unresolved = q3 - q1 > bound * abs(med_p) and not separated
     if more_failed:
         verdict = "more failed operations"
     elif gain_met:
         verdict = "gain met"
     elif within:
-        verdict = "no gain; within bound"
+        verdict = "unresolved" if unresolved else "no gain; within bound"
     else:
         verdict = "regression past bound"
     return {"change_wins": change_wins, "parent_wins": parent_wins,
@@ -225,7 +232,9 @@ def main(argv=None) -> int:
                    "and its median beats the parent's by more than the parent's "
                    "IQR, and it fails no larger share of its operations; "
                    "regression: the change's median is worse than the "
-                   "parent's by more than the BENCHMARK.json bound (relative)",
+                   "parent's by more than the BENCHMARK.json bound (relative); "
+                   "unresolved: within the bound, but the parent's IQR is wider "
+                   "than the bound and not every change run beats every parent run",
            "complete": False}
     runs = []
 

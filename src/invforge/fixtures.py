@@ -12,8 +12,9 @@ u-form generators, exactly against the certified relation space of its
 degree; suspect records stay available but must not feed golden
 comparisons.  ``load_generator_dir`` (a ``--gens`` directory, or a bundled
 one through ``fixture_generator_set``) reads only the u-forms, raises on the
-first file that fails and checks no relation.  Both build their verified
-sets with ``invariants.verified_set``.
+first file that fails and checks no relation.  The invariance check of a
+u-form is the making of its ``invariants.Generator``, once per file; both
+loaders build their sets from the generators so made.
 """
 
 from __future__ import annotations
@@ -24,14 +25,8 @@ from pathlib import Path
 from typing import Optional
 
 from .derivations import project_x_to_u
-from .invariants import (
-    Generator,
-    GeneratorSet,
-    verified_set,
-    verify_invariant_u,
-    verify_invariant_x,
-)
-from .rings import Polynomial, degree, u_ring, x_ring
+from .invariants import Generator, GeneratorSet, NonInvariantError, verify_invariant_x
+from .rings import Polynomial, u_ring, x_ring
 from .syzygies import check_syzygy
 from .textio import PolyParseError, format_poly, parse_poly
 
@@ -50,6 +45,7 @@ class FixtureRecord:
     status: str
     poly: Optional[Polynomial]
     note: str = ""
+    generator: Optional[Generator] = None  # a validated u-form's
 
 
 def fixture_root() -> Path:
@@ -84,20 +80,22 @@ def _check_generator(n: int, name: str, coords: str, path: Path) -> FixtureRecor
         return FixtureRecord(name, coords, SUSPECT, poly, "parsed to zero")
     if not any(map(any, poly.terms)):  # no term holds a variable
         return FixtureRecord(name, coords, SUSPECT, poly, _CONSTANT)
-    verify = verify_invariant_u if coords == "u" else verify_invariant_x
-    if verify(n, poly):
-        return FixtureRecord(name, coords, VALIDATED, poly)
+    if coords == "x":
+        if verify_invariant_x(n, poly):
+            return FixtureRecord(name, coords, VALIDATED, poly)
+    else:
+        try:
+            return FixtureRecord(name, coords, VALIDATED, poly,
+                                 generator=Generator(name, poly))
+        except NonInvariantError:
+            pass
     return FixtureRecord(name, coords, SUSPECT, poly, "fails the invariance verifier")
 
 
 def _generator_set(n: int, records) -> GeneratorSet:
-    """Verified set over validated u-form records, by degree; a balanced
-    invariant of degree d has weight n*d/2."""
-    gens = []
-    for rec in records:
-        d = degree(rec.poly)
-        gens.append(Generator(rec.name, d, n * d // 2, rec.poly, None))
-    return verified_set(n, gens)
+    """The set of the records' generators, by (degree, name)."""
+    return GeneratorSet(n, tuple(sorted((rec.generator for rec in records),
+                                        key=lambda g: (g.degree, g.name))))
 
 
 def load_fixtures(n: int, base: Path = None) -> list:
@@ -108,7 +106,7 @@ def load_fixtures(n: int, base: Path = None) -> list:
         raise FileNotFoundError(f"no fixtures for n={n} under {root}")
 
     records = [_check_generator(n, *file) for file in _generator_files(folder)]
-    u_forms = {r.name: r for r in records if r.coordinates == "u" and r.status == VALIDATED}
+    u_forms = {r.name: r for r in records if r.generator}
     for rec in records:
         if (rec.coordinates == "x" and rec.status == VALIDATED and rec.name in u_forms
                 and project_x_to_u(rec.poly) != u_forms[rec.name].poly):

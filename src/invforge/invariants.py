@@ -19,14 +19,17 @@ differs from a member only on its last rows is still refused.  The
 brute-force solver over the original two-derivation system in
 x-coordinates, the independent oracle, lives with the test suite's
 property batteries.  Every request is sized first, by
-``hilbert.refuse_large_invariants``.
+``hilbert.refuse_large_invariants``.  A ``Generator`` is verified when it
+is made, so every ``GeneratorSet`` holds invariants by construction, and
+``verify_invariant_u`` asks for one degree as well as the balanced weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import mul
 from typing import Iterable, Optional
 
 from .derivations import (
@@ -43,13 +46,14 @@ from .linalg import Eliminator, solve_affine_sparse
 from .rings import (
     ContextMismatchError,
     Polynomial,
+    RingKind,
     VarContext,
     degree,
     gen_ring,
-    is_isobaric_balanced,
     monomial_key,
     u_ring,
     weight_u,
+    x_ring,
 )
 
 
@@ -66,31 +70,53 @@ class DimensionMismatchError(RuntimeError):
 
 
 class NonInvariantError(RuntimeError):
-    """A solver result fails the invariance verifiers."""
+    """A generator fails the invariance verifiers."""
 
 
 @dataclass(frozen=True)
 class Generator:
+    """A named invariant of the binary form of degree u_poly.context.n,
+    checked when it is made.
+
+    ``u_poly`` must be a nonconstant u-ring polynomial that
+    ``verify_invariant_u`` accepts, and ``x_poly``, when given (the x-form
+    of ``u_poly``, as ``mingenset`` passes it), an x-ring polynomial that
+    ``verify_invariant_x`` accepts; anything else raises NonInvariantError.
+    ``degree`` and ``weight`` are read off ``u_poly``.
+    """
+
     name: str
-    degree: int
-    weight: int
     u_poly: Polynomial
-    x_poly: Polynomial
+    x_poly: Optional[Polynomial] = None
+    degree: int = field(init=False)
+    weight: int = field(init=False)
+
+    def __post_init__(self):
+        u, x = self.u_poly, self.x_poly
+        n = u.context.n
+        if not (u.context.kind is RingKind.U and any(map(any, u.terms))
+                and verify_invariant_u(n, u)):
+            raise NonInvariantError(f"{self.name} is not a nonconstant invariant"
+                                    f" in the u-ring of n={n}")
+        if x is not None and not (x.context == x_ring(n) and x.terms
+                                  and verify_invariant_x(n, x)):
+            raise NonInvariantError(f"the x-form of {self.name} is not an invariant")
+        d = degree(u)
+        object.__setattr__(self, "degree", d)
+        object.__setattr__(self, "weight", n * d // 2)
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
     """Generators of the invariants of the binary form of degree n.
 
-    Three things are kept on a set for its lifetime, each built on first
-    use and none a field (not in ``__init__``, ``==``, ``hash`` or
-    ``repr``).  ``with_generator`` and every load give a new set, which
-    starts with none of them.
+    Every generator is an invariant of this n, checked when it was made;
+    a generator of another form degree raises ContextMismatchError.  Two
+    things are kept on a set for its lifetime, each built on first use and
+    neither a field (not in ``__init__``, ``==``, ``hash`` or ``repr``).
+    ``with_generator`` and every load give a new set, which starts with
+    neither of them.
 
-    * ``verified``: every generator is a nonzero invariant of its degree,
-      the syzygy certificate's precondition.  ``verified_set`` fills it in
-      ahead of time for the loaders in ``fixtures`` and for ``mingenset``,
-      which have just verified every generator.
     * ``gen_context()``: one generator ring, shared by every relation found
       on the set.
     * ``evaluation``: the generators on the syzygy engine's lines
@@ -106,6 +132,10 @@ class GeneratorSet:
 
     n: int
     generators: tuple
+
+    def __post_init__(self):
+        if any(g.u_poly.context != u_ring(self.n) for g in self.generators):
+            raise ContextMismatchError(f"a generator is not an invariant of n={self.n}")
 
     def __len__(self):
         return len(self.generators)
@@ -133,22 +163,9 @@ class GeneratorSet:
         return GeneratorSet(self.n, self.generators + (g,))
 
     @cached_property
-    def verified(self) -> bool:
-        return all(not g.u_poly.is_zero() and degree(g.u_poly) == g.degree
-                   and verify_invariant_u(self.n, g.u_poly) for g in self)
-
-    @cached_property
     def evaluation(self):
         from .syzygies import _Points  # syzygies builds on this module
         return _Points(self)
-
-
-def verified_set(n: int, generators) -> GeneratorSet:
-    """The set of these generators by (degree, name), marked verified by a
-    caller that has just verified every generator."""
-    gens = GeneratorSet(n, tuple(sorted(generators, key=lambda g: (g.degree, g.name))))
-    gens.__dict__["verified"] = True
-    return gens
 
 
 def monomial_rows(ctx: VarContext, columns: Iterable[Polynomial]) -> list:
@@ -234,10 +251,18 @@ def verify_invariant_x(n: int, f: Polynomial) -> bool:
 
 
 def verify_invariant_u(n: int, f: Polynomial) -> bool:
-    """True iff f is weight-balanced and the reduced operator kills it."""
+    """True iff every term of f has one degree d and the weight n*d/2, and
+    the reduced operator kills f.
+
+    The reduced operator sends x0 to 0, so it kills f/x0 whenever it kills
+    f: without one degree, f plus f/x0 would pass.
+    """
     if f.is_zero():
         raise ValueError("verify expects a nonzero polynomial")
-    if not is_isobaric_balanced(f, n):
+    degs, wts = f.context.slot_degrees, f.context.slot_weights
+    grades = {(sum(map(mul, e, degs)), sum(map(mul, e, wts))) for e in f.terms}
+    (d, w), *others = grades
+    if others or n * d != 2 * w:
         return False
     return apply_derivation(reduced_operator(n), f).is_zero()
 
@@ -340,7 +365,8 @@ def mingenset(n: int, r: int, degrees) -> GeneratorSet:
 
     Walks the degrees in ascending order, keeps every basis invariant not
     already in the subring generated so far, and insists the outcome matches
-    (r, degrees) exactly; any disagreement raises DegreeMismatchError.
+    (r, degrees) exactly; any disagreement raises DegreeMismatchError.  The
+    generators come out by (degree, name), each with its x-form.
     """
     degrees = sorted(degrees)
     if len(degrees) != r:
@@ -355,12 +381,8 @@ def mingenset(n: int, r: int, degrees) -> GeneratorSet:
         for el in invariant_basis(n, d):
             if len(gens) and is_member(gens, el) is not None:
                 continue
-            x_form = expand_u_to_x(el, n)
-            if not (verify_invariant_u(n, el) and verify_invariant_x(n, x_form)):
-                raise NonInvariantError(
-                    f"degree-{d} basis element fails the invariance verifiers")
             gens = gens.with_generator(
-                Generator(_generator_name(d, found), d, n * d // 2, el, x_form))
+                Generator(_generator_name(d, found), el, expand_u_to_x(el, n)))
             found += 1
             if found > expected:
                 raise DegreeMismatchError(
@@ -368,4 +390,4 @@ def mingenset(n: int, r: int, degrees) -> GeneratorSet:
         if found != expected:
             raise DegreeMismatchError(
                 f"expected {expected} new generators at degree {d}, found {found}")
-    return verified_set(n, gens)
+    return gens

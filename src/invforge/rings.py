@@ -291,21 +291,6 @@ def weight_u(f: Polynomial) -> int:
     return _common_weight(f)
 
 
-def is_isobaric_balanced(f: Polynomial, n: int) -> bool:
-    """True iff f is isobaric and n*deg(f) = 2*weight(f).
-
-    The balanced isobaric polynomials form the subring whose intersection
-    with the reduced operator's kernel is exactly the invariants.
-    """
-    if f.is_zero():
-        raise ZeroPolynomialError("balance of the zero polynomial is undefined")
-    try:
-        w = _common_weight(f)
-    except NonIsobaricError:
-        return False
-    return n * degree(f) == 2 * w
-
-
 def substitute(f: Polynomial, images: Mapping[int, Polynomial],
                target: VarContext = None) -> Polynomial:
     """Ring-homomorphic image of f under slot -> polynomial substitution.

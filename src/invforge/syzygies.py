@@ -67,10 +67,10 @@ All of it is exact integer (or rational) arithmetic, so every value is the
 one the term-by-term product and sum give.
 
 A certified system's basis is read back by its ``nullspace``, whose only
-fallback is the exact kernel on the same rows.  Without the
-certificate (a set that does not span I_d, a stalled rank, or a hand-built
-generator that is no invariant of its degree; loaded and computed sets
-arrive verified from ``invariants.verified_set``) the rows are those of the
+fallback is the exact kernel on the same rows.  Every generator was
+checked to be an invariant when it was made (``invariants.Generator``), so
+the Cayley-Sylvester count bounds every set.  Without the certificate (a
+set that does not span I_d, or a stalled rank) the rows are those of the
 expanded A instead, sparse, and they go to ``linalg.Eliminator``, the exact
 kernel of invariant bases and membership.  The expanded A alone is the
 test suite's reference route.
@@ -303,7 +303,7 @@ def _certified_system(gens: GeneratorSet, d: int, candidates: list):
     line ends at its first point that does not raise the rank.
     """
     target = invariant_dimension(gens.n, d)
-    if len(candidates) < target or not gens.verified:
+    if len(candidates) < target:
         return None
     points, monomials = gens.evaluation, _PrefixPlan(candidates, len(gens))
     elim = PackedEliminator(len(candidates))
@@ -382,13 +382,12 @@ def minimal_syzygies(gens: GeneratorSet, degrees) -> list:
     f_j * S is a relation exactly when S is one, and f_j * Rel_e is the set
     of degree-d relations every term of which contains f_j: the null space
     of the basis coefficients on the candidates without f_j.  Its dimension
-    is dim Rel_e.  For a verified set (every generator an invariant, so the
-    degree-e generator monomials map into I_e) that is at least count(e) -
+    is dim Rel_e.  Every generator is an invariant, so the degree-e
+    generator monomials map into I_e, and that is at least count(e) -
     dim I_e (count(e) the generator monomials of degree e), with equality
     when the generators span I_e; a smaller one raises
     DimensionMismatchError (a larger one comes from a hand-built set that
-    does not span I_e).  An unverified set bounds nothing and is not
-    counted.  Then, in basis coordinates,
+    does not span I_e).  Then, in basis coordinates,
     the columns are the consequence vectors followed by the k unit vectors:
     a basis relation is minimal iff its unit column is a pivot column.
     Each degree reads its own basis only; minimal relations keep the basis
@@ -421,7 +420,7 @@ def _minimal(gens: GeneratorSet, d: int, basis: list) -> list:
                 break
         vectors = elim.integer_nullspace()
         low = d - deg
-        if low >= 0 and gens.verified:
+        if low >= 0:
             least = generator_monomial_count(degs, low) - invariant_dimension(gens.n, low)
             if len(vectors) < least:
                 raise DimensionMismatchError(

@@ -48,6 +48,28 @@ def test_verify_exit_codes(tmp_path):
     assert code == 1 and "not an invariant" in out
 
 
+# the cubic's discriminant plus the discriminant divided by x0: one weight,
+# two degrees, and the reduced operator kills both summands
+DISC_PLUS_DISC_OVER_X0 = "x0^2*u3^2 + 4*x0*u2^3 + x0*u3^2 + 4*u2^3"
+
+
+def test_verify_refuses_a_u_form_of_two_degrees(tmp_path):
+    f = tmp_path / "f.poly"
+    f.write_text(DISC_PLUS_DISC_OVER_X0 + "\n")
+    assert run_cli("verify", "--n", "3", str(f)) == (1, "not an invariant\n")
+    assert run_cli("convert", "--n", "3", "--direction", "u2x", str(f))[0] == 1
+
+
+def test_syzygies_refuse_a_generator_of_two_degrees(tmp_path, capsys):
+    gens_dir = tmp_path / "gens"
+    gens_dir.mkdir()
+    (gens_dir / "f4.poly").write_text("x0^2*u3^2 + 4*x0*u2^3\n")
+    (gens_dir / "g4.poly").write_text(DISC_PLUS_DISC_OVER_X0 + "\n")
+    assert run_cli("syzygies", "--n", "3", "--gens", str(gens_dir),
+                   "--degrees", "4") == (2, "")
+    assert capsys.readouterr().err == "error: g4.poly is not a verified invariant\n"
+
+
 def test_verify_bad_input_exit_2(tmp_path):
     f = tmp_path / "junk.poly"
     f.write_text("x0 + @@\n")

@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-from invforge import fixtures, syzygies
+from invforge import fixtures, invariants, syzygies
 from invforge.fixtures import (
     SUSPECT,
     VALIDATED,
@@ -92,6 +92,30 @@ def test_x_form_that_does_not_project_onto_its_u_form_goes_suspect(tmp_path):
     assert by_coords["u"].status == VALIDATED
     assert (by_coords["x"].status, by_coords["x"].note) == (
         SUSPECT, "does not project onto f4.poly")
+
+
+def test_u_form_of_two_degrees_goes_suspect(tmp_path):
+    # the discriminant plus the discriminant divided by x0: the reduced
+    # operator kills both summands, which have one weight but two degrees
+    folder = bundled_copy(tmp_path, 3)
+    (folder / "g4.poly").write_text("x0^2*u3^2 + 4*x0*u2^3 + x0*u3^2 + 4*u2^3\n")
+    by_name = {r.name: r for r in load_fixtures(3, tmp_path) if r.coordinates == "u"}
+    assert by_name["f4"].status == VALIDATED
+    assert (by_name["g4"].status, by_name["g4"].note) == (
+        SUSPECT, "fails the invariance verifier")
+
+
+def test_a_load_verifies_each_u_form_once(monkeypatch):
+    calls = []
+    verify = invariants.verify_invariant_u
+    monkeypatch.setattr(invariants, "verify_invariant_u",
+                        lambda n, f: calls.append(f) or verify(n, f))
+    gens = fixture_generator_set(8)
+    assert calls == [g.u_poly for g in gens]
+    calls.clear()
+    records = load_fixtures(5)
+    assert calls == [r.poly for r in records if r.coordinates == "u"]
+    assert len(calls) == 4
 
 
 def test_write_and_reload_generator_dir(tmp_path):
@@ -239,7 +263,6 @@ def test_bundled_set_runs_no_relation_or_x_form_check(monkeypatch):
     spy("verify_invariant_x")
     gens = fixture_generator_set(8)
     assert gens.degrees() == tuple(range(2, 11))
-    assert gens.verified
     assert calls == []
 
 

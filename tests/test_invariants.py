@@ -3,15 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from invforge import cli, hilbert, invariants
-from invforge.derivations import apply_derivation, expand_u_to_x, reduced_operator
+from invforge.derivations import (
+    ResidualDenominatorError,
+    apply_derivation,
+    expand_u_to_x,
+    reduced_operator,
+)
 from invforge.exponents import _compositions, grad, powers
 from invforge.fixtures import fixture_root, load_generator_dir
 from invforge.hilbert import MAX_CANDIDATES, candidate_count
 from invforge.invariants import (
     _GENERATOR_TABLE,
     DegreeMismatchError,
+    Generator,
     GeneratorSet,
     NonInvariantError,
     UnsupportedFormDegreeError,
@@ -465,3 +472,98 @@ def test_generator_names_are_distinct_identifiers_in_order():
     assert names[25:27] == ["f14z", "f14zb"]
     assert names == sorted(set(names))
     assert all(name.isidentifier() and not name.endswith("_x") for name in names)
+
+
+# the cubic's discriminant plus the discriminant divided by x0: the reduced
+# operator kills both summands, which have one weight but two degrees
+DISC = "x0^2*u3^2 + 4*x0*u2^3"
+DISC_PLUS_DISC_OVER_X0 = DISC + " + x0*u3^2 + 4*u2^3"
+
+
+def test_generator_reads_its_degree_and_weight():
+    disc = p(DISC, U3)
+    g = Generator("f4", disc, expand_u_to_x(disc, 3))
+    assert (g.degree, g.weight) == (4, 6)
+    g = Generator("f2", p("x0*u2", u_ring(2)))
+    assert (g.degree, g.weight, g.x_poly) == (2, 2, None)
+
+
+@pytest.mark.parametrize("text", [
+    "0",                     # zero
+    "5",                     # constant
+    DISC_PLUS_DISC_OVER_X0,  # not homogeneous
+    "u2",                    # degree 1, weight 2: not balanced
+    "x0*u2^3",               # balanced, not killed
+])
+def test_generator_refuses_a_u_form_that_is_no_invariant(text):
+    with pytest.raises(NonInvariantError):
+        Generator("g4", p(text, U3))
+
+
+def test_generator_refuses_an_x_form_that_is_no_invariant():
+    disc = p(DISC, U3)
+    x_form = expand_u_to_x(disc, 3)
+    with pytest.raises(NonInvariantError):
+        Generator("g4", x_form)  # an x-form is no u-form
+    for bad in (x_form + p("x0^4", x_ring(3)), Polynomial.zero(x_ring(3)), disc):
+        with pytest.raises(NonInvariantError):
+            Generator("g4", disc, bad)
+
+
+def test_a_set_refuses_a_generator_of_another_form_degree():
+    with pytest.raises(ContextMismatchError):
+        GeneratorSet(4, (Generator("f4", p(DISC, U3)),))
+
+
+def test_mingenset_verifies_each_new_generator_once(monkeypatch):
+    calls = {"u": [], "x": []}
+    for coords, seen in calls.items():
+        name = f"verify_invariant_{coords}"
+        verify = getattr(invariants, name)
+        monkeypatch.setattr(invariants, name,
+                            lambda n, f, verify=verify, seen=seen: seen.append(f) or verify(n, f))
+    gens = mingenset(5, 3, [4, 8, 12])
+    assert calls == {"u": [g.u_poly for g in gens], "x": [g.x_poly for g in gens]}
+
+
+_SMALL_BASES = {(n, d): invariant_basis(n, d)
+                for n in (2, 3, 4, 5, 6, 8) for d in range(1, 5)}
+
+
+@st.composite
+def basis_combinations(draw):
+    """(n, f): f a combination of degree-d basis invariants, plus, maybe, a
+    basis element divided by x0 or a u-monomial of degree d."""
+    n, d = draw(st.sampled_from(sorted(k for k, basis in _SMALL_BASES.items() if basis)))
+    basis = _SMALL_BASES[n, d]
+    coefficients = st.integers(-3, 3)
+    f = Polynomial.zero(u_ring(n))
+    for el in basis:
+        f = f + el.scale(draw(coefficients))
+    extra = draw(st.sampled_from(["none", "over_x0", "monomial"]))
+    if extra == "over_x0":
+        el = draw(st.sampled_from(basis))
+        if all(e[0] for e in el.terms):
+            f = f + Polynomial(el.context, {(e[0] - 1,) + e[1:]: c
+                                            for e, c in el.terms.items()})
+    elif extra == "monomial":
+        e = draw(st.sampled_from(powers(n, d)))
+        f = f + Polynomial.monomial(u_ring(n), e).scale(draw(coefficients))
+    return n, f
+
+
+@settings(max_examples=120, deadline=None)
+@given(basis_combinations())
+@example((3, p(DISC_PLUS_DISC_OVER_X0, U3)))
+def test_u_verifier_agrees_with_the_x_route(case):
+    # a u-form is an invariant exactly when it is homogeneous and its
+    # x-form is a polynomial that both derivations kill
+    n, f = case
+    assume(not f.is_zero())
+    try:
+        x_form = expand_u_to_x(f, n)
+    except ResidualDenominatorError:
+        x_form = None
+    homogeneous = len({sum(e) for e in f.terms}) == 1
+    assert verify_invariant_u(n, f) == (
+        homogeneous and x_form is not None and verify_invariant_x(n, x_form))

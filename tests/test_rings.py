@@ -14,7 +14,6 @@ from invforge.rings import (
     _common_weight,
     degree,
     gen_ring,
-    is_isobaric_balanced,
     monomial_key,
     substitute,
     u_ring,
@@ -104,12 +103,6 @@ def test_weight_x_examples():
     assert weight_x(p("x0^5", X2)) == 0
     five_term = p("4*x0*x2^3 - 3*x1^2*x2^2 + x0^2*x3^2 - 6*x0*x1*x2*x3 + 4*x1^3*x3", X3)
     assert weight_x(five_term) == 6
-
-
-def test_isobaric_balance_examples():
-    assert is_isobaric_balanced(p("x0*u2^3 + x0^2*u3^2", U3), 3)
-    assert not is_isobaric_balanced(p("u2", U3), 3)
-    assert is_isobaric_balanced(p("x0*u2", u_ring(2)), 2)
 
 
 def test_normalize_examples():

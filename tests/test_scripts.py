@@ -131,6 +131,31 @@ def test_bench_pairs_summary_needs_nine_wins_and_the_iqr():
     assert not worse["within_bound"] and worse["verdict"] == "regression past bound"
 
 
+def test_bench_pairs_calls_a_metric_noisier_than_its_bound_unresolved():
+    bench = load("bench_pairs")
+
+    def wall(parent, change):
+        return bench.summarize(canned_runs(parent, change),
+                               END_TO_END)["generators"]["pairs"]["wall_ref_s"]
+
+    # the parent's IQR, 0.4, is wider than 0.15 of its median, 1.0
+    spread = [0.8, 1.2, 0.8, 1.2, 0.8, 1.2, 0.8, 1.2, 0.8, 1.2]
+    noisy = wall(spread, [s + 0.01 for s in spread])
+    assert noisy["within_bound"] and noisy["verdict"] == "unresolved"
+    # every change run better than every parent run settles it
+    assert wall(spread, [0.79] * 10)["verdict"] == "no gain; within bound"
+    # a median past its bound stays a regression, and a narrow parent is
+    # not unresolved
+    assert wall(spread, [s + 0.3 for s in spread])["verdict"] == "regression past bound"
+    assert wall([1.0] * 10, spread)["verdict"] == "no gain; within bound"
+    # a metric where higher is better is separated the other way round
+    higher = [{"name": "wall_ref_s", "better": "higher", "bound": 0.15}]
+    for change, verdict in (([1.21] * 10, "no gain; within bound"),
+                            ([s - 0.01 for s in spread], "unresolved")):
+        got = bench.summarize(canned_runs(spread, change), higher)["generators"]
+        assert got["pairs"]["wall_ref_s"]["verdict"] == verdict
+
+
 def test_bench_pairs_summary_meets_no_gain_with_more_failed_operations():
     bench = load("bench_pairs")
     runs = canned_runs([1.0] * 10, [0.5] * 10, change_failed=1)

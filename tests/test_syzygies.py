@@ -153,7 +153,7 @@ def test_new_sets_start_cold():
     assert "evaluation" in vars(gens)
     assert "evaluation" not in vars(bundled(5)[0])
     grown = gens.with_generator(gens[0])
-    assert "evaluation" not in vars(grown) and "verified" not in vars(grown)
+    assert "evaluation" not in vars(grown)
 
 
 def test_warm_set_compares_hashes_and_prints_as_a_cold_one():
@@ -306,7 +306,7 @@ def test_no_fallback_without_f18(ref5, expansions):
 def test_fallback_when_generators_do_not_span(ref5, expansions, d):
     # with f8 replaced by f4^2 the evaluation rank stalls below the count
     f4 = ref5[0]
-    g8 = Generator("g8", 8, 20, f4.u_poly * f4.u_poly, None)
+    g8 = Generator("g8", f4.u_poly * f4.u_poly)
     gens = GeneratorSet(5, tuple(g8 if g.name == "f8" else g for g in ref5))
     got = syzygy_basis(gens, d)
     assert expansions
@@ -321,28 +321,6 @@ def test_fallback_with_too_few_candidates(ref5, expansions):
     gens = GeneratorSet(5, tuple(g for g in ref5 if g.name != "f8"))
     assert syzygy_basis(gens, 16) == syzygy_basis_by_expansion(gens, 16) == []
     assert expansions
-
-
-def test_fallback_when_a_generator_is_not_invariant(expansions):
-    # g2 and h4 are no invariants, so the Cayley-Sylvester count (1 in degree
-    # 4) bounds nothing: evaluation alone would stop at rank 1 and report
-    # three relations where the only one is f2*g2 = h4
-    ctx = u_ring(2)
-    gens = GeneratorSet(2, tuple(
-        Generator(name, deg, deg, Polynomial.monomial(ctx, e), None)
-        for name, deg, e in (("f2", 2, (1, 1)), ("g2", 2, (2, 0)),
-                             ("h4", 4, (3, 1)))))
-    got = syzygy_basis(gens, 4)
-    assert expansions
-    want = normalize(parse_poly("f2*g2 - h4", gens.gen_context()))
-    assert got == syzygy_basis_by_expansion(gens, 4) == [syzygies.Syzygy(want, 4)]
-    assert check_syzygy(gens, want)
-    assert not check_syzygy(gens, parse_poly("f2^2 - h4", gens.gen_context()))
-    # Rel_6 = {f2*r, g2*r}, r = f2*g2 - h4: the null space for f2 has
-    # dimension 1 while count(4) - dim I_4 = 3.  No generator count bounds
-    # a set that is not verified, so the filter must not raise on it.
-    assert not gens.verified
-    assert minimal_syzygies(gens, [4, 6]) == [syzygies.Syzygy(want, 4)]
 
 
 def test_mixed_degree_relation_checks_every_component(ref5):
@@ -363,7 +341,8 @@ def test_loaded_set_is_not_verified_again(verifications):
 
 
 def test_hand_built_set_is_verified_once(ref5, verifications):
-    gens = GeneratorSet(5, ref5.generators)
+    # each generator is verified when it is made, and never by the set
+    gens = GeneratorSet(5, tuple(Generator(g.name, g.u_poly) for g in ref5))
     rel = parse_poly(REFERENCE_RELATION_5, gens.gen_context())
     assert syzygy_basis(gens, 24) == []
     assert len(syzygy_basis(gens, 36)) == 1
@@ -605,7 +584,7 @@ def test_rational_generators_take_the_certified_route(ref5, expansions, monkeypa
     # which the packed store scales to integers before it reduces them, so
     # the lifted route answers with no exact fallback
     gens = GeneratorSet(5, tuple(
-        Generator(g.name, g.degree, g.weight, g.u_poly.scale(Fraction(1, 3)), None)
+        Generator(g.name, g.u_poly.scale(Fraction(1, 3)))
         for g in ref5))
     exact = []
     nullspace = linalg.PackedEliminator.nullspace
@@ -732,7 +711,7 @@ def test_relation_count_above_the_degree_count_is_no_error(ref5, monkeypatch):
     # and the set with f8 replaced by f4^2 misses I_8, so degree 12 holds
     # f4 * (g8 - f4^2) with count(8) - dim I_8 = 0
     f4 = ref5[0]
-    g8 = Generator("g8", 8, 20, f4.u_poly * f4.u_poly, None)
+    g8 = Generator("g8", f4.u_poly * f4.u_poly)
     gens = GeneratorSet(5, tuple(g8 if g.name == "f8" else g for g in ref5))
     monkeypatch.undo()
     assert [s.degree for s in minimal_syzygies(gens, [8, 12])] == [8]
